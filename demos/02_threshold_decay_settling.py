@@ -6,15 +6,15 @@ standing ratio clears it.
 """
 
 from matchbook import (
-    AgentState,
     CandidateEntry,
     CompensationRule,
     DecaySchedule,
+    Decision,
     LiquidityStatus,
-    Phase,
     PreferenceBook,
     SETTLING_TABLE,
     records_to_csv,
+    run_schedule,
     step,
 )
 
@@ -28,29 +28,26 @@ book = PreferenceBook(
 rule = CompensationRule(elasticity=0.05, cap=20.0)
 
 print("== tabulated decay ==")
-state = AgentState()
 records = []
 for t in range(1, 6):
-    state, record = step(state, book, rule, SETTLING_TABLE, t)
+    record = step(book, rule, SETTLING_TABLE, t)
     records.append(record)
     print(
         f"t{t}: theta {record.theta:.4f} vs T {record.threshold:.2f}"
         f" -> {record.decision.value.upper()}"
     )
-    if state.phase is Phase.EXECUTE:
+    if record.decision is Decision.EXECUTE:
         break
 
-print(f"\nexecuted at t={state.executed_at}, committed threshold {state.commit_threshold}")
-print(f"theta never moved; only T did. Slippage locked in: {records[-1].slippage}")
+commit = records[-1]
+print(f"\nexecuted at t={commit.t}, committed threshold {commit.threshold}")
+print(f"theta never moved; only T did. Slippage locked in: {commit.slippage}")
 
 print("\n== the same run as a record stream (CSV) ==")
 print(records_to_csv(records))
 
 print("== parametric decay reaches the same place ==")
 schedule = DecaySchedule(t0=0.95, rate=0.06, floor=0.70)
-state = AgentState()
-for t in range(0, 30):
-    state, record = step(state, book, rule, schedule, t)
-    if state.phase is Phase.EXECUTE:
-        print(f"exponential schedule executes at t={t} (T={record.threshold:.4f})")
-        break
+commit = run_schedule(book, rule, schedule, horizon=29)[-1]
+if commit.decision is Decision.EXECUTE:
+    print(f"exponential schedule executes at t={commit.t} (T={commit.threshold:.4f})")

@@ -7,7 +7,6 @@ Lock-in explains why the match survives it anyway.
 """
 
 from matchbook import (
-    AgentState,
     CandidateEntry,
     CompensationRule,
     LiquidityStatus,
@@ -31,9 +30,7 @@ book = PreferenceBook(
     ),
     owner_id="F",
 )
-state, record = step(
-    AgentState(), book, rule, TableSchedule(points=((1, 0.95),)), 1, ask=90.0
-)
+record = step(book, rule, TableSchedule(points=((1, 0.95),)), 1, ask=90.0)
 print(f"theta {record.theta:.4f} >= T {record.threshold} -> {record.decision.value}: instant fill")
 
 print("\n== a settled match, then a peer-comparison shock ==")
@@ -44,21 +41,21 @@ book = PreferenceBook(
     ),
     owner_id="F",
 )
-state, record = step(AgentState(), book, rule, TableSchedule(points=((1, 0.80),)), 1)
-print(f"executed: theta {record.theta:.4f} at threshold {record.threshold}")
+commit = step(book, rule, TableSchedule(points=((1, 0.80),)), 1)
+print(f"executed: theta {commit.theta:.4f} at threshold {commit.threshold}")
 
 shock = ShockEvent.multiplicative(1.10, step=2)
-result = apply_shock(state, 90.0, 75.0, shock)
+result = apply_shock(commit, 90.0, 75.0, shock)
 print(f"shock: ask 90 -> {result.new_v_uncond}, theta -> {result.new_theta:.4f}")
-print(f"regret (theta below committed {state.commit_threshold}): {result.regret}")
+print(f"regret (theta below committed {commit.threshold}): {result.regret}")
 
 print("\n== lock-in keeps the match despite regret ==")
-exit_T = lock_in_threshold(state.commit_threshold, kappa=0.15)
+exit_T = lock_in_threshold(commit.threshold, kappa=0.15)
 print(f"exit threshold {exit_T:.2f}; theta {result.new_theta:.2f} is below it, yet the")
-print(f"state machine stays in phase {state.phase.value!r}: exit is sticky, not automatic")
+print(f"commitment stands as decision {commit.decision.value!r}: exit is sticky, not automatic")
 
 print("\n== a counter-shock clears regret ==")
-recovered = apply_shock(state, result.new_v_uncond, 75.0, ShockEvent.absolute(88.0, step=3))
+recovered = apply_shock(commit, result.new_v_uncond, 75.0, ShockEvent.absolute(88.0, step=3))
 print(f"ask repriced down to 88: theta {recovered.new_theta:.4f}, regret {recovered.regret}")
 
 print("\n== impulse orders: the threshold side can also jump ==")

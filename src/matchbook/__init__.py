@@ -27,11 +27,9 @@ from .dual import (
     triple_coincidence,
 )
 from .dynamics import (
-    AgentState,
     DecaySchedule,
     Decision,
     DecisionRecord,
-    Phase,
     SETTLING_TABLE,
     ShockEvent,
     ShockKind,
@@ -47,10 +45,8 @@ from .dynamics import (
     records_to_csv,
     records_to_jsonl,
     step,
-    threshold_at,
 )
 from .errors import (
-    AlreadyExecuted,
     EmptyBook,
     EmptyGrid,
     InvalidConfig,

@@ -149,6 +149,16 @@ class PreferenceBook:
 BOOK_CSV_HEADER = ("id", "v_intrinsic", "c_offer", "status")
 
 
+def csv_cell(value: object) -> str:
+    """One CSV cell of a report: None is empty, a bool is true/false, and
+    anything else is ``str`` (which equals ``repr`` for floats)."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
 def book_to_csv(book: PreferenceBook) -> str:
     """One record per entry, header exactly id,v_intrinsic,c_offer,status."""
     buf = io.StringIO()
@@ -163,15 +173,7 @@ def book_from_csv(text: str, owner_id: str = "agent") -> PreferenceBook:
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is None or tuple(reader.fieldnames) != BOOK_CSV_HEADER:
         raise ValueError(f"expected header {','.join(BOOK_CSV_HEADER)}, got {reader.fieldnames}")
-    entries = [
-        CandidateEntry(
-            id=row["id"],
-            v_intrinsic=float(row["v_intrinsic"]),
-            c_offer=float(row["c_offer"]),
-            status=LiquidityStatus(row["status"]),
-        )
-        for row in reader
-    ]
+    entries = [entry_from_mapping(row) for row in reader]
     return PreferenceBook(entries=tuple(entries), owner_id=owner_id)
 
 

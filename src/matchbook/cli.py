@@ -34,7 +34,7 @@ from .experiments import (
     run_sweep,
 )
 from .population import DensityProfile, PopulationConfig, cone_volume, generate, population_metadata
-from .book import book_to_csv, book_to_json
+from .book import book_to_csv, book_to_json, csv_cell
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -72,16 +72,15 @@ def _effective_config(args: argparse.Namespace, experiment: str) -> ExperimentCo
             user = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise InvalidConfig(f"cannot read config {args.config}: {exc}") from exc
+        if not isinstance(user, dict) or not isinstance(user.get("overrides", {}), dict):
+            raise InvalidConfig(f"config {args.config} must be an object with an object of overrides")
         data = merge_config(data, user)
+    flags: dict[str, Any] = {}
     if args.override:
-        merged = dict(data.get("overrides", {}))
-        for item in args.override:
-            key, value = _parse_override(item)
-            merged[key] = value
-        data["overrides"] = merged
+        flags["overrides"] = dict(_parse_override(item) for item in args.override)
     if args.format is not None:
-        data["format"] = args.format
-    return config_from_mapping(experiment, data, seed=args.seed)
+        flags["format"] = args.format
+    return config_from_mapping(experiment, merge_config(data, flags), seed=args.seed)
 
 
 def _write_output(path: str | None, text: str) -> None:
@@ -117,17 +116,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if cfg.format == "json":
         text = json.dumps(rows, indent=2) + "\n"
     else:
-        def cell(value):
-            if value is None:
-                return ""
-            if isinstance(value, bool):
-                return "true" if value else "false"
-            return str(value)
-
         header = list(rows[0].keys())
         lines = [",".join(header)]
         for row in rows:
-            lines.append(",".join(cell(row[k]) for k in header))
+            lines.append(",".join(csv_cell(row[k]) for k in header))
         text = "\n".join(lines) + "\n"
     _write_output(args.out, text)
     if all(row["decision"] == "drought" for row in rows):

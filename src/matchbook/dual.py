@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .book import PreferenceBook
+from .book import PreferenceBook, csv_cell
 from .errors import NoLiquidity
 from .valuation import CompensationRule, Money, required_transfer
 
@@ -96,7 +96,15 @@ def triple_coincidence(
 
     Both thetas are computed regardless of where the evaluation stops, so an
     outcome always documents the full state of the pair.
+
+    Fails closed: ``f_threshold`` must lie in (0, 1] and ``c_required``
+    must be >= 0 (``INFEASIBLE`` allowed, which trips the breaker), else
+    ValueError; a NaN in either would otherwise compare its way to MATCHED.
     """
+    if not 0 < f_threshold <= 1:
+        raise ValueError(f"f_threshold must lie in (0, 1], got {f_threshold}")
+    if math.isnan(c_required) or c_required < 0:
+        raise ValueError(f"c_required must be >= 0 (inf allowed), got {c_required}")
     f_theta, f_drought = _side_theta(f_book, rule)
     m_theta, m_drought = _side_theta(m.book, rule)
 
@@ -132,14 +140,10 @@ def outcomes_to_csv(rows: list[tuple[str, str, MatchOutcome]]) -> str:
     writer.writerow(MATCH_CSV_HEADER)
     for f_id, m_id, outcome in rows:
         writer.writerow(
-            [
-                f_id,
-                m_id,
-                "" if outcome.f_theta is None else repr(outcome.f_theta),
-                "" if outcome.m_theta is None else repr(outcome.m_theta),
-                repr(outcome.c_required),
-                repr(outcome.c_max),
-                outcome.result.value,
-            ]
+            csv_cell(value)
+            for value in (
+                f_id, m_id, outcome.f_theta, outcome.m_theta,
+                outcome.c_required, outcome.c_max, outcome.result.value,
+            )
         )
     return buf.getvalue()

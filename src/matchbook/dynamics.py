@@ -1,11 +1,13 @@
-"""Execution dynamics: threshold schedules, the decision state machine,
+"""Execution dynamics: threshold schedules, per-step decision records,
 post-execution shocks, lock-in and impulse adjustments.
 
-An agent searches, evaluates the market-to-book ratio theta against a
-time-decaying threshold T(t), and executes once theta >= T.  Execution is
-absorbing; only external shocks reprice the internal ask afterwards, and a
-repriced ask can push theta below the threshold the agent committed at,
-which is what the regret flag records.
+An agent evaluates the market-to-book ratio theta against a time-decaying
+threshold T(t) at each step and executes at the first step where
+theta >= T.  That step's EXECUTE record is the agent's commitment: it
+carries the step and the threshold committed at.  Execution is absorbing;
+only external shocks reprice the internal ask afterwards, and a repriced ask
+can push theta below the committed threshold, which is what the regret flag
+records.
 """
 
 from __future__ import annotations
@@ -14,13 +16,13 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 from typing import Iterable, NamedTuple, Union
 
-from .book import PreferenceBook
-from .errors import AlreadyExecuted, NoLiquidity, NotExecuted, StepBeforeSchedule
+from .book import PreferenceBook, csv_cell
+from .errors import NoLiquidity, NotExecuted, StepBeforeSchedule
 from .valuation import CompensationRule, Valuation, market_to_book
 
 
@@ -89,10 +91,6 @@ class DecaySchedule:
 ThresholdSchedule = Union[TableSchedule, DecaySchedule]
 
 
-def threshold_at(schedule: ThresholdSchedule, t: int) -> float:
-    return schedule.at(t)
-
-
 #: Replay of the canonical five-step decay table used by the settling scenario.
 SETTLING_TABLE = TableSchedule(points=((1, 0.95), (2, 0.88), (3, 0.80), (4, 0.75), (5, 0.70)))
 
@@ -114,49 +112,14 @@ def decide(theta: float, T: float) -> Decision:
     return Decision.EXECUTE if theta >= T else Decision.HOLD
 
 
-class Phase(str, Enum):
-    SEARCH = "search"
-    EVALUATE = "evaluate"  # transient inside step(); never returned
-    EXECUTE = "execute"
-
-
-@dataclass(frozen=True)
-class AgentState:
-    """Position in the search/evaluate/execute machine.
-
-    The four commit fields are set together exactly when the phase is
-    EXECUTE; regret can only be raised on an executed agent.
-    """
-
-    phase: Phase = Phase.SEARCH
-    regret: bool = False
-    executed_at: int | None = None
-    executed_utility: float | None = None
-    committed_theta: float | None = None
-    commit_threshold: float | None = None
-
-    def __post_init__(self) -> None:
-        executed = self.phase is Phase.EXECUTE
-        commit_fields = (
-            self.executed_at,
-            self.executed_utility,
-            self.committed_theta,
-            self.commit_threshold,
-        )
-        if executed and any(f is None for f in commit_fields):
-            raise ValueError("executed state must carry all commit fields")
-        if not executed and any(f is not None for f in commit_fields):
-            raise ValueError("commit fields are only set in the executed state")
-        if self.regret and not executed:
-            raise ValueError("regret is only defined post-execution")
-
-
 @dataclass(frozen=True)
 class DecisionRecord:
     """One evaluation's outputs; the per-step ledger row.
 
     theta/delta_v/slippage are None on drought rows (no liquid entry meant
-    no metrics could be computed).
+    no metrics could be computed).  An EXECUTE record is the agent's
+    commitment: ``t`` is the execution step and ``threshold`` the threshold
+    committed at.
     """
 
     t: int
@@ -174,15 +137,14 @@ class DecisionRecord:
 
 
 def step(
-    state: AgentState,
     book: PreferenceBook,
     rule: CompensationRule,
     schedule: ThresholdSchedule,
     t: int,
     ask: Valuation | None = None,
     intrinsic_theta: bool = False,
-) -> tuple[AgentState, DecisionRecord]:
-    """Advance one evaluation: compute metrics, compare theta to T(t).
+) -> DecisionRecord:
+    """One evaluation: compute the book's metrics and compare theta to T(t).
 
     theta defaults to the effective-utility convention (best bid including
     compensation over the ask); pass intrinsic_theta=True to use the raw
@@ -190,20 +152,17 @@ def step(
     should not be derived from the book (see PreferenceBook.metrics).
 
     A liquidity drought records a Hold with the drought flag set rather than
-    propagating.  Stepping an executed agent raises AlreadyExecuted.
+    propagating.  Execution is absorbing: run_schedule stops at the first
+    EXECUTE record.
     """
-    if state.phase is Phase.EXECUTE:
-        raise AlreadyExecuted(f"agent {book.owner_id!r} already executed at t={state.executed_at}")
-    T = threshold_at(schedule, t)
+    T = schedule.at(t)
     try:
         metrics = book.metrics(rule, ask=ask)
-        utility = book.best_bid(rule).utility
     except NoLiquidity:
-        record = DecisionRecord(
+        return DecisionRecord(
             t=t, theta=None, threshold=T, delta_v=None, slippage=None,
             decision=Decision.HOLD, drought=True,
         )
-        return replace(state, phase=Phase.SEARCH), record
 
     if intrinsic_theta:
         v_ask = book.v_uncond() if ask is None else ask
@@ -211,26 +170,14 @@ def step(
     else:
         theta = metrics.theta
 
-    decision = decide(theta, T)
-    record = DecisionRecord(
+    return DecisionRecord(
         t=t,
         theta=theta,
         threshold=T,
         delta_v=metrics.delta_v,
         slippage=metrics.slippage,
-        decision=decision,
+        decision=decide(theta, T),
     )
-    if decision is Decision.EXECUTE:
-        new_state = AgentState(
-            phase=Phase.EXECUTE,
-            executed_at=t,
-            executed_utility=utility,
-            committed_theta=theta,
-            commit_threshold=T,
-        )
-    else:
-        new_state = replace(state, phase=Phase.SEARCH)
-    return new_state, record
 
 
 # -- post-execution shocks ----------------------------------------------------
@@ -284,7 +231,7 @@ def _decimal_product(a: float, b: float) -> float:
 
 
 def apply_shock(
-    state: AgentState,
+    commit: DecisionRecord,
     v_uncond: Valuation,
     v_partner: Valuation,
     shock: ShockEvent,
@@ -296,8 +243,11 @@ def apply_shock(
     remains.  Regret is theta falling below the threshold the agent
     committed at; it clears only if a later downward repricing lifts theta
     back (upward shocks can only deepen it).
+
+    ``commit`` is the agent's EXECUTE record; any other record raises
+    NotExecuted.
     """
-    if state.phase is not Phase.EXECUTE:
+    if commit.decision is not Decision.EXECUTE:
         raise NotExecuted("shocks apply to executed agents only")
     if v_uncond <= 0:
         raise ValueError(f"current ask must be > 0, got {v_uncond}")
@@ -306,8 +256,7 @@ def apply_shock(
     else:
         new_v = float(shock.new_ask)
     new_theta = market_to_book(v_partner, new_v)
-    assert state.commit_threshold is not None
-    return ShockResult(new_v, new_theta, new_theta < state.commit_threshold)
+    return ShockResult(new_v, new_theta, new_theta < commit.threshold)
 
 
 def lock_in_threshold(T: float, kappa: float) -> float:
@@ -333,26 +282,12 @@ def impulse_adjust(T: float, delta_emotion: float) -> float:
 RECORD_CSV_HEADER = ("t", "theta", "threshold", "delta_v", "slippage", "decision", "drought")
 
 
-def _cell(value: float | None) -> str:
-    return "" if value is None else repr(value)
-
-
 def records_to_csv(records: Iterable[DecisionRecord]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(RECORD_CSV_HEADER)
     for r in records:
-        writer.writerow(
-            [
-                r.t,
-                _cell(r.theta),
-                repr(r.threshold),
-                _cell(r.delta_v),
-                _cell(r.slippage),
-                r.decision.value,
-                "true" if r.drought else "false",
-            ]
-        )
+        writer.writerow(csv_cell(value) for value in record_to_dict(r).values())
     return buf.getvalue()
 
 

@@ -29,10 +29,6 @@ class StepBeforeSchedule(MatchbookError):
     """A threshold was requested for a step before the schedule starts."""
 
 
-class AlreadyExecuted(MatchbookError):
-    """The agent is in the absorbing executed state; it cannot step again."""
-
-
 class NotExecuted(MatchbookError):
     """A post-execution operation was applied to an unexecuted agent."""
 

@@ -18,7 +18,7 @@ import itertools
 import json
 from dataclasses import dataclass, field, replace
 from importlib import resources
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from .book import (
     CandidateEntry,
@@ -27,11 +27,9 @@ from .book import (
     entry_from_mapping,
 )
 from .dynamics import (
-    AgentState,
     DecaySchedule,
     Decision,
     DecisionRecord,
-    Phase,
     SETTLING_TABLE,
     ShockEvent,
     TableSchedule,
@@ -40,7 +38,7 @@ from .dynamics import (
     record_to_dict,
     step,
 )
-from .errors import EmptyGrid, InvalidConfig, MissingOverride
+from .errors import EmptyGrid, InvalidConfig, MissingOverride, NonPositiveAsk
 from .population import PopulationConfig, generate
 from .valuation import CompensationRule, effective_utility
 
@@ -98,6 +96,8 @@ def config_from_mapping(experiment: str, data: dict, seed: int | None = None) ->
         if "book" in data:
             entries = tuple(entry_from_mapping(row) for row in data["book"])
             book = PreferenceBook(entries=entries, owner_id=str(data.get("owner_id", "F")))
+            if not entries or not book.v_uncond() > 0:
+                raise InvalidConfig("a configured book needs an entry with v_intrinsic > 0")
         population = None
         if "population" in data:
             pop = dict(data["population"])
@@ -142,37 +142,50 @@ def merge_config(base: dict, user: dict) -> dict:
     return merged
 
 
+def _override(cfg: ExperimentConfig, key: str, default: float | None = None) -> float:
+    """A numeric override, or ``default`` when the key is absent."""
+    value = cfg.overrides.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfig(f"non-numeric override for {cfg.experiment}: {key}={value!r}") from exc
+
+
 def _need(cfg: ExperimentConfig, *keys: str) -> list[float]:
     missing = [k for k in keys if k not in cfg.overrides]
     if missing:
         raise MissingOverride(f"{cfg.experiment} needs overrides: {', '.join(missing)}")
-    try:
-        return [float(cfg.overrides[k]) for k in keys]
-    except (TypeError, ValueError) as exc:
-        raise InvalidConfig(f"non-numeric override for {cfg.experiment}: {exc}") from exc
+    return [_override(cfg, k) for k in keys]
 
 
-def _rule(cfg: ExperimentConfig, eps: float | None = None, cap: float | None = None) -> CompensationRule:
-    elasticity = eps if eps is not None else float(cfg.overrides.get("elasticity", 0.05))
-    ceiling = cap if cap is not None else float(cfg.overrides.get("cap", 20.0))
+def _from_config(make: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+    """Call a domain constructor (or apply a shock) on config values: the
+    errors it raises for an out-of-domain value are config errors."""
     try:
-        return CompensationRule(elasticity=elasticity, cap=ceiling)
-    except ValueError as exc:
+        return make(*args, **kwargs)
+    except (ValueError, OverflowError, NonPositiveAsk) as exc:
         raise InvalidConfig(str(exc)) from exc
 
 
+def _rule(cfg: ExperimentConfig, eps: float | None = None, cap: float | None = None) -> CompensationRule:
+    elasticity = eps if eps is not None else _override(cfg, "elasticity", 0.05)
+    ceiling = cap if cap is not None else _override(cfg, "cap", 20.0)
+    return _from_config(CompensationRule, elasticity=elasticity, cap=ceiling)
+
+
 def _constant_schedule(T: float) -> TableSchedule:
-    return TableSchedule(points=((1, T),))
+    return _from_config(TableSchedule, points=((1, T),))
 
 
-def _single_bid_book(v_uncond: float, bid: float, c: float, owner: str = "F") -> PreferenceBook:
-    return PreferenceBook(
-        entries=(
-            CandidateEntry("ideal", v_uncond, 0.0, LiquidityStatus.HYPOTHETICAL),
-            CandidateEntry("bid", bid, c, LiquidityStatus.LIQUID),
-        ),
-        owner_id=owner,
-    )
+def _bid_book(v_uncond: float, *bids: tuple[str, float, float], owner: str = "F") -> PreferenceBook:
+    """A hypothetical ideal at the internal ask ``v_uncond`` plus one liquid
+    entry per ``(id, v, c)`` bid."""
+    if not v_uncond > 0:
+        raise InvalidConfig(f"the internal ask must be > 0, got {v_uncond}")
+    rows = [("ideal", v_uncond, 0.0, LiquidityStatus.HYPOTHETICAL)]
+    rows += [(i, v, c, LiquidityStatus.LIQUID) for i, v, c in bids]
+    entries = tuple(_from_config(CandidateEntry, *row) for row in rows)
+    return PreferenceBook(entries=entries, owner_id=owner)
 
 
 # -- reports -----------------------------------------------------------------------
@@ -222,9 +235,10 @@ class ExperimentReport:
             and last is not None
             and last.slippage is not None
         ):
-            derived = float(self.constants["v_uncond"]) - last.slippage
-            if self.summary["best_utility"] != derived:
-                fail(f"best_utility {self.summary['best_utility']!r} != {derived!r}")
+            # In slippage's own form: ask - (ask - utility) may not round to utility.
+            derived = float(self.constants["v_uncond"]) - self.summary["best_utility"]
+            if last.slippage != derived:
+                fail(f"slippage {last.slippage!r} != v_uncond - best_utility {derived!r}")
         if "markets" in self.summary:
             for i, market in enumerate(self.summary["markets"]):
                 if market["theta"] != self.records[i].theta:
@@ -265,28 +279,27 @@ def run_schedule(
     ask: float | None = None,
     intrinsic_theta: bool = False,
     horizon: int | None = None,
-) -> tuple[AgentState, list[DecisionRecord]]:
-    """Step an agent over a schedule until it executes or the horizon ends."""
-    state = AgentState()
+) -> list[DecisionRecord]:
+    """Step an agent over a schedule until it executes or the horizon ends.
+
+    Execution is absorbing: the list stops at the first EXECUTE record, so
+    an executed run's last record is its commitment.
+    """
     records: list[DecisionRecord] = []
     for t in _schedule_steps(schedule, horizon):
-        state, record = step(
-            state, book, rule, schedule, t, ask=ask, intrinsic_theta=intrinsic_theta
-        )
-        records.append(record)
-        if state.phase is Phase.EXECUTE:
+        records.append(step(book, rule, schedule, t, ask=ask, intrinsic_theta=intrinsic_theta))
+        if records[-1].decision is Decision.EXECUTE:
             break
     if not records:
         raise InvalidConfig("the horizon ends before the schedule's first step")
-    return state, records
+    return records
 
 
 def _base_summary(records: list[DecisionRecord]) -> dict[str, Any]:
     last = records[-1]
-    executed = [r.t for r in records if r.decision is Decision.EXECUTE]
     return {
         "decision": "drought" if last.drought else last.decision.value,
-        "t_star": executed[0] if executed else None,
+        "t_star": last.t if last.decision is Decision.EXECUTE else None,
         "theta": last.theta,
         "delta_v": last.delta_v,
         "slippage": last.slippage,
@@ -301,8 +314,9 @@ def run_exp1(cfg: ExperimentConfig) -> ExperimentReport:
     compensation rule leaves the spread open and the order is rejected."""
     v_uncond, bid, c, T = _need(cfg, "v_uncond", "bid", "c", "T")
     rule = _rule(cfg)
-    book = _single_bid_book(v_uncond, bid, c)
-    _, records = run_schedule(book, rule, _constant_schedule(T))
+    book = _bid_book(v_uncond, ("bid", bid, c))
+    # The ask is pinned: a bid above it would otherwise become the ask.
+    records = run_schedule(book, rule, _constant_schedule(T), ask=v_uncond)
     summary = _base_summary(records)
     summary["best_utility"] = effective_utility(bid, c, rule)
     summary["theta_convention"] = "effective"
@@ -317,8 +331,8 @@ def run_exp2(cfg: ExperimentConfig) -> ExperimentReport:
     v_uncond, v_reach = _need(cfg, "v_uncond", "v_reach")
     rule = _rule(cfg)
     schedule = cfg.schedule if cfg.schedule is not None else SETTLING_TABLE
-    book = _single_bid_book(v_uncond, v_reach, 0.0)
-    _, records = run_schedule(book, rule, schedule)
+    book = _bid_book(v_uncond, ("bid", v_reach, 0.0))
+    records = run_schedule(book, rule, schedule)
     summary = _base_summary(records)
     summary["theta_convention"] = "effective"
     constants = {"v_uncond": v_uncond, "v_reach": v_reach}
@@ -330,10 +344,10 @@ def run_exp3(cfg: ExperimentConfig) -> ExperimentReport:
     any rational threshold on the first evaluation."""
     v_uncond, bid, c, T = _need(cfg, "v_uncond", "bid", "c", "T")
     rule = _rule(cfg)
-    book = _single_bid_book(v_uncond, bid, c)
+    book = _bid_book(v_uncond, ("bid", bid, c))
     # The ask is a belief anchor, pinned explicitly: the arriving bid must
     # not be absorbed into the unconditional side.
-    _, records = run_schedule(book, rule, _constant_schedule(T), ask=v_uncond)
+    records = run_schedule(book, rule, _constant_schedule(T), ask=v_uncond)
     summary = _base_summary(records)
     summary["immediate_fill"] = summary["t_star"] == records[0].t
     summary["theta_convention"] = "effective"
@@ -351,16 +365,9 @@ def run_exp4(cfg: ExperimentConfig) -> ExperimentReport:
     markets: list[dict[str, Any]] = []
     records: list[DecisionRecord] = []
     for label, base in (("high_norm", base_high), ("low_norm", base_low)):
-        book = PreferenceBook(
-            entries=(
-                CandidateEntry("ideal", v_uncond, 0.0, LiquidityStatus.HYPOTHETICAL),
-                CandidateEntry("A", v_a, base + e_a, LiquidityStatus.LIQUID),
-                CandidateEntry("B", v_b, base + e_b, LiquidityStatus.LIQUID),
-            ),
-            owner_id=f"F-{label}",
-        )
+        book = _bid_book(v_uncond, ("A", v_a, base + e_a), ("B", v_b, base + e_b), owner=f"F-{label}")
         best = book.best_bid(rule)
-        _, market_records = run_schedule(book, rule, _constant_schedule(T))
+        market_records = run_schedule(book, rule, _constant_schedule(T))
         records.extend(market_records)
         markets.append(
             {
@@ -389,11 +396,12 @@ def run_exp5(cfg: ExperimentConfig) -> ExperimentReport:
     theta falls through the committed threshold, and regret latches."""
     partner, ask, T, factor = _need(cfg, "partner", "ask", "commit_threshold", "shock_factor")
     rule = _rule(cfg)
-    book = _single_bid_book(ask, partner, 0.0)
-    state, records = run_schedule(book, rule, _constant_schedule(T))
+    book = _bid_book(ask, ("bid", partner, 0.0))
+    records = run_schedule(book, rule, _constant_schedule(T))
     constants = {"partner": partner, "ask": ask, "commit_threshold": T, "shock_factor": factor}
-    pre_theta = records[-1].theta
-    if state.phase is not Phase.EXECUTE:
+    commit = records[-1]
+    pre_theta = commit.theta
+    if commit.decision is not Decision.EXECUTE:
         # Nothing committed, nothing to shock: report the failed premise.
         summary = {
             "commit_decision": Decision.HOLD.value,
@@ -402,15 +410,15 @@ def run_exp5(cfg: ExperimentConfig) -> ExperimentReport:
             "theta_convention": "intrinsic (post-execution)",
         }
         return _finish(ExperimentReport("exp5", constants, records, summary))
-    shock = ShockEvent.multiplicative(factor, step=records[-1].t + 1)
-    result = apply_shock(state, ask, partner, shock)
-    # The shock re-evaluation joins the record stream; the executed state is
+    shock = _from_config(ShockEvent.multiplicative, factor, step=commit.t + 1)
+    result = _from_config(apply_shock, commit, ask, partner, shock)
+    # The shock re-evaluation joins the record stream; execution is
     # absorbing, so a sub-threshold theta here is regret, not a reversal.
     records.append(
         DecisionRecord(
             t=shock.step,
             theta=result.new_theta,
-            threshold=state.commit_threshold,
+            threshold=commit.threshold,
             delta_v=result.new_v_uncond - partner,
             slippage=result.new_v_uncond - partner,
             decision=Decision.HOLD,
@@ -418,7 +426,7 @@ def run_exp5(cfg: ExperimentConfig) -> ExperimentReport:
     )
     summary = {
         "commit_decision": Decision.EXECUTE.value,
-        "t_star": state.executed_at,
+        "t_star": commit.t,
         "pre_theta": pre_theta,
         "post_theta": result.new_theta,
         "post_shock_ask": result.new_v_uncond,
@@ -440,9 +448,7 @@ def run_appendix_a(cfg: ExperimentConfig) -> ExperimentReport:
     v_uncond = book.v_uncond()
     v_reach = book.v_reach()
     best = book.best_bid(rule)
-    _, records = run_schedule(
-        book, rule, _constant_schedule(T), intrinsic_theta=True
-    )
+    records = run_schedule(book, rule, _constant_schedule(T), intrinsic_theta=True)
     summary = _base_summary(records)
     summary.update(
         {
@@ -486,7 +492,7 @@ def _sweep_book(cfg: ExperimentConfig, reach_slope: float | None) -> PreferenceB
             pop = replace(pop, reach_slope=reach_slope)
         return generate(pop)
     v_uncond, bid, c = _need(cfg, "v_uncond", "bid", "c")
-    return _single_bid_book(v_uncond, bid, c)
+    return _bid_book(v_uncond, ("bid", bid, c))
 
 
 def _sweep_schedule(cfg: ExperimentConfig, t0: float | None, rate: float | None) -> ThresholdSchedule:
@@ -494,18 +500,18 @@ def _sweep_schedule(cfg: ExperimentConfig, t0: float | None, rate: float | None)
         return cfg.schedule
     base = cfg.schedule if isinstance(cfg.schedule, DecaySchedule) else None
     if rate is None:
-        rate = base.rate if base is not None else float(cfg.overrides.get("lambda", 0.0))
+        rate = base.rate if base is not None else _override(cfg, "lambda", 0.0)
     if t0 is None:
         if base is not None:
             t0 = base.t0
         elif "T0" in cfg.overrides or "T" in cfg.overrides:
-            t0 = float(cfg.overrides.get("T0", cfg.overrides.get("T")))
+            t0 = _override(cfg, "T0" if "T0" in cfg.overrides else "T")
         else:
             raise MissingOverride("sweep needs a schedule, or T0/T in overrides")
-    floor = base.floor if base is not None else float(cfg.overrides.get("floor", 0.0))
+    floor = base.floor if base is not None else _override(cfg, "floor", 0.0)
     if rate == 0.0:
         return _constant_schedule(t0)
-    return DecaySchedule(t0=t0, rate=rate, floor=floor)
+    return _from_config(DecaySchedule, t0=t0, rate=rate, floor=floor)
 
 
 def run_sweep(cfg: ExperimentConfig) -> list[dict[str, Any]]:
@@ -517,26 +523,25 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict[str, Any]]:
     if cfg.grid is None:
         raise EmptyGrid("sweep needs a grid")
     params, points = _grid_points(cfg.grid)
-    horizon = int(cfg.overrides["horizon"]) if "horizon" in cfg.overrides else None
+    horizon = _from_config(int, _override(cfg, "horizon")) if "horizon" in cfg.overrides else None
     rows: list[dict[str, Any]] = []
     for index, values in enumerate(points):
         point = dict(zip(params, values))
         rule = _rule(cfg, eps=point.get("eps"), cap=point.get("cap"))
         book = _sweep_book(cfg, point.get("reach_slope"))
         schedule = _sweep_schedule(cfg, point.get("T0"), point.get("lambda"))
-        state, records = run_schedule(book, rule, schedule, horizon=horizon)
+        records = run_schedule(book, rule, schedule, horizon=horizon)
         summary = _base_summary(records)
         post_theta = None
         regret = None
-        factor = point.get("shock_factor", cfg.overrides.get("shock_factor"))
-        if factor is not None and state.phase is Phase.EXECUTE:
+        commit = records[-1]
+        factor = point.get("shock_factor")
+        if factor is None and "shock_factor" in cfg.overrides:
+            factor = _override(cfg, "shock_factor")
+        if factor is not None and commit.decision is Decision.EXECUTE:
             best = book.best_bid(rule)
-            result = apply_shock(
-                state,
-                book.v_uncond(),
-                best.entry.v_intrinsic,
-                ShockEvent.multiplicative(float(factor), step=records[-1].t + 1),
-            )
+            shock = _from_config(ShockEvent.multiplicative, factor, step=commit.t + 1)
+            result = _from_config(apply_shock, commit, book.v_uncond(), best.entry.v_intrinsic, shock)
             post_theta = result.new_theta
             regret = result.regret
         row: dict[str, Any] = {"grid_index": index}

@@ -1,13 +1,18 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
+import string
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matchbook import DensityProfile, cone_volume
 from matchbook.cli import main
+from matchbook.experiments import load_fixture
 
 ALL_COMMANDS = [
     ["exp1"], ["exp2"], ["exp3"], ["exp4"], ["exp5"], ["appendix-a"],
@@ -33,6 +38,13 @@ class TestExitCodes:
 
     def test_missing_config_file(self, capsys):
         assert main(["exp1", "--config", "/nonexistent/cfg.json"]) == 2
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '{"overrides": [1]}'], ids=["list", "list-overrides"])
+    def test_config_must_be_an_object(self, text, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text, encoding="utf-8")
+        assert main(["exp1", "--config", str(cfg), "--override", "T=0.5"]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_bad_profile(self, capsys):
         assert main(["cone", "--profile", "pyramid"]) == 2
@@ -82,6 +94,93 @@ class TestExitCodes:
             encoding="utf-8",
         )
         assert main(["appendix-a", "--config", str(cfg)]) == 3
+
+
+SCENARIOS = ["exp1", "exp2", "exp3", "exp4", "exp5", "appendix-a", "sweep"]
+
+#: Every override key a fixture sets, plus the optional ones the sweep reads.
+OVERRIDE_KEYS = sorted(
+    {key for name in SCENARIOS for key in load_fixture(name.replace("-", "_"))["overrides"]}
+    | {"horizon", "T0", "lambda", "floor"}
+)
+
+#: Override values as typed on the command line.  Numbers stay within
+#: +-1e3 because the sweep runs ``horizon`` steps with no upper bound on it:
+#: a horizon of 1e300 never finishes, which is a defect of its own.
+OVERRIDE_VALUES = st.one_of(
+    st.sampled_from(
+        ["NaN", "nan", "Infinity", "inf", "-Infinity", "-inf", "0", "-0.0", "-1", "-5",
+         "1.5", "abc", "", "null", "true", "[1]", "{}"]
+    ),
+    st.floats(min_value=-1e3, max_value=1e3).map(repr),
+    st.text(alphabet=string.ascii_letters, max_size=4),
+)
+
+
+class TestOverrideContract:
+    """Any --override value exits 0, 2 or 3; no input reaches a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["exp1", "--override", "T=1.5"],
+            ["exp1", "--override", "T=NaN"],
+            ["exp1", "--override", "v_uncond=0", "--override", "bid=0"],
+            ["exp1", "--override", "c=inf"],
+            ["exp1", "--override", "elasticity=abc"],
+            ["exp2", "--override", "v_uncond=-5"],
+            ["exp2", "--override", "v_reach=nan"],
+            ["exp5", "--override", "shock_factor=0"],
+            ["exp5", "--override", "ask=0", "--override", "partner=5"],
+            ["appendix-a", "--override", "T=0"],
+            ["sweep", "--override", "horizon=abc"],
+            ["sweep", "--override", "horizon=inf"],
+            ["sweep", "--override", "lambda=abc"],
+        ],
+        ids=" ".join,
+    )
+    def test_out_of_domain_value_is_config_error(self, argv, capsys):
+        assert main(argv) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # A bid above the exp1 ask: the ask stays pinned at v_uncond.
+            ["exp1", "--override", "v_uncond=50", "--override", "bid=60.3"],
+            # v_uncond - (v_uncond - bid) rounds to 23.799999999999997.
+            ["exp1", "--override", "v_uncond=78.6", "--override", "bid=23.8", "--override", "c=0"],
+        ],
+        ids=" ".join,
+    )
+    def test_report_verifies_for_in_domain_values(self, argv):
+        assert main(argv) == 0
+
+    @given(
+        command=st.sampled_from(SCENARIOS),
+        overrides=st.lists(
+            st.tuples(st.sampled_from(OVERRIDE_KEYS), OVERRIDE_VALUES), min_size=1, max_size=3
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_override_exits_0_2_or_3(self, command, overrides):
+        argv = [command]
+        for key, value in overrides:
+            argv += ["--override", f"{key}={value}"]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 2, 3)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[], [{"id": "Z", "v_intrinsic": 0, "c_offer": 0, "status": "liquid"}]],
+        ids=["empty", "zero-ask"],
+    )
+    @pytest.mark.parametrize("command", ["appendix-a", "sweep"])
+    def test_configured_book_without_an_ask(self, command, rows, tmp_path, capsys):
+        cfg = tmp_path / "book.json"
+        cfg.write_text(json.dumps({"book": rows}), encoding="utf-8")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 class TestDeterminism:

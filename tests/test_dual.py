@@ -177,6 +177,20 @@ class TestTripleCoincidence:
         with pytest.raises(ValueError):
             Counterparty(id="M", book=side_book(0.9, "M"), threshold=0.8, c_max=-1.0)
 
+    @pytest.mark.parametrize(
+        "f_threshold, c_required",
+        [(math.nan, 50.0), (0.8, math.nan), (0.8, -1.0)],
+        ids=["f_threshold-nan", "c_required-nan", "c_required-negative"],
+    )
+    def test_out_of_domain_inputs_fail_closed(self, f_threshold, c_required):
+        # Each of these used to compare its way to MATCHED.
+        with pytest.raises(ValueError):
+            triple_coincidence(side_book(0.9, "F"), f_threshold, counterparty(), c_required, RULE)
+
+    def test_infeasible_transfer_trips_the_breaker(self):
+        outcome = triple_coincidence(side_book(0.9, "F"), 0.8, counterparty(), math.inf, RULE)
+        assert outcome.result is MatchResult.CIRCUIT_BREAKER
+
 
 class TestMatchReportCsv:
     def test_header_and_rows(self):

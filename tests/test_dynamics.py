@@ -4,14 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matchbook import (
-    AgentState,
-    AlreadyExecuted,
     CompensationRule,
     DecaySchedule,
     Decision,
     DecisionRecord,
     NotExecuted,
-    Phase,
     SETTLING_TABLE,
     ShockEvent,
     StepBeforeSchedule,
@@ -24,8 +21,8 @@ from matchbook import (
     records_from_jsonl,
     records_to_csv,
     records_to_jsonl,
+    run_schedule,
     step,
-    threshold_at,
 )
 from conftest import make_book
 
@@ -38,10 +35,10 @@ def settling_book():
 
 class TestThresholdAt:
     def test_tabulated_decay(self):
-        assert threshold_at(SETTLING_TABLE, 1) == 0.95
-        assert threshold_at(SETTLING_TABLE, 3) == 0.80
-        assert threshold_at(SETTLING_TABLE, 4) == 0.75
-        assert threshold_at(SETTLING_TABLE, 5) == 0.70
+        assert SETTLING_TABLE.at(1) == 0.95
+        assert SETTLING_TABLE.at(3) == 0.80
+        assert SETTLING_TABLE.at(4) == 0.75
+        assert SETTLING_TABLE.at(5) == 0.70
 
     def test_step_function_holds_between_and_after_points(self):
         table = TableSchedule(points=((1, 0.9), (5, 0.5)))
@@ -50,7 +47,7 @@ class TestThresholdAt:
 
     def test_before_schedule(self):
         with pytest.raises(StepBeforeSchedule):
-            threshold_at(SETTLING_TABLE, 0)
+            SETTLING_TABLE.at(0)
 
     def test_no_decay(self):
         flat = DecaySchedule(t0=1.0, rate=0.0)
@@ -125,47 +122,37 @@ class TestDecide:
 
 class TestStep:
     def test_settling_run(self):
-        book = settling_book()
-        state = AgentState()
-        decisions = []
-        for t in range(1, 6):
-            state, record = step(state, book, RULE, SETTLING_TABLE, t)
-            decisions.append(record.decision)
-            if state.phase is Phase.EXECUTE:
-                break
+        records = run_schedule(settling_book(), RULE, SETTLING_TABLE)
+        decisions = [r.decision for r in records]
         assert decisions == [Decision.HOLD, Decision.HOLD, Decision.HOLD, Decision.EXECUTE]
-        assert state.executed_at == 4
-        assert state.commit_threshold == 0.75
-        assert state.committed_theta == pytest.approx(70 / 90, abs=1e-12)
-        assert state.executed_utility == 70.0
+        commit = records[-1]
+        assert commit.t == 4
+        assert commit.threshold == 0.75
+        assert commit.theta == pytest.approx(70 / 90, abs=1e-12)
+        assert commit.slippage == 20.0
 
     def test_marketable_bid_fills_on_first_step(self):
         book = make_book([("ideal", 90.0, 0.0, "h"), ("bid", 94.0, 0.0, "l")])
         for T in (0.70, 0.85, 1.0):
-            state, record = step(
-                AgentState(), book, RULE, TableSchedule(points=((1, T),)), 1, ask=90.0
-            )
+            record = step(book, RULE, TableSchedule(points=((1, T),)), 1, ask=90.0)
             assert record.decision is Decision.EXECUTE
-            assert state.phase is Phase.EXECUTE
 
     def test_drought_records_hold_with_flag(self):
         book = make_book([("ideal", 90.0, 0.0, "h")])
-        state, record = step(AgentState(), book, RULE, SETTLING_TABLE, 2)
+        record = step(book, RULE, SETTLING_TABLE, 2)
         assert record.drought is True
         assert record.decision is Decision.HOLD
         assert record.theta is None and record.delta_v is None and record.slippage is None
-        assert state.phase is Phase.SEARCH
 
     def test_execute_is_absorbing(self):
+        # The schedule runs to t=5, but the run ends at its first execution.
         book = make_book([("bid", 90.0, 0.0, "l")])
-        state, _ = step(AgentState(), book, RULE, TableSchedule(points=((1, 0.5),)), 1)
-        assert state.phase is Phase.EXECUTE
-        with pytest.raises(AlreadyExecuted):
-            step(state, book, RULE, SETTLING_TABLE, 2)
+        records = run_schedule(book, RULE, TableSchedule(points=((1, 0.5), (5, 0.4))))
+        assert [(r.t, r.decision) for r in records] == [(1, Decision.EXECUTE)]
 
     def test_record_carries_metrics(self):
         book = settling_book()
-        _, record = step(AgentState(), book, RULE, SETTLING_TABLE, 1)
+        record = step(book, RULE, SETTLING_TABLE, 1)
         assert record.t == 1
         assert record.threshold == 0.95
         assert record.theta == pytest.approx(70 / 90, abs=1e-12)
@@ -174,15 +161,7 @@ class TestStep:
 
     def test_deterministic_records(self):
         def run():
-            book = settling_book()
-            state = AgentState()
-            records = []
-            for t in range(1, 5):
-                state, record = step(state, book, RULE, SETTLING_TABLE, t)
-                records.append(record)
-                if state.phase is Phase.EXECUTE:
-                    break
-            return records
+            return run_schedule(settling_book(), RULE, SETTLING_TABLE)
 
         assert records_to_csv(run()) == records_to_csv(run())
         assert records_to_jsonl(run()) == records_to_jsonl(run())
@@ -207,40 +186,34 @@ class TestEventualExecution:
 
 
 class TestApplyShock:
-    def executed_state(self, threshold=0.80):
-        return AgentState(
-            phase=Phase.EXECUTE,
-            executed_at=1,
-            executed_utility=75.0,
-            committed_theta=75 / 90,
-            commit_threshold=threshold,
-        )
+    def commit_record(self, threshold=0.80):
+        return DecisionRecord(1, 75 / 90, threshold, 15.0, 15.0, Decision.EXECUTE)
 
     def test_peer_comparison_shock(self):
-        result = apply_shock(self.executed_state(), 90.0, 75.0, ShockEvent.multiplicative(1.10))
+        result = apply_shock(self.commit_record(), 90.0, 75.0, ShockEvent.multiplicative(1.10))
         assert result.new_v_uncond == 99.0
         assert result.new_theta == pytest.approx(75 / 99, abs=1e-12)
         assert result.regret is True
 
     def test_identity_shock(self):
-        result = apply_shock(self.executed_state(), 90.0, 75.0, ShockEvent.multiplicative(1.0))
+        result = apply_shock(self.commit_record(), 90.0, 75.0, ShockEvent.multiplicative(1.0))
         assert result.new_v_uncond == 90.0
         assert result.new_theta == pytest.approx(75 / 90, abs=1e-12)
         assert result.regret is False
 
     def test_mild_shock_absorbed(self):
-        result = apply_shock(self.executed_state(), 90.0, 75.0, ShockEvent.multiplicative(1.02))
+        result = apply_shock(self.commit_record(), 90.0, 75.0, ShockEvent.multiplicative(1.02))
         assert result.new_v_uncond == 91.8
         assert result.new_theta == pytest.approx(0.8169934640522876, abs=1e-12)
         assert result.regret is False
 
     def test_absolute_repricing(self):
-        result = apply_shock(self.executed_state(), 90.0, 75.0, ShockEvent.absolute(99.0))
+        result = apply_shock(self.commit_record(), 90.0, 75.0, ShockEvent.absolute(99.0))
         assert result.new_v_uncond == 99.0
         assert result.regret is True
 
     def test_downward_repricing_clears_regret(self):
-        state = self.executed_state()
+        state = self.commit_record()
         shocked = apply_shock(state, 90.0, 75.0, ShockEvent.multiplicative(1.10))
         assert shocked.regret
         recovered = apply_shock(state, shocked.new_v_uncond, 75.0, ShockEvent.absolute(90.0))
@@ -249,14 +222,17 @@ class TestApplyShock:
     def test_theta_strictly_decreasing_in_factor(self):
         factors = [1.0 + 0.01 * k for k in range(1, 60)]
         thetas = [
-            apply_shock(self.executed_state(), 90.0, 75.0, ShockEvent.multiplicative(f)).new_theta
+            apply_shock(self.commit_record(), 90.0, 75.0, ShockEvent.multiplicative(f)).new_theta
             for f in factors
         ]
         assert all(a > b for a, b in zip(thetas, thetas[1:]))
 
     def test_requires_executed_state(self):
-        with pytest.raises(NotExecuted):
-            apply_shock(AgentState(), 90.0, 75.0, ShockEvent.multiplicative(1.1))
+        hold = DecisionRecord(1, 75 / 90, 0.90, 15.0, 15.0, Decision.HOLD)
+        drought = DecisionRecord(1, None, 0.90, None, None, Decision.HOLD, drought=True)
+        for record in (hold, drought):
+            with pytest.raises(NotExecuted):
+                apply_shock(record, 90.0, 75.0, ShockEvent.multiplicative(1.1))
 
     def test_shock_validation(self):
         with pytest.raises(ValueError):
@@ -277,16 +253,13 @@ class TestLockInAndImpulse:
 
     def test_regret_persists_under_lock_in(self):
         # The shock drops theta below the raised exit threshold, yet the
-        # state machine stays executed: stickiness, not reversal.
-        state = AgentState(
-            phase=Phase.EXECUTE, executed_at=1, executed_utility=75.0,
-            committed_theta=75 / 90, commit_threshold=0.80,
-        )
-        result = apply_shock(state, 90.0, 75.0, ShockEvent.multiplicative(1.10))
-        exit_threshold = lock_in_threshold(0.80, 0.15)
+        # commitment stands: stickiness, not reversal.
+        commit = DecisionRecord(1, 75 / 90, 0.80, 15.0, 15.0, Decision.EXECUTE)
+        result = apply_shock(commit, 90.0, 75.0, ShockEvent.multiplicative(1.10))
+        exit_threshold = lock_in_threshold(commit.threshold, 0.15)
         assert result.new_theta < exit_threshold
         assert result.regret
-        assert state.phase is Phase.EXECUTE
+        assert commit.decision is Decision.EXECUTE
 
     def test_impulse_drop(self):
         assert impulse_adjust(0.95, 0.20) == 0.75
@@ -300,20 +273,6 @@ class TestLockInAndImpulse:
             lock_in_threshold(0.8, -0.1)
         with pytest.raises(ValueError):
             impulse_adjust(0.8, -0.1)
-
-
-class TestAgentStateInvariants:
-    def test_commit_fields_required_when_executed(self):
-        with pytest.raises(ValueError):
-            AgentState(phase=Phase.EXECUTE)
-
-    def test_commit_fields_forbidden_when_searching(self):
-        with pytest.raises(ValueError):
-            AgentState(phase=Phase.SEARCH, executed_at=3)
-
-    def test_regret_requires_execution(self):
-        with pytest.raises(ValueError):
-            AgentState(phase=Phase.SEARCH, regret=True)
 
 
 class TestRecordSerialization:
