@@ -16,16 +16,20 @@ import csv
 import io
 import json
 import math
+from json.encoder import encode_basestring_ascii
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import EmptyBook, NoLiquidity
 from .valuation import (
     CompensationRule,
     Money,
     Valuation,
-    effective_utility,
+    effective_utility,  # noqa: F401 - the benchmark counts calls through this name
     market_to_book,
     slippage,
     spread,
@@ -79,28 +83,159 @@ class BookMetrics(NamedTuple):
     slippage: float
 
 
-@dataclass(frozen=True)
-class PreferenceBook:
-    """An agent's internal order book of candidates.
+#: Status codes: the column value ``k`` stands for ``STATUSES[k]``.
+STATUSES: tuple[LiquidityStatus, ...] = tuple(LiquidityStatus)
+_STATUS_CODE = {status: code for code, status in enumerate(STATUSES)}
+_STATUS_VALUES = tuple(status.value for status in STATUSES)
+_LIQUID = _STATUS_CODE[LiquidityStatus.LIQUID]
 
-    Entry ids must be unique; entry order is meaningful (ties in best_bid
-    break toward the earliest entry).
+
+def _status_codes(tokens: Iterable[object]) -> np.ndarray:
+    """Codes of LiquidityStatus members or their values; ValueError names
+    the first token that is neither."""
+    tokens = list(tokens)
+    try:
+        codes = [_STATUS_CODE[t] for t in tokens]
+    except (KeyError, TypeError):
+        codes = [_STATUS_CODE[LiquidityStatus(t)] for t in tokens]
+    return np.array(codes, dtype=np.int8)
+
+
+class _Rows(Sequence):
+    """A book's rows as CandidateEntry values, built on access."""
+
+    __slots__ = ("_book",)
+
+    def __init__(self, book: PreferenceBook) -> None:
+        self._book = book
+
+    def __len__(self) -> int:
+        return len(self._book.ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        return self._book._row(i)
+
+    def __iter__(self) -> Iterator[CandidateEntry]:
+        book = self._book
+        return map(CandidateEntry, book.ids, book.v_intrinsic.tolist(),
+                   book.c_offer.tolist(), book.statuses())
+
+
+class PreferenceBook:
+    """An agent's internal order book of candidates, stored as columns.
+
+    ``ids``, ``v_intrinsic``, ``c_offer`` and ``status_codes`` (indices into
+    STATUSES) hold one value per row; the arrays are read-only and the book
+    is immutable, so the ask and the intrinsic best bid are computed once,
+    here.  Entry ids must be unique; entry order is meaningful (ties in
+    best_bid break toward the earliest entry).
     """
 
-    entries: tuple[CandidateEntry, ...]
-    owner_id: str = "agent"
+    __slots__ = ("owner_id", "ids", "v_intrinsic", "c_offer", "status_codes",
+                 "_liquid", "_v_liquid", "_c_liquid", "_v_uncond", "_v_reach")
 
-    def __post_init__(self) -> None:
-        entries = tuple(self.entries)
-        object.__setattr__(self, "entries", entries)
-        ids = [e.id for e in entries]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"duplicate entry ids in book {self.owner_id!r}")
+    def __init__(self, entries: Iterable[CandidateEntry], owner_id: str = "agent") -> None:
+        entries = tuple(entries)
+        self._set_columns(
+            [e.id for e in entries],
+            ([e.v_intrinsic for e in entries], [e.c_offer for e in entries]),
+            _status_codes(e.status for e in entries),
+            owner_id,
+        )
 
-    # -- side derivations ---------------------------------------------------
+    @classmethod
+    def from_columns(
+        cls,
+        ids: Iterable[str],
+        v_intrinsic: Iterable[float],
+        c_offer: Iterable[float],
+        status_codes: Iterable[int],
+        owner_id: str = "agent",
+    ) -> PreferenceBook:
+        """A book from one value per row in each column (copied)."""
+        ids = tuple(ids)
+        codes = np.asarray(status_codes)
+        if codes.shape != (len(ids),) or not ((codes >= 0) & (codes < len(STATUSES))).all():
+            raise ValueError(f"status codes must be one index into STATUSES per id, got {codes}")
+        book = cls.__new__(cls)
+        book._set_columns(ids, (v_intrinsic, c_offer), codes.astype(np.int8), owner_id)
+        return book
+
+    def _set_columns(self, ids, values, codes: np.ndarray, owner_id: str) -> None:
+        """``values`` is the pair (v_intrinsic, c_offer); ``codes`` are valid."""
+        ids = tuple(ids)
+        n = len(ids)
+        vc = np.array(values, dtype=np.float64)
+        if vc.shape != (2, n):
+            raise ValueError(f"v_intrinsic and c_offer need one value per id, got shape {vc.shape}")
+        ok = (vc >= 0) & (vc < math.inf)
+        if not ok.all():
+            column, row = divmod(int((~ok).argmax()), n)
+            raise ValueError(f"{('v_intrinsic', 'c_offer')[column]} must be finite and >= 0, "
+                             f"got {float(vc[column, row])}")
+        vc.flags.writeable = False
+        codes.flags.writeable = False
+        if len(set(ids)) != n:
+            raise ValueError(f"duplicate entry ids in book {owner_id!r}")
+        v, c = vc
+        liquid = np.flatnonzero(codes == _LIQUID)
+        v_liquid = v[liquid]
+        state = {
+            "owner_id": owner_id, "ids": ids, "v_intrinsic": v, "c_offer": c,
+            "status_codes": codes, "_liquid": liquid, "_v_liquid": v_liquid,
+            "_c_liquid": c[liquid],
+            # Indexing at argmax keeps max()'s first maximum (and its sign of zero).
+            "_v_uncond": float(v[v.argmax()]) if n else None,
+            "_v_reach": float(v_liquid[v_liquid.argmax()]) if liquid.size else None,
+        }
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"PreferenceBook is immutable; cannot set {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through the checked constructor
+        return (PreferenceBook.from_columns,
+                (self.ids, self.v_intrinsic, self.c_offer, self.status_codes, self.owner_id))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PreferenceBook):
+            return NotImplemented
+        return (
+            self.owner_id == other.owner_id
+            and self.ids == other.ids
+            and np.array_equal(self.v_intrinsic, other.v_intrinsic)
+            and np.array_equal(self.c_offer, other.c_offer)
+            and np.array_equal(self.status_codes, other.status_codes)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.owner_id, self.ids))
+
+    def __repr__(self) -> str:
+        return (f"PreferenceBook(owner_id={self.owner_id!r}, rows={len(self.ids)}, "
+                f"liquid={self._liquid.size})")
+
+    # -- rows ---------------------------------------------------------------
+
+    @property
+    def entries(self) -> Sequence[CandidateEntry]:
+        """The rows as CandidateEntry values; ``len`` builds none of them."""
+        return _Rows(self)
+
+    def _row(self, i: int) -> CandidateEntry:
+        return CandidateEntry(self.ids[i], float(self.v_intrinsic[i]), float(self.c_offer[i]),
+                              STATUSES[self.status_codes[i]])
+
+    def statuses(self) -> Iterator[LiquidityStatus]:
+        return map(STATUSES.__getitem__, self.status_codes.tolist())
 
     def liquid_entries(self) -> tuple[CandidateEntry, ...]:
-        return tuple(e for e in self.entries if e.status is LiquidityStatus.LIQUID)
+        return tuple(self._row(i) for i in self._liquid)
+
+    # -- side derivations ---------------------------------------------------
 
     def v_uncond(self) -> Valuation:
         """Internal ask: max intrinsic value over *all* entries.
@@ -108,24 +243,29 @@ class PreferenceBook:
         Hypothetical and lock-up rows count: believing a tier exists is what
         anchors the ask.
         """
-        if not self.entries:
+        if self._v_uncond is None:
             raise EmptyBook(f"book {self.owner_id!r} has no entries")
-        return max(e.v_intrinsic for e in self.entries)
+        return self._v_uncond
 
     def v_reach(self) -> Valuation:
         """Best bid: max intrinsic value over liquid entries only."""
-        liquid = self.liquid_entries()
-        if not liquid:
+        if self._v_reach is None:
             raise NoLiquidity(f"book {self.owner_id!r} has no liquid entry")
-        return max(e.v_intrinsic for e in liquid)
+        return self._v_reach
 
     def best_bid(self, rule: CompensationRule) -> BestBid:
-        """Liquid entry maximizing effective utility; earliest entry wins ties."""
-        liquid = self.liquid_entries()
-        if not liquid:
+        """Liquid entry maximizing effective utility; earliest entry wins ties.
+
+        The utilities are effective_utility's, bit for bit: the same IEEE
+        product, minimum and sum, and np.minimum returns its second operand
+        on a tie where min() returns its first, so even signed zeros agree.
+        argmax returns the first maximum.
+        """
+        if self._v_reach is None:
             raise NoLiquidity(f"book {self.owner_id!r} has no liquid entry")
-        best = max(liquid, key=lambda e: effective_utility(e.v_intrinsic, e.c_offer, rule))
-        return BestBid(best, effective_utility(best.v_intrinsic, best.c_offer, rule))
+        utility = self._v_liquid + np.minimum(rule.cap, self._c_liquid * rule.elasticity)
+        k = int(utility.argmax())
+        return BestBid(self._row(self._liquid[k]), float(utility[k]))
 
     def metrics(self, rule: CompensationRule, ask: Valuation | None = None) -> BookMetrics:
         """theta / delta_v / slippage of the current snapshot.
@@ -164,38 +304,71 @@ def book_to_csv(book: PreferenceBook) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(BOOK_CSV_HEADER)
-    for e in book.entries:
-        writer.writerow([e.id, repr(e.v_intrinsic), repr(e.c_offer), e.status.value])
+    writer.writerows(zip(book.ids, map(repr, book.v_intrinsic.tolist()),
+                         map(repr, book.c_offer.tolist()), _status_values(book)))
     return buf.getvalue()
 
 
 def book_from_csv(text: str, owner_id: str = "agent") -> PreferenceBook:
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None or tuple(reader.fieldnames) != BOOK_CSV_HEADER:
-        raise ValueError(f"expected header {','.join(BOOK_CSV_HEADER)}, got {reader.fieldnames}")
-    entries = [entry_from_mapping(row) for row in reader]
-    return PreferenceBook(entries=tuple(entries), owner_id=owner_id)
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header is None or tuple(header) != BOOK_CSV_HEADER:
+        raise ValueError(f"expected header {','.join(BOOK_CSV_HEADER)}, got {header}")
+    rows = [row for row in reader if row]  # blank lines are skipped
+    if any(len(row) < len(BOOK_CSV_HEADER) for row in rows):
+        raise ValueError(f"every book row needs the fields {','.join(BOOK_CSV_HEADER)}")
+    return _book_from_fields(*([row[k] for row in rows] for k in range(4)), owner_id)
+
+
+#: One entry object as ``json.dumps(rows, indent=2)`` lays it out.
+_JSON_ROW = '  {{\n    "id": {},\n    "v_intrinsic": {!r},\n    "c_offer": {!r},\n    "status": "{}"\n  }}'
 
 
 def book_to_json(book: PreferenceBook) -> str:
-    rows = [
-        {
-            "id": e.id,
-            "v_intrinsic": e.v_intrinsic,
-            "c_offer": e.c_offer,
-            "status": e.status.value,
-        }
-        for e in book.entries
-    ]
-    return json.dumps(rows, indent=2) + "\n"
+    """The bytes of ``json.dumps(rows, indent=2)`` for the row objects,
+    formatted from the columns without building them."""
+    if not book.ids:
+        return "[]\n"
+    rows = map(_JSON_ROW.format, map(encode_basestring_ascii, book.ids),
+               book.v_intrinsic.tolist(), book.c_offer.tolist(), _status_values(book))
+    return "[\n" + ",\n".join(rows) + "\n]\n"
 
 
 def book_from_json(text: str, owner_id: str = "agent") -> PreferenceBook:
     rows = json.loads(text)
     if not isinstance(rows, list):
         raise ValueError("book JSON must be an array of entry objects")
-    entries = [entry_from_mapping(row) for row in rows]
-    return PreferenceBook(entries=tuple(entries), owner_id=owner_id)
+    return book_from_mappings(rows, owner_id)
+
+
+def book_from_mappings(rows: Iterable[dict], owner_id: str = "agent") -> PreferenceBook:
+    """A book from entry objects with the keys of BOOK_CSV_HEADER."""
+    rows = list(rows)
+    return _book_from_fields(
+        [str(row["id"]) for row in rows],
+        [row["v_intrinsic"] for row in rows],
+        [row["c_offer"] for row in rows],
+        [row["status"] for row in rows],
+        owner_id,
+    )
+
+
+def _book_from_fields(ids: list[str], v: list, c: list, statuses: list,
+                      owner_id: str) -> PreferenceBook:
+    # Python's float() parses each cell, so the accepted spellings are the
+    # row-by-row ones; the book's own check rejects NaN, inf and negatives.
+    n = len(ids)
+    return PreferenceBook.from_columns(
+        ids,
+        np.fromiter(map(float, v), np.float64, n),
+        np.fromiter(map(float, c), np.float64, n),
+        _status_codes(statuses),
+        owner_id,
+    )
+
+
+def _status_values(book: PreferenceBook) -> Iterator[str]:
+    return map(_STATUS_VALUES.__getitem__, book.status_codes.tolist())
 
 
 def entry_from_mapping(row: dict) -> CandidateEntry:

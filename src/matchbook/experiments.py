@@ -14,18 +14,14 @@ intrinsic ratio.  Each report names the convention it used.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field, replace
 from importlib import resources
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
-from .book import (
-    CandidateEntry,
-    LiquidityStatus,
-    PreferenceBook,
-    entry_from_mapping,
-)
+from .book import CandidateEntry, LiquidityStatus, PreferenceBook, book_from_mappings
 from .dynamics import (
     DecaySchedule,
     Decision,
@@ -47,6 +43,10 @@ EXPERIMENTS = (
 )
 
 SWEEP_PARAMS = ("T0", "lambda", "eps", "cap", "reach_slope", "shock_factor")
+
+#: The last step any run may reach; a longer horizon is a config error, so a
+#: typo such as ``horizon=1e7`` fails at once instead of stepping for hours.
+MAX_HORIZON = 10_000
 
 
 # -- configuration ---------------------------------------------------------------
@@ -94,9 +94,8 @@ def config_from_mapping(experiment: str, data: dict, seed: int | None = None) ->
         schedule = _schedule_from_mapping(data["schedule"]) if "schedule" in data else None
         book = None
         if "book" in data:
-            entries = tuple(entry_from_mapping(row) for row in data["book"])
-            book = PreferenceBook(entries=entries, owner_id=str(data.get("owner_id", "F")))
-            if not entries or not book.v_uncond() > 0:
+            book = book_from_mappings(data["book"], owner_id=str(data.get("owner_id", "F")))
+            if not book.ids or not book.v_uncond() > 0:
                 raise InvalidConfig("a configured book needs an entry with v_intrinsic > 0")
         population = None
         if "population" in data:
@@ -264,12 +263,19 @@ def _finish(report: ExperimentReport) -> ExperimentReport:
 # -- scenario driver ----------------------------------------------------------------
 
 
-def _schedule_steps(schedule: ThresholdSchedule, horizon: int | None) -> Iterator[int]:
+def _check_horizon(last: int) -> int:
+    if last > MAX_HORIZON:
+        raise InvalidConfig(f"the horizon must be at most {MAX_HORIZON} steps, got {last}")
+    return last
+
+
+def _schedule_steps(schedule: ThresholdSchedule, horizon: int | None) -> range:
     if isinstance(schedule, TableSchedule):
         first = schedule.points[0][0]
         last = horizon if horizon is not None else schedule.points[-1][0]
-        return iter(range(first, last + 1))
-    return iter(range(0, (horizon if horizon is not None else 50) + 1))
+    else:
+        first, last = 0, horizon if horizon is not None else 50
+    return range(first, _check_horizon(last) + 1)
 
 
 def run_schedule(
@@ -523,12 +529,16 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict[str, Any]]:
     if cfg.grid is None:
         raise EmptyGrid("sweep needs a grid")
     params, points = _grid_points(cfg.grid)
-    horizon = _from_config(int, _override(cfg, "horizon")) if "horizon" in cfg.overrides else None
+    horizon = None
+    if "horizon" in cfg.overrides:
+        horizon = _check_horizon(_from_config(int, _override(cfg, "horizon")))
+    # generate is a pure function of its config: one book per reach_slope.
+    book_for = functools.cache(functools.partial(_sweep_book, cfg))
     rows: list[dict[str, Any]] = []
     for index, values in enumerate(points):
         point = dict(zip(params, values))
         rule = _rule(cfg, eps=point.get("eps"), cap=point.get("cap"))
-        book = _sweep_book(cfg, point.get("reach_slope"))
+        book = book_for(point.get("reach_slope"))
         schedule = _sweep_schedule(cfg, point.get("T0"), point.get("lambda"))
         records = run_schedule(book, rule, schedule, horizon=horizon)
         summary = _base_summary(records)

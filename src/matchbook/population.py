@@ -23,9 +23,8 @@ from enum import IntEnum
 from typing import Callable
 
 import numpy as np
-from scipy import stats
 
-from .book import CandidateEntry, LiquidityStatus, PreferenceBook
+from .book import STATUSES, LiquidityStatus, PreferenceBook
 from .errors import InvalidConfig, OutOfRange
 
 
@@ -48,6 +47,12 @@ class PopulationConfig:
     seed: int = 42
 
     def __post_init__(self) -> None:
+        for name in ("n_candidates", "seed"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise InvalidConfig(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("beta_alpha", "beta_beta", "reach_slope", "comp_low", "comp_high", "comp_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidConfig(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.n_candidates < 1:
             raise InvalidConfig(f"n_candidates must be >= 1, got {self.n_candidates}")
         if self.beta_alpha <= 0 or self.beta_beta <= 0:
@@ -69,19 +74,17 @@ def generate(config: PopulationConfig) -> PreferenceBook:
     values = rng.beta(config.beta_alpha, config.beta_beta, size=n) * 100.0
     reach_prob = 1.0 - config.reach_slope * (values / 100.0)
     liquid = rng.random(n) < reach_prob
-    offers = values * rng.uniform(config.comp_low, config.comp_high, size=n) * config.comp_scale
+    with np.errstate(over="ignore"):  # an offer that overflows to inf is rejected below
+        offers = values * rng.uniform(config.comp_low, config.comp_high, size=n) * config.comp_scale
 
+    codes = np.where(liquid, STATUSES.index(LiquidityStatus.LIQUID),
+                     STATUSES.index(LiquidityStatus.HYPOTHETICAL))
     width = len(str(n - 1))
-    entries = tuple(
-        CandidateEntry(
-            id=f"c{i:0{width}d}",
-            v_intrinsic=float(values[i]),
-            c_offer=float(offers[i]),
-            status=LiquidityStatus.LIQUID if liquid[i] else LiquidityStatus.HYPOTHETICAL,
-        )
-        for i in range(n)
-    )
-    return PreferenceBook(entries=entries, owner_id="population")
+    ids = ["c" + str(i).zfill(width) for i in range(n)]
+    try:
+        return PreferenceBook.from_columns(ids, values, offers, codes, owner_id="population")
+    except ValueError as exc:  # e.g. offers that overflow to inf
+        raise InvalidConfig(f"population config draws an invalid book: {exc}") from exc
 
 
 def population_metadata(config: PopulationConfig) -> str:
@@ -153,6 +156,8 @@ class DensityProfile:
     def beta(cls, alpha: float, beta: float) -> "DensityProfile":
         if alpha <= 0 or beta <= 0:
             raise InvalidConfig("beta profile shape parameters must be > 0")
+        from scipy import stats  # its only user: importing matchbook stays scipy-free
+
         dist = stats.beta(alpha, beta)
         return cls(f"beta:{alpha:g},{beta:g}", lambda h: dist.pdf(np.asarray(h, dtype=float)))
 

@@ -1,9 +1,17 @@
+import contextlib
+import csv
+import io
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from matchbook import (
+    BookMetrics,
     CandidateEntry,
     CompensationRule,
     EmptyBook,
@@ -15,8 +23,13 @@ from matchbook import (
     book_from_json,
     book_to_csv,
     book_to_json,
+    effective_utility,
     market_to_book,
+    slippage,
+    spread,
 )
+from matchbook.book import STATUSES
+from matchbook.cli import main
 from conftest import make_book
 
 LINEAR = CompensationRule(elasticity=0.02, cap=math.inf)
@@ -247,3 +260,213 @@ class TestSerialization:
     def test_bad_status_rejected(self):
         with pytest.raises(ValueError):
             book_from_csv("id,v_intrinsic,c_offer,status\nx,1,0,frozen\n")
+
+
+class TestColumns:
+    def test_entries_is_a_row_view(self, worked_book):
+        rows = worked_book.entries
+        assert len(rows) == 5
+        assert rows[2] == CandidateEntry("C", 78.0, 200.0, LiquidityStatus.LIQUID)
+        assert rows[-1].id == "E" and [e.id for e in rows[1:3]] == ["B", "C"]
+        assert [e.id for e in rows] == list(worked_book.ids)
+        with pytest.raises(IndexError):
+            rows[5]
+
+    def test_from_columns_equals_the_row_built_book(self, worked_book):
+        codes = [STATUSES.index(e.status) for e in worked_book.entries]
+        again = PreferenceBook.from_columns(
+            worked_book.ids, worked_book.v_intrinsic, worked_book.c_offer, codes, "F"
+        )
+        assert again == worked_book
+        assert again != PreferenceBook.from_columns(
+            worked_book.ids, worked_book.v_intrinsic, worked_book.c_offer, codes, "M"
+        )
+
+    @pytest.mark.parametrize(
+        "v, c, codes",
+        [
+            ([1.0, math.nan], [0.0, 0.0], [2, 2]),
+            ([1.0, 2.0], [0.0, -1.0], [2, 2]),
+            ([1.0, 2.0], [0.0], [2, 2]),
+            ([1.0, 2.0], [0.0, 0.0], [2, 3]),
+        ],
+        ids=["nan-value", "negative-offer", "short-column", "unknown-status"],
+    )
+    def test_from_columns_validates(self, v, c, codes):
+        with pytest.raises(ValueError):
+            PreferenceBook.from_columns(["a", "b"], v, c, codes)
+
+    def test_empty_book_serializes_like_json_dumps(self):
+        empty = PreferenceBook((), owner_id="F")
+        assert book_to_json(empty) == json.dumps([], indent=2) + "\n"
+        assert book_from_json(book_to_json(empty), owner_id="F") == empty
+        assert book_from_csv(book_to_csv(empty), owner_id="F") == empty
+
+    def test_copies_are_equal_books(self, worked_book):
+        import copy
+        import pickle
+
+        assert copy.deepcopy(worked_book) == worked_book
+        assert pickle.loads(pickle.dumps(worked_book)).best_bid(LINEAR) == worked_book.best_bid(LINEAR)
+
+    def test_book_is_immutable(self, worked_book):
+        with pytest.raises(AttributeError):
+            worked_book.owner_id = "M"
+        with pytest.raises(ValueError):
+            worked_book.v_intrinsic[0] = 0.0
+        assert worked_book.v_uncond() == 95
+
+
+# -- properties against a row-by-row reference ------------------------------------
+
+#: A small pool forces ties (signed zeros included); any finite value may follow.
+VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 20.0, 60.0, 95.0]),
+    st.floats(min_value=0, allow_nan=False, allow_infinity=False),
+)
+RULES = st.builds(
+    CompensationRule,
+    elasticity=st.one_of(st.sampled_from([0.0, -0.0, 0.05, 1.0]),
+                         st.floats(min_value=0, max_value=1e6)),
+    cap=st.one_of(st.sampled_from([0.0, -0.0, 20.0, math.inf]), st.floats(min_value=0)),
+)
+
+
+@st.composite
+def row_lists(draw):
+    n = draw(st.integers(1, 50))
+    # No "\r": book_to_csv leaves it unquoted and csv cannot read it back.
+    text = st.text(st.characters(blacklist_characters="\r"), max_size=6)
+    ids = draw(st.lists(text, min_size=n, max_size=n, unique=True))
+    return [
+        CandidateEntry(i, draw(VALUES), draw(VALUES), draw(st.sampled_from(list(LiquidityStatus))))
+        for i in ids
+    ]
+
+
+def outcome(fn):
+    """A call's value, or the type of the error it raised."""
+    try:
+        return fn()
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc)
+
+
+def bits(value):
+    if isinstance(value, tuple):
+        return tuple(bits(v) for v in value)
+    return value.hex() if isinstance(value, float) else value
+
+
+def reference_best(rows, rule):
+    liquid = [e for e in rows if e.status is LiquidityStatus.LIQUID]
+    if not liquid:
+        raise NoLiquidity("no liquid row")
+    best = max(liquid, key=lambda e: effective_utility(e.v_intrinsic, e.c_offer, rule))
+    return best, effective_utility(best.v_intrinsic, best.c_offer, rule)
+
+
+def reference_metrics(rows, rule):
+    v_ask = max(e.v_intrinsic for e in rows)
+    best, utility = reference_best(rows, rule)
+    return BookMetrics(market_to_book(utility, v_ask), spread(v_ask, best.v_intrinsic),
+                       slippage(v_ask, utility))
+
+
+def reference_csv(rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("id", "v_intrinsic", "c_offer", "status"))
+    for e in rows:
+        writer.writerow([e.id, repr(e.v_intrinsic), repr(e.c_offer), e.status.value])
+    return buf.getvalue()
+
+
+def reference_json(rows):
+    return json.dumps([{"id": e.id, "v_intrinsic": e.v_intrinsic, "c_offer": e.c_offer,
+                        "status": e.status.value} for e in rows], indent=2) + "\n"
+
+
+class TestAgainstRowReference:
+    @given(rows=row_lists(), rule=RULES)
+    # min(-0.0, 0.0) is -0.0, and -0.0 + -0.0 keeps the sign: a signed-zero tie.
+    @example(rows=[CandidateEntry("z", -0.0, -0.0, LiquidityStatus.LIQUID)],
+             rule=CompensationRule(1.0, 0.0))
+    @example(rows=[CandidateEntry("z", -0.0, 0.0, LiquidityStatus.LIQUID)],
+             rule=CompensationRule(1.0, -0.0))
+    @settings(max_examples=250, deadline=None)
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_queries_match_row_by_row(self, rows, rule):
+        book = PreferenceBook(rows, owner_id="F")
+        best = outcome(lambda: book.best_bid(rule))
+        expected = outcome(lambda: reference_best(rows, rule))
+        if isinstance(expected, type):
+            assert best is expected
+        else:
+            assert best.entry == expected[0]
+            assert bits(best.utility) == bits(expected[1])
+        assert bits(outcome(book.v_uncond)) == bits(max(e.v_intrinsic for e in rows))
+        liquid = [e.v_intrinsic for e in rows if e.status is LiquidityStatus.LIQUID]
+        assert bits(outcome(book.v_reach)) == (bits(max(liquid)) if liquid else NoLiquidity)
+        assert bits(outcome(lambda: book.metrics(rule))) == bits(
+            outcome(lambda: reference_metrics(rows, rule)))
+
+    @given(rows=row_lists())
+    @settings(max_examples=100, deadline=None)
+    def test_round_trips_keep_book_and_bytes(self, rows):
+        book = PreferenceBook(rows, owner_id="F")
+        for write, read, reference in ((book_to_csv, book_from_csv, reference_csv),
+                                       (book_to_json, book_from_json, reference_json)):
+            text = write(book)
+            assert text == reference(rows)
+            again = read(text, owner_id="F")
+            assert again == book
+            assert write(again) == text
+
+
+BAD_NUMBERS = st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "-1", "-1e-300", "-5.5"])
+
+
+@st.composite
+def rows_with_one_bad_number(draw):
+    """Book rows as (id, v_intrinsic, c_offer, status) text, one number bad."""
+    rows = [[e.id, repr(e.v_intrinsic), repr(e.c_offer), e.status.value] for e in draw(row_lists())]
+    draw(st.sampled_from(rows))[draw(st.sampled_from([1, 2]))] = draw(BAD_NUMBERS)
+    return rows
+
+
+def rows_to_json(rows, as_text):
+    return json.dumps([
+        {"id": i, "v_intrinsic": v if as_text else float(v), "c_offer": c if as_text else float(c),
+         "status": status}
+        for i, v, c, status in rows
+    ])
+
+
+class TestInvalidNumbersRejected:
+    @given(rows=rows_with_one_bad_number())
+    @settings(max_examples=100, deadline=None)
+    def test_csv_and_json_books(self, rows):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([("id", "v_intrinsic", "c_offer", "status"), *rows])
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            book_from_csv(buf.getvalue())
+        for as_text in (True, False):
+            with pytest.raises(ValueError, match="must be finite and >= 0"):
+                book_from_json(rows_to_json(rows, as_text))
+
+    @given(rows=rows_with_one_bad_number())
+    @settings(max_examples=30, deadline=None)
+    def test_config_book_exits_2(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "cfg.json"
+            cfg.write_text(f'{{"book": {rows_to_json(rows, False)}}}', encoding="utf-8")
+            with redirect_output():
+                assert main(["appendix-a", "--config", str(cfg)]) == 2
+
+
+def redirect_output():
+    stack = contextlib.ExitStack()
+    stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
+    stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
+    return stack

@@ -3,16 +3,19 @@ import hashlib
 import io
 import json
 import math
+import os
 import string
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import matchbook
 from matchbook import DensityProfile, cone_volume
 from matchbook.cli import main
-from matchbook.experiments import load_fixture
+from matchbook.experiments import MAX_HORIZON, load_fixture
 
 ALL_COMMANDS = [
     ["exp1"], ["exp2"], ["exp3"], ["exp4"], ["exp5"], ["appendix-a"],
@@ -104,15 +107,14 @@ OVERRIDE_KEYS = sorted(
     | {"horizon", "T0", "lambda", "floor"}
 )
 
-#: Override values as typed on the command line.  Numbers stay within
-#: +-1e3 because the sweep runs ``horizon`` steps with no upper bound on it:
-#: a horizon of 1e300 never finishes, which is a defect of its own.
+#: Override values as typed on the command line, numbers of any size: a
+#: horizon above MAX_HORIZON is a config error, so none runs for long.
 OVERRIDE_VALUES = st.one_of(
     st.sampled_from(
         ["NaN", "nan", "Infinity", "inf", "-Infinity", "-inf", "0", "-0.0", "-1", "-5",
-         "1.5", "abc", "", "null", "true", "[1]", "{}"]
+         "1.5", "abc", "", "null", "true", "[1]", "{}", "1e7", "1e300", "10001"]
     ),
-    st.floats(min_value=-1e3, max_value=1e3).map(repr),
+    st.floats().map(repr),
     st.text(alphabet=string.ascii_letters, max_size=4),
 )
 
@@ -135,6 +137,8 @@ class TestOverrideContract:
             ["appendix-a", "--override", "T=0"],
             ["sweep", "--override", "horizon=abc"],
             ["sweep", "--override", "horizon=inf"],
+            ["sweep", "--override", "horizon=1e7"],
+            ["sweep", "--override", "horizon=10001"],
             ["sweep", "--override", "lambda=abc"],
         ],
         ids=" ".join,
@@ -179,6 +183,29 @@ class TestOverrideContract:
     def test_configured_book_without_an_ask(self, command, rows, tmp_path, capsys):
         cfg = tmp_path / "book.json"
         cfg.write_text(json.dumps({"book": rows}), encoding="utf-8")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_horizon_cap_fails_at_once(self, tmp_path, capsys):
+        # MAX_HORIZON bounds every run, a configured table schedule included.
+        assert main(["sweep", "--override", f"horizon={MAX_HORIZON}", "--override", "T0=0.5",
+                     "--out", str(tmp_path / "rows.csv")]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schedule": {"mode": "table", "points": [[1, 0.99], [10**9, 0.5]]}}),
+                       encoding="utf-8")
+        assert main(["exp2", "--config", str(cfg)]) == 2
+        assert f"at most {MAX_HORIZON} steps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "population",
+        [{"beta_alpha": math.nan}, {"n_candidates": 10.5}, {"seed": 1.5}, {"comp_scale": math.inf},
+         {"comp_scale": 1e308}],
+        ids=["nan-alpha", "fractional-n", "fractional-seed", "inf-scale", "overflowing-offers"],
+    )
+    @pytest.mark.parametrize("command", ["gen", "sweep"])
+    def test_bad_population_is_config_error(self, command, population, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"population": {"n_candidates": 20, **population}}), encoding="utf-8")
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert "config error" in capsys.readouterr().err
 
@@ -287,6 +314,15 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         assert "immediate_fill = True" in proc.stdout
         assert json.loads(out.read_text())["summary"]["t_star"] == 1
+
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats takes about a second to import; only the beta profile needs it.
+        code = "import sys, matchbook.cli; print('scipy.stats' in sys.modules)"
+        src = str(Path(matchbook.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_usage_error_is_exit_2(self):
         proc = subprocess.run(

@@ -293,6 +293,26 @@ class TestSweep:
         assert rows[1]["regret"] is True
         assert rows[1]["post_theta"] == pytest.approx(75 / 99, abs=1e-12)
 
+    def test_population_generated_once_per_reach_slope(self, monkeypatch):
+        import matchbook.experiments as experiments
+
+        configs = []
+        generate = experiments.generate
+
+        def counting_generate(config):
+            configs.append(config)
+            return generate(config)
+
+        monkeypatch.setattr(experiments, "generate", counting_generate)
+        data = {
+            "population": {"n_candidates": 200, "seed": 5},
+            "overrides": {"T0": 0.5},
+            "grid": {"reach_slope": [0.0, 0.8, 0.0], "eps": [0.05, 0.1], "cap": [0.0, 20.0]},
+        }
+        rows = run_sweep(config_from_mapping("sweep", data))
+        assert len(rows) == 12
+        assert [c.reach_slope for c in configs] == [0.0, 0.8]
+
     def test_population_reach_slope_sweep(self):
         from matchbook import CompensationRule, PopulationConfig, generate
 

@@ -99,6 +99,21 @@ class TestGenerate:
         with pytest.raises(InvalidConfig):
             PopulationConfig(seed=-1)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [{"beta_alpha": math.nan}, {"beta_beta": math.inf}, {"reach_slope": math.nan},
+         {"comp_low": -math.inf}, {"comp_high": math.inf}, {"comp_scale": math.inf},
+         {"n_candidates": 10.5}, {"n_candidates": 10.0}, {"seed": 1.5}],
+        ids=str,
+    )
+    def test_non_finite_or_fractional_parameters_rejected(self, bad):
+        with pytest.raises(InvalidConfig):
+            PopulationConfig(**bad)
+
+    def test_overflowing_offers_are_a_config_error(self):
+        with pytest.raises(InvalidConfig):
+            generate(PopulationConfig(n_candidates=20, comp_scale=1e308))
+
     def test_metadata_sidecar_echoes_config(self):
         cfg = PopulationConfig(n_candidates=10, seed=5)
         text = population_metadata(cfg)
