@@ -20,6 +20,7 @@ from json.encoder import encode_basestring_ascii
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -299,24 +300,43 @@ def csv_cell(value: object) -> str:
     return str(value)
 
 
+def write_csv(header: Sequence[str], rows: Iterable[Iterable[str]]) -> str:
+    """A CSV table of the cells as given, one line per row after the header,
+    each ended by LF; a cell holding a comma, a quote, LF or CR is quoted."""
+    lines: list[str] = []
+    # csv quotes the characters of its line terminator: lines end in CR LF,
+    # so a lone CR is quoted too, and each is then cut back to LF.
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return "\n".join([line[:-2] for line in lines]) + "\n"
+
+
+def read_csv(text: str, header: Sequence[str]) -> list[list[str]]:
+    """The rows of a CSV table whose first line is ``header``, blank lines
+    skipped; ValueError on another header, a row of another width, or text
+    that is not well-formed CSV (an unterminated quote, say)."""
+    try:
+        reader = csv.reader(io.StringIO(text), strict=True)
+        first = next(reader, None)
+        rows = [row for row in reader if row]
+    except csv.Error as exc:
+        raise ValueError(f"malformed CSV: {exc}") from exc
+    if first is None or tuple(first) != tuple(header):
+        raise ValueError(f"expected header {','.join(header)}, got {first}")
+    if any(len(row) != len(header) for row in rows):
+        raise ValueError(f"every row needs the {len(header)} fields {','.join(header)}")
+    return rows
+
+
 def book_to_csv(book: PreferenceBook) -> str:
     """One record per entry, header exactly id,v_intrinsic,c_offer,status."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(BOOK_CSV_HEADER)
-    writer.writerows(zip(book.ids, map(repr, book.v_intrinsic.tolist()),
-                         map(repr, book.c_offer.tolist()), _status_values(book)))
-    return buf.getvalue()
+    return write_csv(BOOK_CSV_HEADER, zip(book.ids, map(repr, book.v_intrinsic.tolist()),
+                                          map(repr, book.c_offer.tolist()), _status_values(book)))
 
 
 def book_from_csv(text: str, owner_id: str = "agent") -> PreferenceBook:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None or tuple(header) != BOOK_CSV_HEADER:
-        raise ValueError(f"expected header {','.join(BOOK_CSV_HEADER)}, got {header}")
-    rows = [row for row in reader if row]  # blank lines are skipped
-    if any(len(row) < len(BOOK_CSV_HEADER) for row in rows):
-        raise ValueError(f"every book row needs the fields {','.join(BOOK_CSV_HEADER)}")
+    rows = read_csv(text, BOOK_CSV_HEADER)
     return _book_from_fields(*([row[k] for row in rows] for k in range(4)), owner_id)
 
 
@@ -342,15 +362,19 @@ def book_from_json(text: str, owner_id: str = "agent") -> PreferenceBook:
 
 
 def book_from_mappings(rows: Iterable[dict], owner_id: str = "agent") -> PreferenceBook:
-    """A book from entry objects with the keys of BOOK_CSV_HEADER."""
+    """A book from entry objects with the keys of BOOK_CSV_HEADER; a missing
+    key or a value of the wrong type raises ValueError."""
     rows = list(rows)
-    return _book_from_fields(
-        [str(row["id"]) for row in rows],
-        [row["v_intrinsic"] for row in rows],
-        [row["c_offer"] for row in rows],
-        [row["status"] for row in rows],
-        owner_id,
-    )
+    try:
+        return _book_from_fields(
+            [str(row["id"]) for row in rows],
+            [row["v_intrinsic"] for row in rows],
+            [row["c_offer"] for row in rows],
+            [row["status"] for row in rows],
+            owner_id,
+        )
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"bad book entry: {exc!r}") from exc
 
 
 def _book_from_fields(ids: list[str], v: list, c: list, statuses: list,
@@ -372,9 +396,4 @@ def _status_values(book: PreferenceBook) -> Iterator[str]:
 
 
 def entry_from_mapping(row: dict) -> CandidateEntry:
-    return CandidateEntry(
-        id=str(row["id"]),
-        v_intrinsic=float(row["v_intrinsic"]),
-        c_offer=float(row["c_offer"]),
-        status=LiquidityStatus(row["status"]),
-    )
+    return book_from_mappings([row]).entries[0]

@@ -34,7 +34,7 @@ from .experiments import (
     run_sweep,
 )
 from .population import DensityProfile, PopulationConfig, cone_volume, generate, population_metadata
-from .book import book_to_csv, book_to_json, csv_cell
+from .book import book_to_csv, book_to_json, csv_cell, write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -116,11 +116,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if cfg.format == "json":
         text = json.dumps(rows, indent=2) + "\n"
     else:
-        header = list(rows[0].keys())
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(csv_cell(row[k]) for k in header))
-        text = "\n".join(lines) + "\n"
+        text = write_csv(list(rows[0]), (map(csv_cell, row.values()) for row in rows))
     _write_output(args.out, text)
     if all(row["decision"] == "drought" for row in rows):
         return EXIT_DROUGHT

@@ -11,13 +11,11 @@ passed.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .book import PreferenceBook, csv_cell
+from .book import PreferenceBook, csv_cell, write_csv
 from .errors import NoLiquidity
 from .valuation import CompensationRule, Money, required_transfer
 
@@ -135,15 +133,8 @@ MATCH_CSV_HEADER = ("f_id", "m_id", "f_theta", "m_theta", "c_required", "c_max",
 
 def outcomes_to_csv(rows: list[tuple[str, str, MatchOutcome]]) -> str:
     """Pairwise match report: one row per (f_id, m_id, outcome)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(MATCH_CSV_HEADER)
-    for f_id, m_id, outcome in rows:
-        writer.writerow(
-            csv_cell(value)
-            for value in (
-                f_id, m_id, outcome.f_theta, outcome.m_theta,
-                outcome.c_required, outcome.c_max, outcome.result.value,
-            )
-        )
-    return buf.getvalue()
+    return write_csv(MATCH_CSV_HEADER, (
+        map(csv_cell, (f_id, m_id, outcome.f_theta, outcome.m_theta,
+                       outcome.c_required, outcome.c_max, outcome.result.value))
+        for f_id, m_id, outcome in rows
+    ))

@@ -12,8 +12,6 @@ records.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -21,7 +19,7 @@ from decimal import Decimal
 from enum import Enum
 from typing import Iterable, NamedTuple, Union
 
-from .book import PreferenceBook, csv_cell
+from .book import PreferenceBook, csv_cell, read_csv, write_csv
 from .errors import NoLiquidity, NotExecuted, StepBeforeSchedule
 from .valuation import CompensationRule, Valuation, market_to_book
 
@@ -132,7 +130,7 @@ class DecisionRecord:
 
     def __post_init__(self) -> None:
         if self.decision is Decision.EXECUTE:
-            if self.theta is None or self.theta < self.threshold:
+            if self.theta is None or not self.theta >= self.threshold:  # NaN fails
                 raise ValueError("an execute record requires theta >= threshold")
 
 
@@ -249,7 +247,7 @@ def apply_shock(
     """
     if commit.decision is not Decision.EXECUTE:
         raise NotExecuted("shocks apply to executed agents only")
-    if v_uncond <= 0:
+    if not v_uncond > 0:
         raise ValueError(f"current ask must be > 0, got {v_uncond}")
     if shock.kind is ShockKind.MULTIPLICATIVE:
         new_v = _decimal_product(v_uncond, shock.factor)
@@ -283,32 +281,12 @@ RECORD_CSV_HEADER = ("t", "theta", "threshold", "delta_v", "slippage", "decision
 
 
 def records_to_csv(records: Iterable[DecisionRecord]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(RECORD_CSV_HEADER)
-    for r in records:
-        writer.writerow(csv_cell(value) for value in record_to_dict(r).values())
-    return buf.getvalue()
+    return write_csv(RECORD_CSV_HEADER, (map(csv_cell, record_to_dict(r).values()) for r in records))
 
 
 def records_from_csv(text: str) -> list[DecisionRecord]:
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None or tuple(reader.fieldnames) != RECORD_CSV_HEADER:
-        raise ValueError(f"expected header {','.join(RECORD_CSV_HEADER)}, got {reader.fieldnames}")
-    out = []
-    for row in reader:
-        out.append(
-            DecisionRecord(
-                t=int(row["t"]),
-                theta=float(row["theta"]) if row["theta"] else None,
-                threshold=float(row["threshold"]),
-                delta_v=float(row["delta_v"]) if row["delta_v"] else None,
-                slippage=float(row["slippage"]) if row["slippage"] else None,
-                decision=Decision(row["decision"]),
-                drought=row["drought"] == "true",
-            )
-        )
-    return out
+    return [record_from_dict(dict(zip(RECORD_CSV_HEADER, row)))
+            for row in read_csv(text, RECORD_CSV_HEADER)]
 
 
 def record_to_dict(r: DecisionRecord) -> dict:
@@ -323,25 +301,34 @@ def record_to_dict(r: DecisionRecord) -> dict:
     }
 
 
+#: The drought flag as JSON and as a CSV cell (csv_cell) write it.
+_FLAGS = {True: True, False: False, "true": True, "false": False}
+
+
+def record_from_dict(d: dict) -> DecisionRecord:
+    """The record of a record_to_dict mapping, from JSON or from CSV cells
+    (None is empty); ValueError on a missing key or a value that won't parse."""
+
+    def number(value: object) -> float | None:
+        return None if value is None or value == "" else float(value)
+
+    try:
+        return DecisionRecord(
+            t=int(d["t"]),
+            theta=number(d["theta"]),
+            threshold=float(d["threshold"]),
+            delta_v=number(d["delta_v"]),
+            slippage=number(d["slippage"]),
+            decision=Decision(d["decision"]),
+            drought=_FLAGS[d["drought"]],
+        )
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"bad decision record {d!r}: {exc!r}") from exc
+
+
 def records_to_jsonl(records: Iterable[DecisionRecord]) -> str:
     return "".join(json.dumps(record_to_dict(r)) + "\n" for r in records)
 
 
 def records_from_jsonl(text: str) -> list[DecisionRecord]:
-    out = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        d = json.loads(line)
-        out.append(
-            DecisionRecord(
-                t=int(d["t"]),
-                theta=d["theta"],
-                threshold=d["threshold"],
-                delta_v=d["delta_v"],
-                slippage=d["slippage"],
-                decision=Decision(d["decision"]),
-                drought=bool(d["drought"]),
-            )
-        )
-    return out
+    return [record_from_dict(json.loads(line)) for line in text.splitlines() if line.strip()]

@@ -70,21 +70,22 @@ class ExperimentConfig:
             raise InvalidConfig(f"unknown experiment {self.experiment!r}")
         if self.format not in ("csv", "json"):
             raise InvalidConfig(f"format must be csv or json, got {self.format!r}")
-        if self.seed < 0:
-            raise InvalidConfig(f"seed must be an unsigned integer, got {self.seed}")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise InvalidConfig(f"seed must be an unsigned integer, got {self.seed!r}")
+
+
+#: What a conversion or a domain constructor raises for an unusable config value.
+_CONFIG_ERRORS = (KeyError, TypeError, ValueError, OverflowError, NonPositiveAsk)
 
 
 def _schedule_from_mapping(d: dict) -> ThresholdSchedule:
-    try:
-        mode = d["mode"]
-        if mode == "table":
-            return TableSchedule(points=tuple((int(t), float(T)) for t, T in d["points"]))
-        if mode == "decay":
-            return DecaySchedule(
-                t0=float(d["t0"]), rate=float(d["rate"]), floor=float(d.get("floor", 0.0))
-            )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidConfig(f"bad schedule block: {exc}") from exc
+    mode = d["mode"]
+    if mode == "table":
+        return TableSchedule(points=tuple((int(t), float(T)) for t, T in d["points"]))
+    if mode == "decay":
+        return DecaySchedule(
+            t0=float(d["t0"]), rate=float(d["rate"]), floor=float(d.get("floor", 0.0))
+        )
     raise InvalidConfig(f"schedule mode must be 'table' or 'decay', got {mode!r}")
 
 
@@ -106,7 +107,7 @@ def config_from_mapping(experiment: str, data: dict, seed: int | None = None) ->
             population = PopulationConfig(**pop)
         grid = None
         if "grid" in data:
-            grid = {str(k): [float(x) for x in v] for k, v in data["grid"].items()}
+            grid = {str(k): [float(x) for x in v] for k, v in dict(data["grid"]).items()}
         return ExperimentConfig(
             experiment=experiment,
             overrides=dict(data.get("overrides", {})),
@@ -114,10 +115,10 @@ def config_from_mapping(experiment: str, data: dict, seed: int | None = None) ->
             population=population,
             book=book,
             grid=grid,
-            seed=int(seed if seed is not None else data.get("seed", 42)),
+            seed=seed if seed is not None else data.get("seed", 42),
             format=str(data.get("format", "json")),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except _CONFIG_ERRORS as exc:
         raise InvalidConfig(f"bad config for {experiment}: {exc}") from exc
 
 
@@ -162,7 +163,7 @@ def _from_config(make: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
     errors it raises for an out-of-domain value are config errors."""
     try:
         return make(*args, **kwargs)
-    except (ValueError, OverflowError, NonPositiveAsk) as exc:
+    except _CONFIG_ERRORS as exc:
         raise InvalidConfig(str(exc)) from exc
 
 

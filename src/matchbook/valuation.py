@@ -62,10 +62,10 @@ def spread(v_uncond: Valuation, v_reach: Valuation) -> float:
 def market_to_book(v_reach: Valuation, v_uncond: Valuation) -> float:
     """Ratio of the best bid to the internal ask.
 
-    Raises NonPositiveAsk when the ask is not strictly positive, which
-    signals an ill-formed book rather than a tight market.
+    Raises NonPositiveAsk when the ask is not strictly positive (or is NaN),
+    which signals an ill-formed book rather than a tight market.
     """
-    if v_uncond <= 0:
+    if not v_uncond > 0:  # NaN fails too
         raise NonPositiveAsk(f"internal ask must be > 0, got {v_uncond}")
     return v_reach / v_uncond
 

@@ -1,5 +1,4 @@
 import contextlib
-import csv
 import io
 import json
 import math
@@ -261,6 +260,28 @@ class TestSerialization:
         with pytest.raises(ValueError):
             book_from_csv("id,v_intrinsic,c_offer,status\nx,1,0,frozen\n")
 
+    @pytest.mark.parametrize(
+        "rows",
+        ['"x,1,0,liquid\n', 'x,1,0,"liquid', 'x,1\n', 'x,1,0,liquid,extra\n', '"x"y,1,0,liquid\n',
+         'x\ry,1,0,liquid\n'],
+        ids=["unterminated-quote", "unterminated-last-cell", "short-row", "long-row",
+             "text-after-quote", "unquoted-cr"],
+    )
+    def test_malformed_csv_rejected(self, rows):
+        with pytest.raises(ValueError):
+            book_from_csv("id,v_intrinsic,c_offer,status\n" + rows)
+
+    @pytest.mark.parametrize(
+        "text",
+        ['[{"id": "x", "v_intrinsic": 1, "c_offer": 0}]', "[1]", '[{"id": "x", "v_intrinsic": null, '
+         '"c_offer": 0, "status": "liquid"}]', '[{"id": "x", "v_intrinsic": 1' + "0" * 400 +
+         ', "c_offer": 0, "status": "liquid"}]'],
+        ids=["missing-key", "not-an-object", "null-value", "huge-integer"],
+    )
+    def test_malformed_json_rejected(self, text):
+        with pytest.raises(ValueError):
+            book_from_json(text)
+
 
 class TestColumns:
     def test_entries_is_a_row_view(self, worked_book):
@@ -335,9 +356,7 @@ RULES = st.builds(
 @st.composite
 def row_lists(draw):
     n = draw(st.integers(1, 50))
-    # No "\r": book_to_csv leaves it unquoted and csv cannot read it back.
-    text = st.text(st.characters(blacklist_characters="\r"), max_size=6)
-    ids = draw(st.lists(text, min_size=n, max_size=n, unique=True))
+    ids = draw(st.lists(st.text(max_size=6), min_size=n, max_size=n, unique=True))
     return [
         CandidateEntry(i, draw(VALUES), draw(VALUES), draw(st.sampled_from(list(LiquidityStatus))))
         for i in ids
@@ -373,13 +392,19 @@ def reference_metrics(rows, rule):
                        slippage(v_ask, utility))
 
 
+def csv_text(lines):
+    """CSV written cell by cell: LF-ended lines, and a cell holding a comma, a
+    quote, LF or CR quoted with its quotes doubled."""
+
+    def cell(text):
+        return '"' + text.replace('"', '""') + '"' if any(ch in text for ch in ',"\n\r') else text
+
+    return "".join(",".join(map(cell, line)) + "\n" for line in lines)
+
+
 def reference_csv(rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("id", "v_intrinsic", "c_offer", "status"))
-    for e in rows:
-        writer.writerow([e.id, repr(e.v_intrinsic), repr(e.c_offer), e.status.value])
-    return buf.getvalue()
+    return csv_text([("id", "v_intrinsic", "c_offer", "status"),
+                     *([e.id, repr(e.v_intrinsic), repr(e.c_offer), e.status.value] for e in rows)])
 
 
 def reference_json(rows):
@@ -447,10 +472,8 @@ class TestInvalidNumbersRejected:
     @given(rows=rows_with_one_bad_number())
     @settings(max_examples=100, deadline=None)
     def test_csv_and_json_books(self, rows):
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows([("id", "v_intrinsic", "c_offer", "status"), *rows])
         with pytest.raises(ValueError, match="must be finite and >= 0"):
-            book_from_csv(buf.getvalue())
+            book_from_csv(csv_text([("id", "v_intrinsic", "c_offer", "status"), *rows]))
         for as_text in (True, False):
             with pytest.raises(ValueError, match="must be finite and >= 0"):
                 book_from_json(rows_to_json(rows, as_text))

@@ -118,6 +118,48 @@ OVERRIDE_VALUES = st.one_of(
     st.text(alphabet=string.ascii_letters, max_size=4),
 )
 
+CONFIG_COMMANDS = ["exp1", "exp2", "appendix-a", "sweep", "gen"]
+
+#: Any JSON value a config key might hold, in or out of its domain.
+CONFIG_VALUES = st.one_of(
+    st.sampled_from([None, True, "", "a", "1", [], {}, 0, -1, 1.5, 10**30, 10**400]),
+    st.integers(-5, 50),
+    st.floats(),
+)
+SCHEDULES = st.fixed_dictionaries(
+    {"mode": st.sampled_from(["table", "decay", "step"])},
+    optional={
+        "points": st.one_of(CONFIG_VALUES, st.lists(st.lists(CONFIG_VALUES, max_size=3), max_size=3)),
+        "t0": CONFIG_VALUES, "rate": CONFIG_VALUES, "floor": CONFIG_VALUES,
+    },
+)
+#: n_candidates is drawn from at most 1000 so that no example runs for long.
+POPULATIONS = st.fixed_dictionaries(
+    {"n_candidates": st.one_of(st.integers(-1, 1000), st.sampled_from([1.5, math.nan, "10"]))},
+    optional={key: CONFIG_VALUES for key in ("seed", "beta_alpha", "reach_slope", "comp_scale")},
+)
+BOOK_ROWS = st.lists(
+    st.fixed_dictionaries({}, optional={
+        "id": CONFIG_VALUES, "v_intrinsic": CONFIG_VALUES, "c_offer": CONFIG_VALUES,
+        "status": st.sampled_from(["liquid", "lockup", "hypothetical", "frozen"]),
+    }),
+    max_size=4,
+)
+GRIDS = st.dictionaries(
+    st.sampled_from(["T0", "lambda", "eps", "cap", "reach_slope", "shock_factor", "x"]),
+    st.one_of(CONFIG_VALUES, st.lists(CONFIG_VALUES, max_size=3)),
+    max_size=2,
+)
+CONFIG_OBJECTS = st.fixed_dictionaries({}, optional={
+    "seed": CONFIG_VALUES,
+    "format": st.sampled_from(["csv", "json", "xml"]),
+    "schedule": st.one_of(CONFIG_VALUES, SCHEDULES),
+    "population": st.one_of(CONFIG_VALUES, POPULATIONS),
+    "book": st.one_of(CONFIG_VALUES, BOOK_ROWS),
+    "owner_id": CONFIG_VALUES,
+    "grid": st.one_of(CONFIG_VALUES, GRIDS),
+})
+
 
 class TestOverrideContract:
     """Any --override value exits 0, 2 or 3; no input reaches a traceback."""
@@ -208,6 +250,35 @@ class TestOverrideContract:
         cfg.write_text(json.dumps({"population": {"n_candidates": 20, **population}}), encoding="utf-8")
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"seed": 1e400}', '{"seed": 1.5}', '{"seed": "7"}',
+         '{"schedule": {"mode": "table", "points": [[1e400, 0.5]]}}', '{"grid": 5}'],
+        ids=["overflowing-seed", "fractional-seed", "string-seed", "overflowing-step", "scalar-grid"],
+    )
+    @pytest.mark.parametrize("command", CONFIG_COMMANDS)
+    def test_bad_config_is_config_error(self, command, text, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text, encoding="utf-8")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_empty_grid_list_is_an_empty_grid(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"grid": []}', encoding="utf-8")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "non-empty grid" in capsys.readouterr().err
+        assert main(["exp1", "--config", str(cfg)]) == 0
+
+    @given(config=CONFIG_OBJECTS, command=st.sampled_from(CONFIG_COMMANDS))
+    @settings(max_examples=200, deadline=None)
+    def test_any_config_exits_0_2_or_3(self, config, command, tmp_path_factory):
+        cfg = tmp_path_factory.getbasetemp() / "any-config.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        argv = [command, "--config", str(cfg), "--out", str(cfg.with_suffix(".out"))]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 2, 3)
 
 
 class TestDeterminism:

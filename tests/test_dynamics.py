@@ -234,6 +234,12 @@ class TestApplyShock:
             with pytest.raises(NotExecuted):
                 apply_shock(record, 90.0, 75.0, ShockEvent.multiplicative(1.1))
 
+    def test_nan_ask_is_no_verdict(self):
+        # NaN compares false both ways: a NaN ask must not report regret=False.
+        for ask in (math.nan, 0.0):
+            with pytest.raises(ValueError):
+                apply_shock(self.commit_record(), ask, 70.0, ShockEvent.multiplicative(1.1))
+
     def test_shock_validation(self):
         with pytest.raises(ValueError):
             ShockEvent.multiplicative(0.0)
@@ -298,3 +304,31 @@ class TestRecordSerialization:
             DecisionRecord(1, 0.7, 0.75, 20.0, 20.0, Decision.EXECUTE)
         with pytest.raises(ValueError):
             DecisionRecord(1, None, 0.75, None, None, Decision.EXECUTE)
+        with pytest.raises(ValueError):
+            DecisionRecord(1, math.nan, 0.8, 1.0, 1.0, Decision.EXECUTE)
+        with pytest.raises(ValueError):
+            DecisionRecord(1, 0.9, math.nan, 1.0, 1.0, Decision.EXECUTE)
+
+    HEADER = "t,theta,threshold,delta_v,slippage,decision,drought\n"
+
+    @pytest.mark.parametrize(
+        "text",
+        ["t,theta\n1,0.5\n", HEADER + "1,0.5,0.9,1.0,1.0,hold\n",
+         HEADER + "1,0.5,0.9,1.0,1.0,hold,false,extra\n", HEADER + '1,0.5,0.9,1.0,1.0,hold,"true',
+         HEADER + '1,0.5,0.9,1.0,1.0,hold,maybe\n'],
+        ids=["wrong-header", "short-row", "long-row", "unterminated-quote", "unknown-flag"],
+    )
+    def test_malformed_csv_rejected(self, text):
+        with pytest.raises(ValueError):
+            records_from_csv(text)
+
+    @pytest.mark.parametrize(
+        "line",
+        ['{"t": 1, "theta": 0.5}', "[1]", "5", '"t"',
+         '{"t": 1, "theta": 0.5, "threshold": 0.9, "delta_v": 1.0, "slippage": 1.0, '
+         '"decision": "hold", "drought": "maybe"}'],
+        ids=["missing-key", "array", "number", "string", "unknown-flag"],
+    )
+    def test_malformed_jsonl_rejected(self, line):
+        with pytest.raises(ValueError):
+            records_from_jsonl(line + "\n")

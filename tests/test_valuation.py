@@ -45,6 +45,8 @@ class TestMarketToBook:
             market_to_book(50, 0)
         with pytest.raises(NonPositiveAsk):
             market_to_book(50, -1)
+        with pytest.raises(NonPositiveAsk):
+            market_to_book(70.0, math.nan)
 
     def test_monotone_in_both_arguments(self):
         # Strict monotonicity, checked on a grid coarse enough that float
