@@ -11,12 +11,12 @@ from matchbook import (
     CompensationRule,
     LiquidityStatus,
     PreferenceBook,
-    ShockEvent,
     TableSchedule,
     apply_shock,
     decide,
     impulse_adjust,
     lock_in_threshold,
+    reprice,
     step,
 )
 
@@ -44,9 +44,9 @@ book = PreferenceBook(
 commit = step(book, rule, TableSchedule(points=((1, 0.80),)), 1)
 print(f"executed: theta {commit.theta:.4f} at threshold {commit.threshold}")
 
-shock = ShockEvent.multiplicative(1.10, step=2)
-result = apply_shock(commit, 90.0, 75.0, shock)
-print(f"shock: ask 90 -> {result.new_v_uncond}, theta -> {result.new_theta:.4f}")
+shocked_ask = reprice(90.0, 1.10)
+result = apply_shock(commit, shocked_ask, 75.0)
+print(f"shock: ask 90 -> {shocked_ask}, theta -> {result.new_theta:.4f}")
 print(f"regret (theta below committed {commit.threshold}): {result.regret}")
 
 print("\n== lock-in keeps the match despite regret ==")
@@ -55,7 +55,7 @@ print(f"exit threshold {exit_T:.2f}; theta {result.new_theta:.2f} is below it, y
 print(f"commitment stands as decision {commit.decision.value!r}: exit is sticky, not automatic")
 
 print("\n== a counter-shock clears regret ==")
-recovered = apply_shock(commit, result.new_v_uncond, 75.0, ShockEvent.absolute(88.0, step=3))
+recovered = apply_shock(commit, 88.0, 75.0)
 print(f"ask repriced down to 88: theta {recovered.new_theta:.4f}, regret {recovered.regret}")
 
 print("\n== impulse orders: the threshold side can also jump ==")

@@ -31,8 +31,6 @@ from .dynamics import (
     Decision,
     DecisionRecord,
     SETTLING_TABLE,
-    ShockEvent,
-    ShockKind,
     ShockResult,
     TableSchedule,
     ThresholdSchedule,
@@ -44,6 +42,7 @@ from .dynamics import (
     records_from_jsonl,
     records_to_csv,
     records_to_jsonl,
+    reprice,
     step,
 )
 from .errors import (

@@ -12,11 +12,14 @@ records.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
+from numbers import Integral
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Union
 
 from .book import PreferenceBook, csv_cell, read_csv, write_csv
@@ -27,19 +30,26 @@ from .valuation import CompensationRule, Valuation, market_to_book
 # -- threshold schedules ------------------------------------------------------
 
 
+def _integer(value: object, what: str) -> int:
+    """A step as an int: a bool or a fraction is a ValueError, not a truncation."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class TableSchedule:
     """Step function over tabulated (step, threshold) points.
 
-    Steps must be strictly increasing and thresholds non-increasing, each in
-    (0, 1].  The threshold at t is the value of the greatest tabulated step
-    <= t; asking before the first step is an error.
+    Steps must be strictly increasing integers and thresholds non-increasing,
+    each in (0, 1].  The threshold at t is the value of the greatest
+    tabulated step <= t; asking before the first step is an error.
     """
 
     points: tuple[tuple[int, float], ...]
 
     def __post_init__(self) -> None:
-        points = tuple((int(t), float(T)) for t, T in self.points)
+        points = tuple((_integer(t, "a table step"), float(T)) for t, T in self.points)
         object.__setattr__(self, "points", points)
         if not points:
             raise ValueError("a table schedule needs at least one point")
@@ -54,14 +64,10 @@ class TableSchedule:
             raise ValueError("table thresholds must be non-increasing")
 
     def at(self, t: int) -> float:
-        if t < self.points[0][0]:
+        i = bisect.bisect_right(self.points, t, key=itemgetter(0))
+        if i == 0:
             raise StepBeforeSchedule(f"t={t} is before the first tabulated step {self.points[0][0]}")
-        value = self.points[0][1]
-        for step_t, T in self.points:
-            if step_t > t:
-                break
-            value = T
-        return value
+        return self.points[i - 1][1]
 
 
 @dataclass(frozen=True)
@@ -181,60 +187,26 @@ def step(
 # -- post-execution shocks ----------------------------------------------------
 
 
-class ShockKind(str, Enum):
-    MULTIPLICATIVE = "multiplicative"
-    ABSOLUTE = "absolute"
-
-
-@dataclass(frozen=True)
-class ShockEvent:
-    """Repricing of the internal ask after execution.
-
-    Multiplicative shocks scale the ask by ``factor`` (> 0); absolute shocks
-    replace it with ``new_ask``.
-    """
-
-    kind: ShockKind
-    step: int
-    factor: float | None = None
-    new_ask: Valuation | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind is ShockKind.MULTIPLICATIVE:
-            if self.factor is None or not math.isfinite(self.factor) or self.factor <= 0:
-                raise ValueError(f"multiplicative shock needs a finite factor > 0, got {self.factor}")
-        else:
-            if self.new_ask is None or not math.isfinite(self.new_ask) or self.new_ask < 0:
-                raise ValueError(f"absolute shock needs a finite new_ask >= 0, got {self.new_ask}")
-
-    @classmethod
-    def multiplicative(cls, factor: float, step: int = 0) -> "ShockEvent":
-        return cls(kind=ShockKind.MULTIPLICATIVE, step=step, factor=factor)
-
-    @classmethod
-    def absolute(cls, new_ask: Valuation, step: int = 0) -> "ShockEvent":
-        return cls(kind=ShockKind.ABSOLUTE, step=step, new_ask=new_ask)
-
-
 class ShockResult(NamedTuple):
-    new_v_uncond: Valuation
     new_theta: float
     regret: bool
 
 
-def _decimal_product(a: float, b: float) -> float:
-    # Repricing in decimal keeps decimally-quoted factors exact:
-    # 90 * 1.1 is 99, not 99.00000000000001.
-    return float(Decimal(repr(a)) * Decimal(repr(b)))
+def reprice(v_uncond: Valuation, factor: float) -> Valuation:
+    """The ask scaled by a finite ``factor`` > 0.
+
+    Repricing in decimal keeps decimally-quoted factors exact: 90 * 1.1 is
+    99, not 99.00000000000001.
+    """
+    if not v_uncond > 0:  # NaN fails too
+        raise ValueError(f"current ask must be > 0, got {v_uncond}")
+    if not (math.isfinite(factor) and factor > 0):
+        raise ValueError(f"a shock factor must be finite and > 0, got {factor}")
+    return float(Decimal(repr(v_uncond)) * Decimal(repr(factor)))
 
 
-def apply_shock(
-    commit: DecisionRecord,
-    v_uncond: Valuation,
-    v_partner: Valuation,
-    shock: ShockEvent,
-) -> ShockResult:
-    """Reprice the ask and re-evaluate theta against the committed threshold.
+def apply_shock(commit: DecisionRecord, new_v_uncond: Valuation, v_partner: Valuation) -> ShockResult:
+    """Re-evaluate theta at the repriced ask against the committed threshold.
 
     The partner's *intrinsic* value is used: compensation utility has
     dissipated by the time a shock lands, so only the structural ratio
@@ -243,18 +215,14 @@ def apply_shock(
     back (upward shocks can only deepen it).
 
     ``commit`` is the agent's EXECUTE record; any other record raises
-    NotExecuted.
+    NotExecuted.  The new ask must be finite and > 0.
     """
     if commit.decision is not Decision.EXECUTE:
         raise NotExecuted("shocks apply to executed agents only")
-    if not v_uncond > 0:
-        raise ValueError(f"current ask must be > 0, got {v_uncond}")
-    if shock.kind is ShockKind.MULTIPLICATIVE:
-        new_v = _decimal_product(v_uncond, shock.factor)
-    else:
-        new_v = float(shock.new_ask)
-    new_theta = market_to_book(v_partner, new_v)
-    return ShockResult(new_v, new_theta, new_theta < commit.threshold)
+    if not (math.isfinite(new_v_uncond) and new_v_uncond > 0):
+        raise ValueError(f"the repriced ask must be finite and > 0, got {new_v_uncond}")
+    new_theta = market_to_book(v_partner, new_v_uncond)
+    return ShockResult(new_theta, new_theta < commit.threshold)
 
 
 def lock_in_threshold(T: float, kappa: float) -> float:
@@ -314,7 +282,7 @@ def record_from_dict(d: dict) -> DecisionRecord:
 
     try:
         return DecisionRecord(
-            t=int(d["t"]),
+            t=int(d["t"]) if isinstance(d["t"], str) else _integer(d["t"], "a record's t"),
             theta=number(d["theta"]),
             threshold=float(d["threshold"]),
             delta_v=number(d["delta_v"]),

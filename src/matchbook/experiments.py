@@ -27,11 +27,11 @@ from .dynamics import (
     Decision,
     DecisionRecord,
     SETTLING_TABLE,
-    ShockEvent,
     TableSchedule,
     ThresholdSchedule,
     apply_shock,
     record_to_dict,
+    reprice,
     step,
 )
 from .errors import EmptyGrid, InvalidConfig, MissingOverride, NonPositiveAsk
@@ -70,7 +70,7 @@ class ExperimentConfig:
             raise InvalidConfig(f"unknown experiment {self.experiment!r}")
         if self.format not in ("csv", "json"):
             raise InvalidConfig(f"format must be csv or json, got {self.format!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise InvalidConfig(f"seed must be an unsigned integer, got {self.seed!r}")
 
 
@@ -78,13 +78,20 @@ class ExperimentConfig:
 _CONFIG_ERRORS = (KeyError, TypeError, ValueError, OverflowError, NonPositiveAsk)
 
 
+def _number(value: object) -> float:
+    """A config value as a float; JSON's true is no number, though float(True) is 1.0."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _schedule_from_mapping(d: dict) -> ThresholdSchedule:
     mode = d["mode"]
     if mode == "table":
-        return TableSchedule(points=tuple((int(t), float(T)) for t, T in d["points"]))
+        return TableSchedule(points=tuple((t, _number(T)) for t, T in d["points"]))
     if mode == "decay":
         return DecaySchedule(
-            t0=float(d["t0"]), rate=float(d["rate"]), floor=float(d.get("floor", 0.0))
+            t0=_number(d["t0"]), rate=_number(d["rate"]), floor=_number(d.get("floor", 0.0))
         )
     raise InvalidConfig(f"schedule mode must be 'table' or 'decay', got {mode!r}")
 
@@ -107,7 +114,7 @@ def config_from_mapping(experiment: str, data: dict, seed: int | None = None) ->
             population = PopulationConfig(**pop)
         grid = None
         if "grid" in data:
-            grid = {str(k): [float(x) for x in v] for k, v in dict(data["grid"]).items()}
+            grid = {str(k): [_number(x) for x in v] for k, v in dict(data["grid"]).items()}
         return ExperimentConfig(
             experiment=experiment,
             overrides=dict(data.get("overrides", {})),
@@ -146,7 +153,7 @@ def _override(cfg: ExperimentConfig, key: str, default: float | None = None) -> 
     """A numeric override, or ``default`` when the key is absent."""
     value = cfg.overrides.get(key, default)
     try:
-        return float(value)
+        return _number(value)
     except (TypeError, ValueError) as exc:
         raise InvalidConfig(f"non-numeric override for {cfg.experiment}: {key}={value!r}") from exc
 
@@ -264,10 +271,10 @@ def _finish(report: ExperimentReport) -> ExperimentReport:
 # -- scenario driver ----------------------------------------------------------------
 
 
-def _check_horizon(last: int) -> int:
-    if last > MAX_HORIZON:
-        raise InvalidConfig(f"the horizon must be at most {MAX_HORIZON} steps, got {last}")
-    return last
+def _check_horizon(last: float) -> int:
+    if not (last <= MAX_HORIZON and float(last).is_integer()):
+        raise InvalidConfig(f"the horizon must be whole and at most {MAX_HORIZON} steps, got {last}")
+    return int(last)
 
 
 def _schedule_steps(schedule: ThresholdSchedule, horizon: int | None) -> range:
@@ -417,17 +424,17 @@ def run_exp5(cfg: ExperimentConfig) -> ExperimentReport:
             "theta_convention": "intrinsic (post-execution)",
         }
         return _finish(ExperimentReport("exp5", constants, records, summary))
-    shock = _from_config(ShockEvent.multiplicative, factor, step=commit.t + 1)
-    result = _from_config(apply_shock, commit, ask, partner, shock)
-    # The shock re-evaluation joins the record stream; execution is
-    # absorbing, so a sub-threshold theta here is regret, not a reversal.
+    new_ask = _from_config(reprice, ask, factor)
+    result = _from_config(apply_shock, commit, new_ask, partner)
+    # The shock re-evaluation joins the record stream a step after the commit;
+    # execution is absorbing, so a sub-threshold theta here is regret, not a reversal.
     records.append(
         DecisionRecord(
-            t=shock.step,
+            t=commit.t + 1,
             theta=result.new_theta,
             threshold=commit.threshold,
-            delta_v=result.new_v_uncond - partner,
-            slippage=result.new_v_uncond - partner,
+            delta_v=new_ask - partner,
+            slippage=new_ask - partner,
             decision=Decision.HOLD,
         )
     )
@@ -436,7 +443,7 @@ def run_exp5(cfg: ExperimentConfig) -> ExperimentReport:
         "t_star": commit.t,
         "pre_theta": pre_theta,
         "post_theta": result.new_theta,
-        "post_shock_ask": result.new_v_uncond,
+        "post_shock_ask": new_ask,
         "regret": result.regret,
         "regret_gap_jump": records[-1].delta_v - records[0].delta_v,
         "theta_convention": "intrinsic (post-execution)",
@@ -532,7 +539,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict[str, Any]]:
     params, points = _grid_points(cfg.grid)
     horizon = None
     if "horizon" in cfg.overrides:
-        horizon = _check_horizon(_from_config(int, _override(cfg, "horizon")))
+        horizon = _check_horizon(_override(cfg, "horizon"))
     # generate is a pure function of its config: one book per reach_slope.
     book_for = functools.cache(functools.partial(_sweep_book, cfg))
     rows: list[dict[str, Any]] = []
@@ -550,11 +557,9 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict[str, Any]]:
         if factor is None and "shock_factor" in cfg.overrides:
             factor = _override(cfg, "shock_factor")
         if factor is not None and commit.decision is Decision.EXECUTE:
-            best = book.best_bid(rule)
-            shock = _from_config(ShockEvent.multiplicative, factor, step=commit.t + 1)
-            result = _from_config(apply_shock, commit, book.v_uncond(), best.entry.v_intrinsic, shock)
-            post_theta = result.new_theta
-            regret = result.regret
+            new_ask = _from_config(reprice, book.v_uncond(), factor)
+            partner = book.best_bid(rule).entry.v_intrinsic
+            post_theta, regret = _from_config(apply_shock, commit, new_ask, partner)
         row: dict[str, Any] = {"grid_index": index}
         row.update(point)
         row.update(summary)

@@ -47,6 +47,8 @@ class PopulationConfig:
     seed: int = 42
 
     def __post_init__(self) -> None:
+        if any(isinstance(value, bool) for value in asdict(self).values()):  # float(True) is 1.0
+            raise InvalidConfig(f"population parameters are numbers, not booleans: {self}")
         for name in ("n_candidates", "seed"):
             if not isinstance(getattr(self, name), (int, np.integer)):
                 raise InvalidConfig(f"{name} must be an integer, got {getattr(self, name)!r}")

@@ -135,7 +135,7 @@ SCHEDULES = st.fixed_dictionaries(
 )
 #: n_candidates is drawn from at most 1000 so that no example runs for long.
 POPULATIONS = st.fixed_dictionaries(
-    {"n_candidates": st.one_of(st.integers(-1, 1000), st.sampled_from([1.5, math.nan, "10"]))},
+    {"n_candidates": st.one_of(st.integers(-1, 1000), st.sampled_from([1.5, math.nan, "10", True]))},
     optional={key: CONFIG_VALUES for key in ("seed", "beta_alpha", "reach_slope", "comp_scale")},
 )
 BOOK_ROWS = st.lists(
@@ -176,11 +176,15 @@ class TestOverrideContract:
             ["exp2", "--override", "v_reach=nan"],
             ["exp5", "--override", "shock_factor=0"],
             ["exp5", "--override", "ask=0", "--override", "partner=5"],
+            # 90 * 1e308 overflows to an infinite ask, which would read as theta = 0.
+            ["exp5", "--override", "shock_factor=1e308"],
+            ["exp1", "--override", "T=true"],
             ["appendix-a", "--override", "T=0"],
             ["sweep", "--override", "horizon=abc"],
             ["sweep", "--override", "horizon=inf"],
             ["sweep", "--override", "horizon=1e7"],
             ["sweep", "--override", "horizon=10001"],
+            ["sweep", "--override", "horizon=12.7"],
             ["sweep", "--override", "lambda=abc"],
         ],
         ids=" ".join,
@@ -241,8 +245,9 @@ class TestOverrideContract:
     @pytest.mark.parametrize(
         "population",
         [{"beta_alpha": math.nan}, {"n_candidates": 10.5}, {"seed": 1.5}, {"comp_scale": math.inf},
-         {"comp_scale": 1e308}],
-        ids=["nan-alpha", "fractional-n", "fractional-seed", "inf-scale", "overflowing-offers"],
+         {"comp_scale": 1e308}, {"n_candidates": True}, {"reach_slope": True}],
+        ids=["nan-alpha", "fractional-n", "fractional-seed", "inf-scale", "overflowing-offers",
+             "boolean-n", "boolean-slope"],
     )
     @pytest.mark.parametrize("command", ["gen", "sweep"])
     def test_bad_population_is_config_error(self, command, population, tmp_path, capsys):
@@ -253,9 +258,12 @@ class TestOverrideContract:
 
     @pytest.mark.parametrize(
         "text",
-        ['{"seed": 1e400}', '{"seed": 1.5}', '{"seed": "7"}',
-         '{"schedule": {"mode": "table", "points": [[1e400, 0.5]]}}', '{"grid": 5}'],
-        ids=["overflowing-seed", "fractional-seed", "string-seed", "overflowing-step", "scalar-grid"],
+        ['{"seed": 1e400}', '{"seed": 1.5}', '{"seed": "7"}', '{"seed": true}',
+         '{"schedule": {"mode": "table", "points": [[1e400, 0.5]]}}', '{"grid": 5}',
+         '{"schedule": {"mode": "table", "points": [[1.5, 0.99], [2.7, 0.5]]}}',
+         '{"schedule": {"mode": "decay", "t0": true, "rate": 0.1}}', '{"grid": {"T0": [true]}}'],
+        ids=["overflowing-seed", "fractional-seed", "string-seed", "boolean-seed", "overflowing-step",
+             "scalar-grid", "fractional-steps", "boolean-t0", "boolean-grid-value"],
     )
     @pytest.mark.parametrize("command", CONFIG_COMMANDS)
     def test_bad_config_is_config_error(self, command, text, tmp_path, capsys):

@@ -10,7 +10,6 @@ from matchbook import (
     DecisionRecord,
     NotExecuted,
     SETTLING_TABLE,
-    ShockEvent,
     StepBeforeSchedule,
     TableSchedule,
     apply_shock,
@@ -21,6 +20,7 @@ from matchbook import (
     records_from_jsonl,
     records_to_csv,
     records_to_jsonl,
+    reprice,
     run_schedule,
     step,
 )
@@ -73,6 +73,25 @@ class TestThresholdAt:
             TableSchedule(points=((1, 0.8), (2, 0.9)))
         with pytest.raises(ValueError):
             TableSchedule(points=((1, 1.5),))
+        # A step is an integer: 1.5 is not truncated to 1, nor True read as 1.
+        for bad_step in (1.5, 2.0, True, "1"):
+            with pytest.raises(ValueError):
+                TableSchedule(points=((bad_step, 0.9),))
+
+    @given(
+        st.lists(st.integers(-50, 50), min_size=1, max_size=20, unique=True),
+        st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=20, max_size=20),
+    )
+    def test_table_at_matches_a_linear_scan(self, steps, thresholds):
+        steps = sorted(steps)
+        table = TableSchedule(points=tuple(zip(steps, sorted(thresholds, reverse=True))))
+        for t in {s + d for s in steps for d in (-1, 0, 1)}:
+            reached = [T for step_t, T in table.points if step_t <= t]
+            if reached:
+                assert table.at(t) == reached[-1]
+            else:
+                with pytest.raises(StepBeforeSchedule):
+                    table.at(t)
 
     @given(
         st.floats(min_value=0.05, max_value=1.0),
@@ -190,39 +209,42 @@ class TestApplyShock:
         return DecisionRecord(1, 75 / 90, threshold, 15.0, 15.0, Decision.EXECUTE)
 
     def test_peer_comparison_shock(self):
-        result = apply_shock(self.commit_record(), 90.0, 75.0, ShockEvent.multiplicative(1.10))
-        assert result.new_v_uncond == 99.0
+        new_ask = reprice(90.0, 1.10)
+        assert new_ask == 99.0
+        result = apply_shock(self.commit_record(), new_ask, 75.0)
         assert result.new_theta == pytest.approx(75 / 99, abs=1e-12)
         assert result.regret is True
 
     def test_identity_shock(self):
-        result = apply_shock(self.commit_record(), 90.0, 75.0, ShockEvent.multiplicative(1.0))
-        assert result.new_v_uncond == 90.0
+        new_ask = reprice(90.0, 1.0)
+        assert new_ask == 90.0
+        result = apply_shock(self.commit_record(), new_ask, 75.0)
         assert result.new_theta == pytest.approx(75 / 90, abs=1e-12)
         assert result.regret is False
 
     def test_mild_shock_absorbed(self):
-        result = apply_shock(self.commit_record(), 90.0, 75.0, ShockEvent.multiplicative(1.02))
-        assert result.new_v_uncond == 91.8
+        new_ask = reprice(90.0, 1.02)
+        assert new_ask == 91.8
+        result = apply_shock(self.commit_record(), new_ask, 75.0)
         assert result.new_theta == pytest.approx(0.8169934640522876, abs=1e-12)
         assert result.regret is False
 
     def test_absolute_repricing(self):
-        result = apply_shock(self.commit_record(), 90.0, 75.0, ShockEvent.absolute(99.0))
-        assert result.new_v_uncond == 99.0
+        result = apply_shock(self.commit_record(), 99.0, 75.0)
+        assert result.new_theta == pytest.approx(75 / 99, abs=1e-12)
         assert result.regret is True
 
     def test_downward_repricing_clears_regret(self):
         state = self.commit_record()
-        shocked = apply_shock(state, 90.0, 75.0, ShockEvent.multiplicative(1.10))
+        shocked = apply_shock(state, reprice(90.0, 1.10), 75.0)
         assert shocked.regret
-        recovered = apply_shock(state, shocked.new_v_uncond, 75.0, ShockEvent.absolute(90.0))
+        recovered = apply_shock(state, 90.0, 75.0)
         assert recovered.regret is False
 
     def test_theta_strictly_decreasing_in_factor(self):
         factors = [1.0 + 0.01 * k for k in range(1, 60)]
         thetas = [
-            apply_shock(self.commit_record(), 90.0, 75.0, ShockEvent.multiplicative(f)).new_theta
+            apply_shock(self.commit_record(), reprice(90.0, f), 75.0).new_theta
             for f in factors
         ]
         assert all(a > b for a, b in zip(thetas, thetas[1:]))
@@ -232,21 +254,30 @@ class TestApplyShock:
         drought = DecisionRecord(1, None, 0.90, None, None, Decision.HOLD, drought=True)
         for record in (hold, drought):
             with pytest.raises(NotExecuted):
-                apply_shock(record, 90.0, 75.0, ShockEvent.multiplicative(1.1))
+                apply_shock(record, reprice(90.0, 1.1), 75.0)
 
     def test_nan_ask_is_no_verdict(self):
         # NaN compares false both ways: a NaN ask must not report regret=False.
         for ask in (math.nan, 0.0):
             with pytest.raises(ValueError):
-                apply_shock(self.commit_record(), ask, 70.0, ShockEvent.multiplicative(1.1))
+                reprice(ask, 1.1)
+            with pytest.raises(ValueError):
+                apply_shock(self.commit_record(), ask, 70.0)
+
+    def test_overflowing_ask_is_no_verdict(self):
+        # 1e308 * 10 overflows to inf, which would read as theta = 0.
+        assert reprice(1e308, 10.0) == math.inf
+        for ask in (reprice(1e308, 10.0), -math.inf):
+            with pytest.raises(ValueError):
+                apply_shock(self.commit_record(), ask, 70.0)
 
     def test_shock_validation(self):
         with pytest.raises(ValueError):
-            ShockEvent.multiplicative(0.0)
+            reprice(90.0, 0.0)
         with pytest.raises(ValueError):
-            ShockEvent.multiplicative(math.inf)
+            reprice(90.0, math.inf)
         with pytest.raises(ValueError):
-            ShockEvent.absolute(-1.0)
+            apply_shock(self.commit_record(), -1.0, 75.0)
 
 
 class TestLockInAndImpulse:
@@ -261,7 +292,7 @@ class TestLockInAndImpulse:
         # The shock drops theta below the raised exit threshold, yet the
         # commitment stands: stickiness, not reversal.
         commit = DecisionRecord(1, 75 / 90, 0.80, 15.0, 15.0, Decision.EXECUTE)
-        result = apply_shock(commit, 90.0, 75.0, ShockEvent.multiplicative(1.10))
+        result = apply_shock(commit, reprice(90.0, 1.10), 75.0)
         exit_threshold = lock_in_threshold(commit.threshold, 0.15)
         assert result.new_theta < exit_threshold
         assert result.regret
@@ -326,8 +357,12 @@ class TestRecordSerialization:
         "line",
         ['{"t": 1, "theta": 0.5}', "[1]", "5", '"t"',
          '{"t": 1, "theta": 0.5, "threshold": 0.9, "delta_v": 1.0, "slippage": 1.0, '
-         '"decision": "hold", "drought": "maybe"}'],
-        ids=["missing-key", "array", "number", "string", "unknown-flag"],
+         '"decision": "hold", "drought": "maybe"}',
+         '{"t": 1.9, "theta": 0.5, "threshold": 0.9, "delta_v": 1.0, "slippage": 1.0, '
+         '"decision": "hold", "drought": false}',
+         '{"t": true, "theta": 0.5, "threshold": 0.9, "delta_v": 1.0, "slippage": 1.0, '
+         '"decision": "hold", "drought": false}'],
+        ids=["missing-key", "array", "number", "string", "unknown-flag", "fractional-t", "boolean-t"],
     )
     def test_malformed_jsonl_rejected(self, line):
         with pytest.raises(ValueError):
