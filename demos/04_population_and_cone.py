@@ -49,10 +49,10 @@ print(f"ask {book.v_uncond():.2f}, best bid {best.entry.v_intrinsic:.2f} "
 
 print("\n== cone volumes: how fast the pool collapses ==")
 for profile in (DensityProfile.linear_cone(), DensityProfile.beta(2, 8)):
-    full = cone_volume(profile, 0.0, 100_000)
+    full = cone_volume(profile, 0.0)
     print(f"profile {profile.name}:")
     for h0 in (0.0, 0.25, 0.5, 0.75, 0.9):
-        vol = cone_volume(profile, h0, 100_000)
+        vol = cone_volume(profile, h0)
         share = vol / full
         print(
             f"  cutoff {h0:.2f}: volume {vol:.4f}"

@@ -366,13 +366,12 @@ def book_from_mappings(rows: Iterable[dict], owner_id: str = "agent") -> Prefere
     key or a value of the wrong type raises ValueError."""
     rows = list(rows)
     try:
-        return _book_from_fields(
-            [str(row["id"]) for row in rows],
-            [row["v_intrinsic"] for row in rows],
-            [row["c_offer"] for row in rows],
-            [row["status"] for row in rows],
-            owner_id,
-        )
+        v = [row["v_intrinsic"] for row in rows]
+        c = [row["c_offer"] for row in rows]
+        if bool in {*map(type, v), *map(type, c)}:  # float(True) is 1.0
+            raise TypeError("book values are numbers, not booleans")
+        return _book_from_fields([str(row["id"]) for row in rows], v, c,
+                                 [row["status"] for row in rows], owner_id)
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"bad book entry: {exc!r}") from exc
 

@@ -3,16 +3,15 @@
 Subcommands mirror the numbered experiments plus the population generator
 and the cone-volume calculator:
 
-    matchbook exp1|exp2|exp3|exp4|exp5|appendix-a [--config F] [--override k=v ...]
-    matchbook sweep [--config F] [--out rows.csv]
-    matchbook gen [--out book.csv] [--seed N]
-    matchbook cone --profile beta:2,8 --h0 0.5 --steps 100000
+    matchbook exp1|exp2|exp3|exp4|exp5|appendix-a|sweep [--config F] [--seed N] [--override k=v ...]
+    matchbook gen [--config F] [--seed N]
+    matchbook cone --profile beta:2,8 --h0 0.5
 
-Every subcommand accepts --config, --seed, --out, --format and repeatable
---override flags.  Scenario constants default to the checked-in fixtures, so
-each experiment runs with no arguments at all.  Exit codes: 0 on success,
-2 on configuration errors, 3 when a run ends in a liquidity drought or
-produces no result.
+Each also takes --out and --format.  ``COMMANDS`` lists the flags each
+subcommand reads, and any other flag is a usage error (exit 2).  Scenario
+constants default to the checked-in fixtures, so each experiment runs with
+no arguments at all.  Exit codes: 0 on success, 2 on configuration errors,
+3 when a run ends in a liquidity drought or produces no result.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .dynamics import records_to_csv
 from .errors import InvalidConfig, NoLiquidity
@@ -76,7 +75,7 @@ def _effective_config(args: argparse.Namespace, experiment: str) -> ExperimentCo
             raise InvalidConfig(f"config {args.config} must be an object with an object of overrides")
         data = merge_config(data, user)
     flags: dict[str, Any] = {}
-    if args.override:
+    if getattr(args, "override", None):
         flags["overrides"] = dict(_parse_override(item) for item in args.override)
     if args.format is not None:
         flags["format"] = args.format
@@ -95,7 +94,8 @@ def _print_summary(summary: dict[str, Any]) -> None:
         print(f"{key} = {value}")
 
 
-def _cmd_experiment(args: argparse.Namespace, experiment: str) -> int:
+def _cmd_experiment(args: argparse.Namespace) -> int:
+    experiment = args.command.replace("-", "_")
     cfg = _effective_config(args, experiment)
     report = RUNNERS[experiment](cfg)
     if cfg.format == "json":
@@ -141,70 +141,69 @@ def _cmd_cone(args: argparse.Namespace) -> int:
     profile = _parse_profile(args.profile)
     if not 0 <= args.h0 <= 1:
         raise InvalidConfig(f"--h0 must lie in [0, 1], got {args.h0}")
-    if args.steps < 1:
-        raise InvalidConfig(f"--steps must be >= 1, got {args.steps}")
-    volume = cone_volume(profile, args.h0, args.steps)
+    volume = cone_volume(profile, args.h0)
     print(repr(volume))
     if args.out is not None:
         _write_output(args.out, repr(volume) + "\n")
     return EXIT_OK
 
 
+#: Every flag a command may take: its add_argument keywords.
+_FLAGS: dict[str, dict[str, Any]] = {
+    "--out": {"metavar": "PATH", "help": "write the result to this file"},
+    "--format": {"choices": ("csv", "json"), "help": "output format"},
+    "--config": {"metavar": "PATH", "help": "JSON config merged over the fixture"},
+    "--seed": {"type": int, "metavar": "UINT", "help": "override the run seed"},
+    "--override": {"action": "append", "default": [], "metavar": "KEY=VALUE",
+                   "help": "override one scenario constant (repeatable)"},
+    "--profile": {"default": "uniform", "metavar": "NAME", "help": "uniform, linear-cone, or beta:a,b"},
+    "--h0": {"type": float, "default": 0.0, "metavar": "REAL", "help": "status cutoff in [0, 1]"},
+}
+#: The flags of the six scenarios and sweep.
+_SCENARIO = ("--out", "--format", "--config", "--seed", "--override")
+
+#: Subcommand -> (help line, handler, the flags it reads).
+COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], int], tuple[str, ...]]] = {
+    "exp1": ("deep out-of-the-money bid: clipped compensation fails to clear",
+             _cmd_experiment, _SCENARIO),
+    "exp2": ("settling: execution through threshold decay", _cmd_experiment, _SCENARIO),
+    "exp3": ("marketable bid: immediate fill above the ask", _cmd_experiment, _SCENARIO),
+    "exp4": ("regional norm invariance of the book ranking", _cmd_experiment, _SCENARIO),
+    "exp5": ("post-execution shock, slippage and regret", _cmd_experiment, _SCENARIO),
+    "appendix-a": ("worked five-row book replay", _cmd_experiment, _SCENARIO),
+    "sweep": ("grid sweep emitting one summary row per point", _cmd_sweep, _SCENARIO),
+    "gen": ("generate a seeded population book", _cmd_gen, ("--out", "--format", "--config", "--seed")),
+    "cone": ("candidate volume above a status cutoff",
+             _cmd_cone, ("--out", "--format", "--profile", "--h0")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    # The scenario commands copy their flags from one parent parser, which
+    # is faster than adding them to each command anew.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="JSON config merged over the fixture")
-    common.add_argument("--seed", type=int, metavar="UINT", help="override the run seed")
-    common.add_argument("--out", metavar="PATH", help="write the result to this file")
-    common.add_argument("--format", choices=("csv", "json"), help="output format")
-    common.add_argument(
-        "--override",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="override one scenario constant (repeatable)",
-    )
+    for flag in _SCENARIO:
+        common.add_argument(flag, **_FLAGS[flag])
 
     parser = argparse.ArgumentParser(
         prog="matchbook",
         description="Deterministic matching-market order-book simulations.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    descriptions = {
-        "exp1": "deep out-of-the-money bid: clipped compensation fails to clear",
-        "exp2": "settling: execution through threshold decay",
-        "exp3": "marketable bid: immediate fill above the ask",
-        "exp4": "regional norm invariance of the book ranking",
-        "exp5": "post-execution shock, slippage and regret",
-        "appendix-a": "worked five-row book replay",
-    }
-    for name, desc in descriptions.items():
-        sub.add_parser(name, parents=[common], help=desc)
-
-    sub.add_parser("sweep", parents=[common], help="grid sweep emitting one summary row per point")
-    sub.add_parser("gen", parents=[common], help="generate a seeded population book")
-
-    cone = sub.add_parser("cone", parents=[common], help="candidate volume above a status cutoff")
-    cone.add_argument("--profile", default="uniform", metavar="NAME",
-                      help="uniform, linear-cone, or beta:a,b")
-    cone.add_argument("--h0", type=float, default=0.0, metavar="REAL", help="status cutoff in [0, 1]")
-    cone.add_argument("--steps", type=int, default=100_000, metavar="UINT",
-                      help="trapezoid intervals")
+    # Given a prog, argparse need not format a usage line to derive it.
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
+    for name, (help_line, handler, flags) in COMMANDS.items():
+        shared = flags == _SCENARIO
+        command = sub.add_parser(name, parents=[common] if shared else [], help=help_line)
+        command.set_defaults(handler=handler)
+        for flag in () if shared else flags:
+            command.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "cone":
-            return _cmd_cone(args)
-        experiment = args.command.replace("-", "_")
-        return _cmd_experiment(args, experiment)
+        return args.handler(args)
     except InvalidConfig as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

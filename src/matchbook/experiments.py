@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import Any, Callable
@@ -38,15 +39,15 @@ from .errors import EmptyGrid, InvalidConfig, MissingOverride, NonPositiveAsk
 from .population import PopulationConfig, generate
 from .valuation import CompensationRule, effective_utility
 
-EXPERIMENTS = (
-    "exp1", "exp2", "exp3", "exp4", "exp5", "appendix_a", "sweep", "gen", "cone",
-)
-
 SWEEP_PARAMS = ("T0", "lambda", "eps", "cap", "reach_slope", "shock_factor")
 
 #: The last step any run may reach; a longer horizon is a config error, so a
 #: typo such as ``horizon=1e7`` fails at once instead of stepping for hours.
 MAX_HORIZON = 10_000
+
+#: The most points a sweep grid may have, counted as the product of its list
+#: lengths before any point is built.
+MAX_GRID_POINTS = 10_000
 
 
 # -- configuration ---------------------------------------------------------------
@@ -66,7 +67,7 @@ class ExperimentConfig:
     format: str = "json"
 
     def __post_init__(self) -> None:
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in RUNNERS and self.experiment not in ("sweep", "gen"):
             raise InvalidConfig(f"unknown experiment {self.experiment!r}")
         if self.format not in ("csv", "json"):
             raise InvalidConfig(f"format must be csv or json, got {self.format!r}")
@@ -494,6 +495,9 @@ def _grid_points(grid: dict[str, list[float]]) -> tuple[list[str], list[tuple[fl
             f"unknown sweep parameters {unknown}; supported: {', '.join(SWEEP_PARAMS)}"
         )
     params = list(grid.keys())
+    size = math.prod(len(grid[p]) for p in params)
+    if size > MAX_GRID_POINTS:
+        raise InvalidConfig(f"a sweep grid has at most {MAX_GRID_POINTS} points, got {size}")
     return params, list(itertools.product(*(grid[p] for p in params)))
 
 

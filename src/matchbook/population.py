@@ -28,6 +28,11 @@ from .book import STATUSES, LiquidityStatus, PreferenceBook
 from .errors import InvalidConfig, OutOfRange
 
 
+#: The largest population the generator draws; a larger ``n_candidates`` is a
+#: config error before any array is allocated.
+MAX_CANDIDATES = 1_000_000
+
+
 @dataclass(frozen=True)
 class PopulationConfig:
     """Knobs of the market generator.
@@ -55,8 +60,8 @@ class PopulationConfig:
         for name in ("beta_alpha", "beta_beta", "reach_slope", "comp_low", "comp_high", "comp_scale"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidConfig(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.n_candidates < 1:
-            raise InvalidConfig(f"n_candidates must be >= 1, got {self.n_candidates}")
+        if not 1 <= self.n_candidates <= MAX_CANDIDATES:
+            raise InvalidConfig(f"n_candidates must lie in [1, {MAX_CANDIDATES}], got {self.n_candidates}")
         if self.beta_alpha <= 0 or self.beta_beta <= 0:
             raise InvalidConfig("beta shape parameters must be > 0")
         if not 0 <= self.reach_slope <= 1:
@@ -156,8 +161,8 @@ class DensityProfile:
 
     @classmethod
     def beta(cls, alpha: float, beta: float) -> "DensityProfile":
-        if alpha <= 0 or beta <= 0:
-            raise InvalidConfig("beta profile shape parameters must be > 0")
+        if not (0 < alpha < math.inf and 0 < beta < math.inf):  # NaN fails both
+            raise InvalidConfig(f"beta profile shapes must be finite and > 0, got {alpha}, {beta}")
         from scipy import stats  # its only user: importing matchbook stays scipy-free
 
         dist = stats.beta(alpha, beta)
@@ -169,22 +174,30 @@ class DensityProfile:
         densities = np.asarray(densities, dtype=float)
         if heights.ndim != 1 or heights.shape != densities.shape or heights.size < 2:
             raise InvalidConfig("tabulated profile needs matching 1-d grids of length >= 2")
-        if np.any(densities < 0):
-            raise InvalidConfig("densities must be >= 0")
+        if not (np.all(np.isfinite(heights)) and np.all(np.diff(heights) > 0)):
+            raise InvalidConfig("heights must be finite and strictly increasing")
+        if not np.all((densities >= 0) & (densities < np.inf)):  # NaN fails both
+            raise InvalidConfig("densities must be finite and >= 0")
         return cls("tabulated", lambda h: np.interp(np.asarray(h, dtype=float), heights, densities))
 
 
-def cone_volume(profile: DensityProfile, h0: float, steps: int) -> float:
+#: Trapezoid intervals of the cone integral.
+_CONE_STEPS = 100_000
+
+
+def cone_volume(profile: DensityProfile, h0: float) -> float:
     """Candidate volume above height h0: pi * trapezoid of g on [h0, 1].
 
-    Composite trapezoid on a uniform grid of ``steps`` intervals; chosen over
-    higher-order schemes because profiles may be tabulated.
+    Composite trapezoid on a uniform grid of ``_CONE_STEPS`` intervals; chosen
+    over higher-order schemes because profiles may be tabulated.
     """
     if not 0 <= h0 <= 1:
         raise OutOfRange(f"h0 must lie in [0, 1], got {h0}")
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
     if h0 == 1.0:
         return 0.0
-    ts = np.linspace(h0, 1.0, steps + 1)
-    return math.pi * float(np.trapezoid(profile.g(ts), ts))
+    ts = np.linspace(h0, 1.0, _CONE_STEPS + 1)
+    try:
+        gs = profile.g(ts)
+    except OverflowError as exc:  # SciPy's Beta density at extreme shapes
+        raise InvalidConfig(f"profile {profile.name} cannot be evaluated: {exc}") from exc
+    return math.pi * float(np.trapezoid(gs, ts))

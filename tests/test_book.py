@@ -487,6 +487,19 @@ class TestInvalidNumbersRejected:
             with redirect_output():
                 assert main(["appendix-a", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("field", ["v_intrinsic", "c_offer"])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_json_boolean_is_no_number(self, field, flag, tmp_path):
+        # float(True) is 1.0, so a boolean would otherwise read as a number.
+        rows = [{"id": "H", "v_intrinsic": 95.0, "c_offer": 0.0, "status": "hypothetical"},
+                {"id": "B", "v_intrinsic": 88.0, "c_offer": 10.0, "status": "liquid", field: flag}]
+        with pytest.raises(ValueError, match="not booleans"):
+            book_from_json(json.dumps(rows))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"book": rows}), encoding="utf-8")
+        with redirect_output():
+            assert main(["appendix-a", "--config", str(cfg)]) == 2
+
 
 def redirect_output():
     stack = contextlib.ExitStack()

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -10,17 +11,18 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import matchbook
 from matchbook import DensityProfile, cone_volume
 from matchbook.cli import main
-from matchbook.experiments import MAX_HORIZON, load_fixture
+from matchbook.experiments import MAX_GRID_POINTS, MAX_HORIZON, load_fixture
+from matchbook.population import MAX_CANDIDATES
 
 ALL_COMMANDS = [
     ["exp1"], ["exp2"], ["exp3"], ["exp4"], ["exp5"], ["appendix-a"],
     ["sweep"], ["gen"],
-    ["cone", "--profile", "beta:2,8", "--h0", "0.5", "--steps", "20000"],
+    ["cone", "--profile", "beta:2,8", "--h0", "0.5"],
 ]
 
 
@@ -289,13 +291,141 @@ class TestOverrideContract:
             assert main(argv) in (0, 2, 3)
 
 
+def exit_status(argv):
+    """What ``matchbook`` exits with, argparse usage errors included; output discarded."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+class TestSizeCaps:
+    """A population or sweep grid over its cap fails before it is allocated."""
+
+    @pytest.mark.parametrize("command", ["gen", "sweep"])
+    def test_population_over_the_cap_is_config_error(self, command, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"population": {"n_candidates": 10**15}}), encoding="utf-8")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert f"[1, {MAX_CANDIDATES}]" in capsys.readouterr().err
+
+    #: Sizes under the cap stay small so that no example runs for long; sizes
+    #: of 10**15 and up are more than any machine can allocate.
+    @given(n=st.one_of(st.integers(-5, 1000), st.integers(10**15, 10**30)))
+    @settings(max_examples=60, deadline=None)
+    def test_any_population_size_exits_0_or_2(self, n, tmp_path_factory):
+        cfg = tmp_path_factory.getbasetemp() / "size.json"
+        cfg.write_text(json.dumps({"population": {"n_candidates": n}}), encoding="utf-8")
+        code = exit_status(["gen", "--config", str(cfg), "--out", str(cfg.with_suffix(".csv"))])
+        assert code == (0 if 1 <= n <= MAX_CANDIDATES else 2)
+
+    def test_grid_over_the_cap_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # Five lists of 1000 values: 10**15 points.  Building any of them
+        # fails the test rather than exhausting memory.
+        def refuse(*lists):
+            raise AssertionError("the grid was built before its size was checked")
+
+        monkeypatch.setattr(itertools, "product", refuse)
+        values = [0.5 + i / 4000 for i in range(1000)]
+        grid = {key: values for key in ("T0", "lambda", "eps", "cap", "shock_factor")}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": grid}), encoding="utf-8")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert f"at most {MAX_GRID_POINTS} points, got {10**15}" in capsys.readouterr().err
+
+
+#: Each command's help line, as ``matchbook --help`` lists it.
+HELP_LINES = {
+    "exp1": "deep out-of-the-money bid: clipped compensation fails to clear",
+    "exp2": "settling: execution through threshold decay",
+    "exp3": "marketable bid: immediate fill above the ask",
+    "exp4": "regional norm invariance of the book ranking",
+    "exp5": "post-execution shock, slippage and regret",
+    "appendix-a": "worked five-row book replay",
+    "sweep": "grid sweep emitting one summary row per point",
+    "gen": "generate a seeded population book",
+    "cone": "candidate volume above a status cutoff",
+}
+
+#: Profile names, well- and ill-formed, and beta shape pairs drawn from every
+#: float, the infinities and NaN included.
+PROFILES = st.one_of(
+    st.sampled_from(["uniform", "linear-cone", "pyramid", "beta:", "beta:2", "beta:1,2,3", "beta:a,b"]),
+    st.tuples(st.floats(), st.floats()),
+)
+
+
+class TestCommandFlags:
+    """Each command takes exactly the flags it reads; any other is exit 2."""
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        listing = " ".join(capsys.readouterr().out.split())
+        assert "{" + ",".join(HELP_LINES) + "}" in listing
+        for name, help_line in HELP_LINES.items():
+            assert f"{name} {help_line}" in listing
+
+    @pytest.mark.parametrize(
+        "flag",
+        [["--config", "cfg.json"], ["--seed", "42"], ["--override", "T=0.5"], ["--steps", "100000"]],
+        ids=lambda flag: flag[0],
+    )
+    def test_cone_rejects_flags_it_does_not_read(self, flag, tmp_path):
+        argv = ["cone", "--profile", "beta:2,8", "--h0", "0.5", *flag, "--out", str(tmp_path / "v")]
+        assert exit_status(argv) == 2
+        assert not (tmp_path / "v").exists()
+
+    def test_gen_rejects_override(self, tmp_path):
+        argv = ["gen", "--override", "n_candidates=20", "--out", str(tmp_path / "b.csv")]
+        assert exit_status(argv) == 2
+        assert not (tmp_path / "b.csv").exists()
+
+    @pytest.mark.parametrize("command", SCENARIOS)
+    def test_scenarios_take_all_five_common_flags(self, command, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{}", encoding="utf-8")
+        key, value = next(iter(load_fixture(command.replace("-", "_"))["overrides"].items()))
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(cfg), "--seed", "7", "--override",
+                     f"{key}={json.dumps(value)}", "--format", "csv", "--out", str(out)]) == 0
+        assert out.read_text().startswith(("t,", "grid_index,"))
+
+    @pytest.mark.parametrize(
+        "profile", ["beta:nan,2", "beta:2,nan", "beta:inf,2", "beta:1e400,2", "beta:2,-inf"]
+    )
+    def test_non_finite_beta_shape_is_config_error(self, profile, capsys):
+        assert main(["cone", "--profile", profile, "--h0", "0.5"]) == 2
+        assert "finite and > 0" in capsys.readouterr().err
+
+    @given(
+        profile=PROFILES,
+        h0=st.one_of(st.floats().map(repr), st.sampled_from(["", "abc", "1e400", "-0.0"])),
+        fmt=st.sampled_from([[], ["--format", "csv"], ["--format", "json"], ["--format", "xml"]]),
+    )
+    @example(profile=(5e-324, 1.7976931348623157e308), h0="5e-324", fmt=[])  # SciPy overflowed
+    @settings(max_examples=150, deadline=None)
+    def test_any_cone_input_exits_0_or_2(self, profile, h0, fmt):
+        if isinstance(profile, tuple):
+            shapes, profile = profile, "beta:{!r},{!r}".format(*profile)
+        else:
+            shapes = ()
+        code = exit_status(["cone", f"--profile={profile}", f"--h0={h0}", *fmt])
+        assert code in (0, 2)
+        if code == 0:
+            assert all(0 < shape < math.inf for shape in shapes)
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("argv", ALL_COMMANDS, ids=lambda a: a[0])
     def test_rerun_is_byte_identical(self, argv, tmp_path):
         hashes = []
         for run in ("a", "b"):
             out = tmp_path / f"{run}.out"
-            assert main([*argv, "--seed", "42", "--out", str(out)]) == 0
+            seed = [] if argv[0] == "cone" else ["--seed", "42"]
+            assert main([*argv, *seed, "--out", str(out)]) == 0
             hashes.append(digest(out))
         assert hashes[0] == hashes[1]
 
@@ -362,9 +492,9 @@ class TestOutputs:
         assert set(rows[0]) == {"id", "v_intrinsic", "c_offer", "status"}
 
     def test_cone_prints_library_value(self, capsys):
-        assert main(["cone", "--profile", "linear-cone", "--h0", "0.0", "--steps", "50000"]) == 0
+        assert main(["cone", "--profile", "linear-cone", "--h0", "0.0"]) == 0
         printed = float(capsys.readouterr().out.strip())
-        expected = cone_volume(DensityProfile.linear_cone(), 0.0, 50_000)
+        expected = cone_volume(DensityProfile.linear_cone(), 0.0)
         assert printed == expected
         assert printed == pytest.approx(math.pi / 3, abs=1e-6)
 

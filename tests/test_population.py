@@ -17,7 +17,7 @@ from matchbook import (
     cone_volume,
     generate,
 )
-from matchbook.population import population_metadata
+from matchbook.population import MAX_CANDIDATES, population_metadata
 
 
 def values_and_liquidity(book):
@@ -110,6 +110,12 @@ class TestGenerate:
         with pytest.raises(InvalidConfig):
             PopulationConfig(**bad)
 
+    def test_size_cap(self):
+        assert PopulationConfig(n_candidates=MAX_CANDIDATES).n_candidates == MAX_CANDIDATES
+        for n in (MAX_CANDIDATES + 1, 10**15):
+            with pytest.raises(InvalidConfig, match="n_candidates"):
+                PopulationConfig(n_candidates=n)
+
     def test_overflowing_offers_are_a_config_error(self):
         with pytest.raises(InvalidConfig):
             generate(PopulationConfig(n_candidates=20, comp_scale=1e308))
@@ -150,59 +156,81 @@ class TestClassifyBucket:
 
 class TestConeVolume:
     def test_uniform_half(self):
-        assert cone_volume(DensityProfile.uniform(), 0.5, 10) == pytest.approx(
+        assert cone_volume(DensityProfile.uniform(), 0.5) == pytest.approx(
             math.pi / 2, abs=1e-9
         )
 
     def test_linear_cone_full(self):
-        vol = cone_volume(DensityProfile.linear_cone(), 0.0, 100_000)
+        vol = cone_volume(DensityProfile.linear_cone(), 0.0)
         assert vol == pytest.approx(math.pi / 3, abs=1e-6)
 
     def test_beta_profile_against_closed_form(self):
         # The normalized density integrates to the survival function, so the
         # quadrature can be checked against an independent closed form.
         profile = DensityProfile.beta(2, 8)
-        vol = cone_volume(profile, 0.5, 100_000)
+        vol = cone_volume(profile, 0.5)
         assert vol == pytest.approx(math.pi * stats.beta(2, 8).sf(0.5), abs=1e-9)
 
     def test_zero_above_the_top(self):
         for profile in (DensityProfile.uniform(), DensityProfile.beta(2, 8)):
-            assert cone_volume(profile, 1.0, 10) == 0.0
+            assert cone_volume(profile, 1.0) == 0.0
 
     def test_non_increasing_in_cutoff(self):
         profile = DensityProfile.beta(2, 8)
-        vols = [cone_volume(profile, h0, 20_000) for h0 in np.linspace(0, 1, 21)]
+        vols = [cone_volume(profile, h0) for h0 in np.linspace(0, 1, 21)]
         assert all(a >= b for a, b in zip(vols, vols[1:]))
 
     def test_superlinear_scarcity(self):
         # Raising the cutoff by x removes more than fraction x of the volume
         # for decreasing profiles: the pool collapses super-linearly.
         for profile in (DensityProfile.linear_cone(), DensityProfile.beta(2, 8)):
-            full = cone_volume(profile, 0.0, 100_000)
+            full = cone_volume(profile, 0.0)
             for h0 in np.arange(0.1, 0.95, 0.1):
-                ratio = cone_volume(profile, float(h0), 100_000) / full
+                ratio = cone_volume(profile, float(h0)) / full
                 assert ratio < 1 - h0
 
     def test_linear_cone_ratio_is_cubic(self):
         profile = DensityProfile.linear_cone()
-        full = cone_volume(profile, 0.0, 50_000)
+        full = cone_volume(profile, 0.0)
         for h0 in (0.2, 0.5, 0.8):
-            ratio = cone_volume(profile, h0, 50_000) / full
+            ratio = cone_volume(profile, h0) / full
             assert ratio == pytest.approx((1 - h0) ** 3, abs=1e-6)
 
     def test_tabulated_profile(self):
         heights = np.linspace(0, 1, 101)
         profile = DensityProfile.tabulated(heights, 1.0 - heights)
         # g(h) = 1 - h integrates to (1 - h0)^2 / 2.
-        assert cone_volume(profile, 0.0, 10_000) == pytest.approx(math.pi / 2, abs=1e-6)
-        assert cone_volume(profile, 0.5, 10_000) == pytest.approx(math.pi / 8, abs=1e-6)
+        assert cone_volume(profile, 0.0) == pytest.approx(math.pi / 2, abs=1e-6)
+        assert cone_volume(profile, 0.5) == pytest.approx(math.pi / 8, abs=1e-6)
 
     def test_domain_checks(self):
         with pytest.raises(OutOfRange):
-            cone_volume(DensityProfile.uniform(), -0.1, 10)
-        with pytest.raises(ValueError):
-            cone_volume(DensityProfile.uniform(), 0.5, 0)
+            cone_volume(DensityProfile.uniform(), -0.1)
         with pytest.raises(InvalidConfig):
             DensityProfile.beta(0.0, 8)
         with pytest.raises(InvalidConfig):
             DensityProfile.tabulated(np.array([0.0, 1.0]), np.array([1.0, -1.0]))
+
+    @pytest.mark.parametrize(
+        "shapes", [(math.nan, 2.0), (2.0, math.nan), (math.inf, 2.0), (2.0, math.inf)], ids=str
+    )
+    def test_beta_shapes_must_be_finite_and_positive(self, shapes):
+        with pytest.raises(InvalidConfig, match="finite and > 0"):
+            DensityProfile.beta(*shapes)
+
+    def test_density_overflow_is_config_error(self):
+        # SciPy raises OverflowError evaluating this density near h = 0.
+        profile = DensityProfile.beta(5e-324, 1.7976931348623157e308)
+        with pytest.raises(InvalidConfig, match="cannot be evaluated"):
+            cone_volume(profile, 5e-324)
+
+    @pytest.mark.parametrize(
+        "heights, densities",
+        [([0.0, math.nan, 1.0], [1.0, 1.0, 1.0]), ([0.0, 0.5, 1.0], [1.0, math.nan, 1.0]),
+         ([0.0, 0.5, 1.0], [1.0, math.inf, 1.0]), ([0.0, 1.0, math.inf], [1.0, 1.0, 1.0]),
+         ([1.0, 0.0], [1.0, 1.0]), ([0.0, 0.0, 1.0], [1.0, 1.0, 1.0])],
+        ids=["nan-height", "nan-density", "inf-density", "inf-height", "decreasing", "repeated"],
+    )
+    def test_tabulated_grid_must_be_finite_and_increasing(self, heights, densities):
+        with pytest.raises(InvalidConfig):
+            DensityProfile.tabulated(np.array(heights), np.array(densities))
