@@ -45,18 +45,19 @@ commit = step(book, rule, TableSchedule(points=((1, 0.80),)), 1)
 print(f"executed: theta {commit.theta:.4f} at threshold {commit.threshold}")
 
 shocked_ask = reprice(90.0, 1.10)
-result = apply_shock(commit, shocked_ask, 75.0)
-print(f"shock: ask 90 -> {shocked_ask}, theta -> {result.new_theta:.4f}")
-print(f"regret (theta below committed {commit.threshold}): {result.regret}")
+post = apply_shock(commit, shocked_ask, 75.0)
+print(f"shock: ask 90 -> {shocked_ask}, theta -> {post.theta:.4f}")
+print(f"regret (theta below committed {post.threshold}): {post.theta < post.threshold}")
 
 print("\n== lock-in keeps the match despite regret ==")
 exit_T = lock_in_threshold(commit.threshold, kappa=0.15)
-print(f"exit threshold {exit_T:.2f}; theta {result.new_theta:.2f} is below it, yet the")
+print(f"exit threshold {exit_T:.2f}; theta {post.theta:.2f} is below it, yet the")
 print(f"commitment stands as decision {commit.decision.value!r}: exit is sticky, not automatic")
 
 print("\n== a counter-shock clears regret ==")
 recovered = apply_shock(commit, 88.0, 75.0)
-print(f"ask repriced down to 88: theta {recovered.new_theta:.4f}, regret {recovered.regret}")
+regret = recovered.theta < recovered.threshold
+print(f"ask repriced down to 88: theta {recovered.theta:.4f}, regret {regret}")
 
 print("\n== impulse orders: the threshold side can also jump ==")
 T = 0.95

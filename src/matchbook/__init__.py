@@ -31,7 +31,6 @@ from .dynamics import (
     Decision,
     DecisionRecord,
     SETTLING_TABLE,
-    ShockResult,
     TableSchedule,
     ThresholdSchedule,
     apply_shock,

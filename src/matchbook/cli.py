@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -142,6 +143,11 @@ def _cmd_cone(args: argparse.Namespace) -> int:
     if not 0 <= args.h0 <= 1:
         raise InvalidConfig(f"--h0 must lie in [0, 1], got {args.h0}")
     volume = cone_volume(profile, args.h0)
+    if not math.isfinite(volume):
+        # The trapezoid samples the density at its grid points, so a
+        # singular Beta density gives no usable volume.
+        print(f"no result: the cone volume came out as {volume!r}", file=sys.stderr)
+        return EXIT_DROUGHT
     print(repr(volume))
     if args.out is not None:
         _write_output(args.out, repr(volume) + "\n")

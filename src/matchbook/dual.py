@@ -70,8 +70,10 @@ def effective_compensation_cap(
     then applies the counterparty ceiling; an unbounded inversion therefore
     clips at c_max.
     """
-    if delta_v_utility < 0:
+    if not delta_v_utility >= 0:  # NaN fails too
         raise ValueError(f"utility gap must be >= 0, got {delta_v_utility}")
+    if not c_max >= 0:
+        raise ValueError(f"c_max must be >= 0, got {c_max}")
     transfer = required_transfer(min(delta_v_utility, rule.cap), rule)
     return min(transfer, c_max)
 

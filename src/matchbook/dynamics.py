@@ -5,9 +5,9 @@ An agent evaluates the market-to-book ratio theta against a time-decaying
 threshold T(t) at each step and executes at the first step where
 theta >= T.  That step's EXECUTE record is the agent's commitment: it
 carries the step and the threshold committed at.  Execution is absorbing;
-only external shocks reprice the internal ask afterwards, and a repriced ask
-can push theta below the committed threshold, which is what the regret flag
-records.
+only external shocks reprice the internal ask afterwards.  A shock's
+re-evaluation is one more record, a HOLD a step after the commit, and a
+theta there below the committed threshold is regret.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from decimal import Decimal
 from enum import Enum
 from numbers import Integral
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, Union
 
 from .book import PreferenceBook, csv_cell, read_csv, write_csv
 from .errors import NoLiquidity, NotExecuted, StepBeforeSchedule
@@ -120,10 +120,10 @@ def decide(theta: float, T: float) -> Decision:
 class DecisionRecord:
     """One evaluation's outputs; the per-step ledger row.
 
-    theta/delta_v/slippage are None on drought rows (no liquid entry meant
-    no metrics could be computed).  An EXECUTE record is the agent's
-    commitment: ``t`` is the execution step and ``threshold`` the threshold
-    committed at.
+    A record has all of theta, delta_v and slippage, or none of them: a
+    drought (no liquid entry meant no metrics could be computed).  An
+    EXECUTE record is the agent's commitment: ``t`` is the execution step
+    and ``threshold`` the threshold committed at.
     """
 
     t: int
@@ -132,12 +132,18 @@ class DecisionRecord:
     delta_v: float | None
     slippage: float | None
     decision: Decision
-    drought: bool = False
 
     def __post_init__(self) -> None:
+        if len({self.theta is None, self.delta_v is None, self.slippage is None}) > 1:
+            raise ValueError("a record has all of theta, delta_v and slippage, or none (a drought)")
         if self.decision is Decision.EXECUTE:
             if self.theta is None or not self.theta >= self.threshold:  # NaN fails
                 raise ValueError("an execute record requires theta >= threshold")
+
+    @property
+    def drought(self) -> bool:
+        """No liquid entry: the record carries no metrics."""
+        return self.theta is None
 
 
 def step(
@@ -155,7 +161,7 @@ def step(
     v_reach / v_uncond ratio instead.  ``ask`` pins the internal ask when it
     should not be derived from the book (see PreferenceBook.metrics).
 
-    A liquidity drought records a Hold with the drought flag set rather than
+    A liquidity drought records a Hold without metrics rather than
     propagating.  Execution is absorbing: run_schedule stops at the first
     EXECUTE record.
     """
@@ -164,8 +170,7 @@ def step(
         metrics = book.metrics(rule, ask=ask)
     except NoLiquidity:
         return DecisionRecord(
-            t=t, theta=None, threshold=T, delta_v=None, slippage=None,
-            decision=Decision.HOLD, drought=True,
+            t=t, theta=None, threshold=T, delta_v=None, slippage=None, decision=Decision.HOLD
         )
 
     if intrinsic_theta:
@@ -187,11 +192,6 @@ def step(
 # -- post-execution shocks ----------------------------------------------------
 
 
-class ShockResult(NamedTuple):
-    new_theta: float
-    regret: bool
-
-
 def reprice(v_uncond: Valuation, factor: float) -> Valuation:
     """The ask scaled by a finite ``factor`` > 0.
 
@@ -205,14 +205,16 @@ def reprice(v_uncond: Valuation, factor: float) -> Valuation:
     return float(Decimal(repr(v_uncond)) * Decimal(repr(factor)))
 
 
-def apply_shock(commit: DecisionRecord, new_v_uncond: Valuation, v_partner: Valuation) -> ShockResult:
-    """Re-evaluate theta at the repriced ask against the committed threshold.
+def apply_shock(commit: DecisionRecord, new_v_uncond: Valuation, v_partner: Valuation) -> DecisionRecord:
+    """The post-shock record: theta re-evaluated at the repriced ask against
+    the committed threshold, a step after the commit.
 
     The partner's *intrinsic* value is used: compensation utility has
     dissipated by the time a shock lands, so only the structural ratio
-    remains.  Regret is theta falling below the threshold the agent
-    committed at; it clears only if a later downward repricing lifts theta
-    back (upward shocks can only deepen it).
+    remains, and delta_v and slippage are both the new ask minus it.
+    Execution is absorbing, so the record is a HOLD, and theta below its
+    threshold is regret, not a reversal.  Regret clears only if a later
+    downward repricing lifts theta back (upward shocks can only deepen it).
 
     ``commit`` is the agent's EXECUTE record; any other record raises
     NotExecuted.  The new ask must be finite and > 0.
@@ -221,8 +223,15 @@ def apply_shock(commit: DecisionRecord, new_v_uncond: Valuation, v_partner: Valu
         raise NotExecuted("shocks apply to executed agents only")
     if not (math.isfinite(new_v_uncond) and new_v_uncond > 0):
         raise ValueError(f"the repriced ask must be finite and > 0, got {new_v_uncond}")
-    new_theta = market_to_book(v_partner, new_v_uncond)
-    return ShockResult(new_theta, new_theta < commit.threshold)
+    gap = new_v_uncond - v_partner
+    return DecisionRecord(
+        t=commit.t + 1,
+        theta=market_to_book(v_partner, new_v_uncond),
+        threshold=commit.threshold,
+        delta_v=gap,
+        slippage=gap,
+        decision=Decision.HOLD,
+    )
 
 
 def lock_in_threshold(T: float, kappa: float) -> float:
@@ -231,14 +240,18 @@ def lock_in_threshold(T: float, kappa: float) -> float:
     May exceed 1, in which case exit is unreachable and the match is sticky
     no matter how far theta falls.
     """
-    if kappa < 0:
+    if not T >= 0:  # NaN fails too
+        raise ValueError(f"threshold must be >= 0, got {T}")
+    if not kappa >= 0:
         raise ValueError(f"lock-in premium must be >= 0, got {kappa}")
     return T + kappa
 
 
 def impulse_adjust(T: float, delta_emotion: float) -> float:
     """Sudden threshold drop; floors at 0 (unconditional execution)."""
-    if delta_emotion < 0:
+    if not T >= 0:  # NaN fails too
+        raise ValueError(f"threshold must be >= 0, got {T}")
+    if not delta_emotion >= 0:
         raise ValueError(f"impulse drop must be >= 0, got {delta_emotion}")
     return max(0.0, T - delta_emotion)
 
@@ -281,17 +294,20 @@ def record_from_dict(d: dict) -> DecisionRecord:
         return None if value is None or value == "" else float(value)
 
     try:
-        return DecisionRecord(
+        record = DecisionRecord(
             t=int(d["t"]) if isinstance(d["t"], str) else _integer(d["t"], "a record's t"),
             theta=number(d["theta"]),
             threshold=float(d["threshold"]),
             delta_v=number(d["delta_v"]),
             slippage=number(d["slippage"]),
             decision=Decision(d["decision"]),
-            drought=_FLAGS[d["drought"]],
         )
+        drought = _FLAGS[d["drought"]]
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"bad decision record {d!r}: {exc!r}") from exc
+    if drought != record.drought:
+        raise ValueError(f"bad decision record {d!r}: the drought flag disagrees with its metrics")
+    return record
 
 
 def records_to_jsonl(records: Iterable[DecisionRecord]) -> str:

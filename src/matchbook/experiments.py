@@ -3,8 +3,8 @@
 Every scenario constant lives in a checked-in JSON fixture under
 ``matchbook/configs/`` so each numbered experiment is reproducible from its
 config alone; user configs and ``--override`` flags merge on top.  Runners
-emit an :class:`ExperimentReport` whose summary is recomputed from its own
-decision records before it is returned (``verify``), so a report can never
+emit an :class:`ExperimentReport`, which checks its summary against its own
+decision records when it is built (``verify``), so a report can never
 disagree with its record stream.
 
 Theta conventions differ by scenario: most runners use the effective-utility
@@ -208,6 +208,9 @@ class ExperimentReport:
     records: list[DecisionRecord]
     summary: dict[str, Any]
 
+    def __post_init__(self) -> None:
+        self.verify()
+
     def verify(self) -> None:
         """Cross-check every summary field that is derivable from the records."""
 
@@ -262,11 +265,6 @@ class ExperimentReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
-
-
-def _finish(report: ExperimentReport) -> ExperimentReport:
-    report.verify()
-    return report
 
 
 # -- scenario driver ----------------------------------------------------------------
@@ -337,7 +335,7 @@ def run_exp1(cfg: ExperimentConfig) -> ExperimentReport:
     summary["theta_convention"] = "effective"
     constants = {"v_uncond": v_uncond, "bid": bid, "c": c, "T": T,
                  "elasticity": rule.elasticity, "cap": rule.cap}
-    return _finish(ExperimentReport("exp1", constants, records, summary))
+    return ExperimentReport("exp1", constants, records, summary)
 
 
 def run_exp2(cfg: ExperimentConfig) -> ExperimentReport:
@@ -351,7 +349,7 @@ def run_exp2(cfg: ExperimentConfig) -> ExperimentReport:
     summary = _base_summary(records)
     summary["theta_convention"] = "effective"
     constants = {"v_uncond": v_uncond, "v_reach": v_reach}
-    return _finish(ExperimentReport("exp2", constants, records, summary))
+    return ExperimentReport("exp2", constants, records, summary)
 
 
 def run_exp3(cfg: ExperimentConfig) -> ExperimentReport:
@@ -367,7 +365,7 @@ def run_exp3(cfg: ExperimentConfig) -> ExperimentReport:
     summary["immediate_fill"] = summary["t_star"] == records[0].t
     summary["theta_convention"] = "effective"
     constants = {"v_uncond": v_uncond, "bid": bid, "c": c, "T": T}
-    return _finish(ExperimentReport("exp3", constants, records, summary))
+    return ExperimentReport("exp3", constants, records, summary)
 
 
 def run_exp4(cfg: ExperimentConfig) -> ExperimentReport:
@@ -403,7 +401,7 @@ def run_exp4(cfg: ExperimentConfig) -> ExperimentReport:
     constants = {"v_uncond": v_uncond, "T": T, "v_a": v_a, "effort_a": e_a,
                  "v_b": v_b, "effort_b": e_b, "base_high": base_high, "base_low": base_low,
                  "elasticity": rule.elasticity, "cap": rule.cap}
-    return _finish(ExperimentReport("exp4", constants, records, summary))
+    return ExperimentReport("exp4", constants, records, summary)
 
 
 def run_exp5(cfg: ExperimentConfig) -> ExperimentReport:
@@ -415,41 +413,25 @@ def run_exp5(cfg: ExperimentConfig) -> ExperimentReport:
     records = run_schedule(book, rule, _constant_schedule(T))
     constants = {"partner": partner, "ask": ask, "commit_threshold": T, "shock_factor": factor}
     commit = records[-1]
-    pre_theta = commit.theta
-    if commit.decision is not Decision.EXECUTE:
-        # Nothing committed, nothing to shock: report the failed premise.
-        summary = {
-            "commit_decision": Decision.HOLD.value,
-            "t_star": None,
-            "pre_theta": pre_theta,
-            "theta_convention": "intrinsic (post-execution)",
-        }
-        return _finish(ExperimentReport("exp5", constants, records, summary))
-    new_ask = _from_config(reprice, ask, factor)
-    result = _from_config(apply_shock, commit, new_ask, partner)
-    # The shock re-evaluation joins the record stream a step after the commit;
-    # execution is absorbing, so a sub-threshold theta here is regret, not a reversal.
-    records.append(
-        DecisionRecord(
-            t=commit.t + 1,
-            theta=result.new_theta,
-            threshold=commit.threshold,
-            delta_v=new_ask - partner,
-            slippage=new_ask - partner,
-            decision=Decision.HOLD,
-        )
-    )
+    executed = commit.decision is Decision.EXECUTE
     summary = {
-        "commit_decision": Decision.EXECUTE.value,
-        "t_star": commit.t,
-        "pre_theta": pre_theta,
-        "post_theta": result.new_theta,
-        "post_shock_ask": new_ask,
-        "regret": result.regret,
-        "regret_gap_jump": records[-1].delta_v - records[0].delta_v,
-        "theta_convention": "intrinsic (post-execution)",
+        "commit_decision": commit.decision.value,
+        "t_star": commit.t if executed else None,
+        "pre_theta": commit.theta,
     }
-    return _finish(ExperimentReport("exp5", constants, records, summary))
+    # Only a commitment can be shocked; a hold's summary reports the failed premise.
+    if executed:
+        new_ask = _from_config(reprice, ask, factor)
+        post = _from_config(apply_shock, commit, new_ask, partner)
+        records.append(post)
+        summary.update({
+            "post_theta": post.theta,
+            "post_shock_ask": new_ask,
+            "regret": post.theta < post.threshold,
+            "regret_gap_jump": post.delta_v - records[0].delta_v,
+        })
+    summary["theta_convention"] = "intrinsic (post-execution)"
+    return ExperimentReport("exp5", constants, records, summary)
 
 
 def run_appendix_a(cfg: ExperimentConfig) -> ExperimentReport:
@@ -480,7 +462,7 @@ def run_appendix_a(cfg: ExperimentConfig) -> ExperimentReport:
     )
     constants = {"T": T, "elasticity": rule.elasticity, "cap": rule.cap,
                  "v_uncond": v_uncond}
-    return _finish(ExperimentReport("appendix_a", constants, records, summary))
+    return ExperimentReport("appendix_a", constants, records, summary)
 
 
 # -- sweep ------------------------------------------------------------------------
@@ -541,6 +523,8 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict[str, Any]]:
     if cfg.grid is None:
         raise EmptyGrid("sweep needs a grid")
     params, points = _grid_points(cfg.grid)
+    if "reach_slope" in params and (cfg.population is None or cfg.book is not None):
+        raise InvalidConfig("a reach_slope grid needs a population and no book")
     horizon = None
     if "horizon" in cfg.overrides:
         horizon = _check_horizon(_override(cfg, "horizon"))
@@ -553,9 +537,9 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict[str, Any]]:
         book = book_for(point.get("reach_slope"))
         schedule = _sweep_schedule(cfg, point.get("T0"), point.get("lambda"))
         records = run_schedule(book, rule, schedule, horizon=horizon)
-        summary = _base_summary(records)
-        post_theta = None
-        regret = None
+        row: dict[str, Any] = {
+            "grid_index": index, **point, **_base_summary(records), "post_theta": None, "regret": None,
+        }
         commit = records[-1]
         factor = point.get("shock_factor")
         if factor is None and "shock_factor" in cfg.overrides:
@@ -563,12 +547,8 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict[str, Any]]:
         if factor is not None and commit.decision is Decision.EXECUTE:
             new_ask = _from_config(reprice, book.v_uncond(), factor)
             partner = book.best_bid(rule).entry.v_intrinsic
-            post_theta, regret = _from_config(apply_shock, commit, new_ask, partner)
-        row: dict[str, Any] = {"grid_index": index}
-        row.update(point)
-        row.update(summary)
-        row["post_theta"] = post_theta
-        row["regret"] = regret
+            post = _from_config(apply_shock, commit, new_ask, partner)
+            row["post_theta"], row["regret"] = post.theta, post.theta < post.threshold
         rows.append(row)
     return rows
 

@@ -72,7 +72,7 @@ def market_to_book(v_reach: Valuation, v_uncond: Valuation) -> float:
 
 def compensation_utility(c: Money, rule: CompensationRule) -> float:
     """Utility bought by a transfer of ``c`` under the clipped-linear rule."""
-    if c < 0:
+    if not c >= 0:  # NaN fails too
         raise ValueError(f"transfer must be >= 0, got {c}")
     return min(c * rule.elasticity, rule.cap)
 
@@ -94,7 +94,7 @@ def required_transfer(utility_gap: float, rule: CompensationRule) -> Money:
     close it) or when elasticity is zero and the gap is positive.  Exactly
     inverse to :func:`compensation_utility` on [0, cap].
     """
-    if utility_gap < 0:
+    if not utility_gap >= 0:  # NaN fails too
         raise ValueError(f"utility gap must be >= 0, got {utility_gap}")
     if utility_gap == 0:
         return 0.0

@@ -291,13 +291,19 @@ class TestOverrideContract:
             assert main(argv) in (0, 2, 3)
 
 
-def exit_status(argv):
-    """What ``matchbook`` exits with, argparse usage errors included; output discarded."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+def run_cli(argv):
+    """What ``matchbook`` exits with, argparse usage errors included, and its stdout."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
         try:
-            return main(argv)
+            code = main(argv)
         except SystemExit as exc:
-            return exc.code
+            code = exc.code
+    return code, stdout.getvalue()
+
+
+def exit_status(argv):
+    return run_cli(argv)[0]
 
 
 class TestSizeCaps:
@@ -406,16 +412,29 @@ class TestCommandFlags:
         fmt=st.sampled_from([[], ["--format", "csv"], ["--format", "json"], ["--format", "xml"]]),
     )
     @example(profile=(5e-324, 1.7976931348623157e308), h0="5e-324", fmt=[])  # SciPy overflowed
+    @example(profile=(0.5, 2.0), h0="0.0", fmt=[])  # printed inf
     @settings(max_examples=150, deadline=None)
     def test_any_cone_input_exits_0_or_2(self, profile, h0, fmt):
         if isinstance(profile, tuple):
             shapes, profile = profile, "beta:{!r},{!r}".format(*profile)
         else:
             shapes = ()
-        code = exit_status(["cone", f"--profile={profile}", f"--h0={h0}", *fmt])
-        assert code in (0, 2)
+        code, out = run_cli(["cone", f"--profile={profile}", f"--h0={h0}", *fmt])
+        assert code in (0, 2, 3)
         if code == 0:
             assert all(0 < shape < math.inf for shape in shapes)
+            assert math.isfinite(float(out))
+
+    @pytest.mark.parametrize(
+        "profile, h0", [("beta:0.5,2", "0"), ("beta:2,0.5", "0.5"), ("beta:0.5,0.5", "0")]
+    )
+    def test_non_finite_volume_is_no_result(self, profile, h0, tmp_path, capsys):
+        out = tmp_path / "v"
+        assert main(["cone", "--profile", profile, "--h0", h0, "--out", str(out)]) == 3
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert "no result" in printed.err
+        assert not out.exists()
 
 
 class TestDeterminism:

@@ -48,8 +48,13 @@ class TestEffectiveCompensationCap:
         assert effective_compensation_cap(10.0, 150.0, rigid) == 150.0
 
     def test_negative_gap_rejected(self):
-        with pytest.raises(ValueError):
-            effective_compensation_cap(-1.0, 100.0, RULE)
+        # A NaN ceiling used to drop out of min(): (10, nan) returned 200.
+        for gap, c_max in ((-1.0, 100.0), (math.nan, 100.0), (10.0, math.nan), (10.0, -1.0)):
+            with pytest.raises(ValueError):
+                effective_compensation_cap(gap, c_max, RULE)
+
+    def test_infinite_ceiling_stays_legal(self):
+        assert effective_compensation_cap(10.0, math.inf, RULE) == 200.0
 
     def test_never_exceeds_either_bound(self):
         rng = np.random.default_rng(13)

@@ -211,50 +211,56 @@ class TestApplyShock:
     def test_peer_comparison_shock(self):
         new_ask = reprice(90.0, 1.10)
         assert new_ask == 99.0
-        result = apply_shock(self.commit_record(), new_ask, 75.0)
-        assert result.new_theta == pytest.approx(75 / 99, abs=1e-12)
-        assert result.regret is True
+        post = apply_shock(self.commit_record(), new_ask, 75.0)
+        assert post.theta == pytest.approx(75 / 99, abs=1e-12)
+        assert post.theta < post.threshold
 
     def test_identity_shock(self):
         new_ask = reprice(90.0, 1.0)
         assert new_ask == 90.0
-        result = apply_shock(self.commit_record(), new_ask, 75.0)
-        assert result.new_theta == pytest.approx(75 / 90, abs=1e-12)
-        assert result.regret is False
+        post = apply_shock(self.commit_record(), new_ask, 75.0)
+        assert post.theta == pytest.approx(75 / 90, abs=1e-12)
+        assert post.theta >= post.threshold
 
     def test_mild_shock_absorbed(self):
         new_ask = reprice(90.0, 1.02)
         assert new_ask == 91.8
-        result = apply_shock(self.commit_record(), new_ask, 75.0)
-        assert result.new_theta == pytest.approx(0.8169934640522876, abs=1e-12)
-        assert result.regret is False
+        post = apply_shock(self.commit_record(), new_ask, 75.0)
+        assert post.theta == pytest.approx(0.8169934640522876, abs=1e-12)
+        assert post.theta >= post.threshold
 
     def test_absolute_repricing(self):
-        result = apply_shock(self.commit_record(), 99.0, 75.0)
-        assert result.new_theta == pytest.approx(75 / 99, abs=1e-12)
-        assert result.regret is True
+        post = apply_shock(self.commit_record(), 99.0, 75.0)
+        assert post.theta == pytest.approx(75 / 99, abs=1e-12)
+        assert post.theta < post.threshold
 
     def test_downward_repricing_clears_regret(self):
         state = self.commit_record()
         shocked = apply_shock(state, reprice(90.0, 1.10), 75.0)
-        assert shocked.regret
+        assert shocked.theta < shocked.threshold
         recovered = apply_shock(state, 90.0, 75.0)
-        assert recovered.regret is False
+        assert recovered.theta >= recovered.threshold
 
     def test_theta_strictly_decreasing_in_factor(self):
         factors = [1.0 + 0.01 * k for k in range(1, 60)]
         thetas = [
-            apply_shock(self.commit_record(), reprice(90.0, f), 75.0).new_theta
+            apply_shock(self.commit_record(), reprice(90.0, f), 75.0).theta
             for f in factors
         ]
         assert all(a > b for a, b in zip(thetas, thetas[1:]))
 
     def test_requires_executed_state(self):
         hold = DecisionRecord(1, 75 / 90, 0.90, 15.0, 15.0, Decision.HOLD)
-        drought = DecisionRecord(1, None, 0.90, None, None, Decision.HOLD, drought=True)
+        drought = DecisionRecord(1, None, 0.90, None, None, Decision.HOLD)
         for record in (hold, drought):
             with pytest.raises(NotExecuted):
                 apply_shock(record, reprice(90.0, 1.1), 75.0)
+
+    def test_post_shock_record(self):
+        # A HOLD a step after the commit, at the committed threshold, with
+        # the new ask's gap to the partner as both delta_v and slippage.
+        post = apply_shock(self.commit_record(), 99.0, 75.0)
+        assert post == DecisionRecord(2, 75 / 99, 0.80, 24.0, 24.0, Decision.HOLD)
 
     def test_nan_ask_is_no_verdict(self):
         # NaN compares false both ways: a NaN ask must not report regret=False.
@@ -292,10 +298,10 @@ class TestLockInAndImpulse:
         # The shock drops theta below the raised exit threshold, yet the
         # commitment stands: stickiness, not reversal.
         commit = DecisionRecord(1, 75 / 90, 0.80, 15.0, 15.0, Decision.EXECUTE)
-        result = apply_shock(commit, reprice(90.0, 1.10), 75.0)
+        post = apply_shock(commit, reprice(90.0, 1.10), 75.0)
         exit_threshold = lock_in_threshold(commit.threshold, 0.15)
-        assert result.new_theta < exit_threshold
-        assert result.regret
+        assert post.theta < exit_threshold
+        assert post.theta < post.threshold
         assert commit.decision is Decision.EXECUTE
 
     def test_impulse_drop(self):
@@ -306,17 +312,24 @@ class TestLockInAndImpulse:
         assert impulse_adjust(0.10, 0.50) == 0.0
 
     def test_negative_arguments_rejected(self):
-        with pytest.raises(ValueError):
-            lock_in_threshold(0.8, -0.1)
-        with pytest.raises(ValueError):
-            impulse_adjust(0.8, -0.1)
+        # A NaN would otherwise pass through, or floor to an unconditional
+        # execute: decide(0.2, impulse_adjust(0.8, nan)) was EXECUTE.
+        for T, amount in ((0.8, -0.1), (0.8, math.nan), (math.nan, 0.1)):
+            with pytest.raises(ValueError):
+                lock_in_threshold(T, amount)
+            with pytest.raises(ValueError):
+                impulse_adjust(T, amount)
+
+    def test_infinite_amounts_stay_legal(self):
+        assert lock_in_threshold(0.8, math.inf) == math.inf
+        assert impulse_adjust(0.8, math.inf) == 0.0
 
 
 class TestRecordSerialization:
     def records(self):
         return [
             DecisionRecord(1, 70 / 90, 0.95, 20.0, 20.0, Decision.HOLD),
-            DecisionRecord(2, None, 0.88, None, None, Decision.HOLD, drought=True),
+            DecisionRecord(2, None, 0.88, None, None, Decision.HOLD),
             DecisionRecord(4, 70 / 90, 0.75, 20.0, 20.0, Decision.EXECUTE),
         ]
 
@@ -340,14 +353,24 @@ class TestRecordSerialization:
         with pytest.raises(ValueError):
             DecisionRecord(1, 0.9, math.nan, 1.0, 1.0, Decision.EXECUTE)
 
+    @pytest.mark.parametrize(
+        "theta, delta_v, slippage",
+        [(0.5, 1.0, None), (0.5, None, 1.0), (None, 1.0, 1.0), (0.5, None, None), (None, None, 1.0)],
+    )
+    def test_metrics_all_or_none(self, theta, delta_v, slippage):
+        with pytest.raises(ValueError):
+            DecisionRecord(1, theta, 0.9, delta_v, slippage, Decision.HOLD)
+
     HEADER = "t,theta,threshold,delta_v,slippage,decision,drought\n"
 
     @pytest.mark.parametrize(
         "text",
         ["t,theta\n1,0.5\n", HEADER + "1,0.5,0.9,1.0,1.0,hold\n",
          HEADER + "1,0.5,0.9,1.0,1.0,hold,false,extra\n", HEADER + '1,0.5,0.9,1.0,1.0,hold,"true',
-         HEADER + '1,0.5,0.9,1.0,1.0,hold,maybe\n'],
-        ids=["wrong-header", "short-row", "long-row", "unterminated-quote", "unknown-flag"],
+         HEADER + '1,0.5,0.9,1.0,1.0,hold,maybe\n', HEADER + "1,0.5,0.8,1.0,1.0,hold,true\n",
+         HEADER + "1,,0.8,,,hold,false\n", HEADER + "1,0.5,0.8,,1.0,hold,false\n"],
+        ids=["wrong-header", "short-row", "long-row", "unterminated-quote", "unknown-flag",
+             "drought-with-theta", "no-drought-without-theta", "partial-metrics"],
     )
     def test_malformed_csv_rejected(self, text):
         with pytest.raises(ValueError):
@@ -361,8 +384,13 @@ class TestRecordSerialization:
          '{"t": 1.9, "theta": 0.5, "threshold": 0.9, "delta_v": 1.0, "slippage": 1.0, '
          '"decision": "hold", "drought": false}',
          '{"t": true, "theta": 0.5, "threshold": 0.9, "delta_v": 1.0, "slippage": 1.0, '
+         '"decision": "hold", "drought": false}',
+         '{"t": 1, "theta": 0.5, "threshold": 0.8, "delta_v": 1.0, "slippage": 1.0, '
+         '"decision": "hold", "drought": true}',
+         '{"t": 1, "theta": null, "threshold": 0.8, "delta_v": null, "slippage": null, '
          '"decision": "hold", "drought": false}'],
-        ids=["missing-key", "array", "number", "string", "unknown-flag", "fractional-t", "boolean-t"],
+        ids=["missing-key", "array", "number", "string", "unknown-flag", "fractional-t", "boolean-t",
+             "drought-with-theta", "no-drought-without-theta"],
     )
     def test_malformed_jsonl_rejected(self, line):
         with pytest.raises(ValueError):

@@ -5,8 +5,11 @@ import pytest
 from matchbook import (
     Decision,
     EmptyGrid,
+    ExperimentReport,
     InvalidConfig,
     MissingOverride,
+    apply_shock,
+    reprice,
     run_sweep,
 )
 from matchbook.experiments import (
@@ -156,6 +159,12 @@ class TestExp5:
         assert report.summary["regret"] is False
         assert report.summary["post_theta"] == report.summary["pre_theta"]
 
+    def test_appends_the_post_shock_record(self):
+        report = run_exp5(cfg_for("exp5"))
+        commit, post = report.records
+        c = report.constants
+        assert post == apply_shock(commit, reprice(c["ask"], c["shock_factor"]), c["partner"])
+
     def test_gap_jump_is_exact_arithmetic(self):
         report = run_exp5(cfg_for("exp5"))
         assert report.records[-1].delta_v == 24.0
@@ -209,6 +218,11 @@ class TestReportConsistency:
         report.summary["t_star"] = 2
         with pytest.raises(RuntimeError):
             report.verify()
+
+    def test_inconsistent_report_cannot_be_built(self):
+        report = run_exp2(cfg_for("exp2"))
+        with pytest.raises(RuntimeError):
+            ExperimentReport("exp2", report.constants, report.records, {**report.summary, "t_star": 2})
 
     def test_json_round_trip_is_deterministic(self):
         a = run_exp1(cfg_for("exp1")).to_json()
@@ -338,6 +352,20 @@ class TestSweep:
             for s in (0.0, 0.8)
         ]
         assert liquid_counts[0] == 400 and liquid_counts[1] < 400
+
+    @pytest.mark.parametrize(
+        "source",
+        [{}, {"book": [{"id": "H", "v_intrinsic": 90, "c_offer": 0, "status": "liquid"}],
+              "population": {"n_candidates": 400}}],
+        ids=["fixture-bid", "book-over-population"],
+    )
+    def test_reach_slope_grid_needs_a_population(self, source):
+        # Without a generated population the slope has no book to reshape,
+        # and every grid point would repeat the same row.
+        grid = {"reach_slope": [0.1, 0.9], "T0": [0.8]}
+        data = merge_config(load_fixture("sweep"), {**source, "grid": grid})
+        with pytest.raises(InvalidConfig, match="reach_slope grid needs a population"):
+            run_sweep(config_from_mapping("sweep", data))
 
     def test_drought_book_reports_drought(self):
         data = {

@@ -45,3 +45,25 @@ def test_out_bytes_match_golden(command, fmt, tmp_path):
     assert written, "no --out file written"
     for name in written:
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == GOLDEN[name], name
+
+
+#: Paths the fixture defaults never take: exp5's hold branch (nothing
+#: commits at 0.9), a shock that lowers the ask, and a sweep whose executed
+#: points fill the post_theta and regret columns.
+GOLDEN_OVERRIDES = {
+    ("exp5", "commit_threshold=0.9", "csv"): "b00b6568dee8abb04fad23d0f881dc322a0736652b20bfa847739866af3917d5",
+    ("exp5", "commit_threshold=0.9", "json"): "c17577a6bc5ecbbdf780265db74d6619ad90fc169dc69c7c3498bb45b752e8b2",
+    ("exp5", "shock_factor=0.9", "csv"): "46c4f19a97e565fd79b983b6f2100dbc0c93625045ed190a7ed3d0ed4e633b8a",
+    ("exp5", "shock_factor=0.9", "json"): "fa1f3f867544a864c991638dc825aa86227c83810b918e5f46a0efa330ccdda9",
+    ("sweep", "shock_factor=1.2", "csv"): "f1a695ea7e048ac6fc9d608f68f1d3488d9bffeb79e6a6cc52a86defc2b97a19",
+    ("sweep", "shock_factor=1.2", "json"): "192385caef7fe88ef609a2765a5968080ec92c03a12ceeff1a2806df1b5c5b52",
+}
+
+
+@pytest.mark.parametrize("command, override, fmt", list(GOLDEN_OVERRIDES), ids="-".join)
+def test_override_bytes_match_golden(command, override, fmt, tmp_path):
+    out = tmp_path / f"{command}.{fmt}"
+    argv = [command, "--seed", "42", "--format", fmt, "--override", override, "--out", str(out)]
+    assert main(argv) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == GOLDEN_OVERRIDES[command, override, fmt]

@@ -70,8 +70,9 @@ class TestCompensationUtility:
         assert compensation_utility(200, RULE) == 10
 
     def test_negative_transfer_rejected(self):
-        with pytest.raises(ValueError):
-            compensation_utility(-1, RULE)
+        for c in (-1, math.nan):
+            with pytest.raises(ValueError):
+                compensation_utility(c, RULE)
 
     @given(st.floats(min_value=0, max_value=1e9), st.floats(min_value=0, max_value=1),
            st.floats(min_value=0, max_value=100))
@@ -120,8 +121,13 @@ class TestRequiredTransfer:
         assert required_transfer(5, CompensationRule(0.0, 20.0)) == INFEASIBLE
 
     def test_negative_gap_rejected(self):
-        with pytest.raises(ValueError):
-            required_transfer(-1, RULE)
+        for gap in (-1, math.nan):
+            with pytest.raises(ValueError):
+                required_transfer(gap, RULE)
+
+    def test_infinite_amounts_stay_legal(self):
+        assert required_transfer(math.inf, RULE) == INFEASIBLE
+        assert compensation_utility(math.inf, RULE) == RULE.cap
 
     @given(st.floats(min_value=0, max_value=20))
     def test_mutual_inverse_on_feasible_range(self, gap):
