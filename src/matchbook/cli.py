@@ -8,10 +8,11 @@ and the cone-volume calculator:
     matchbook cone --profile beta:2,8 --h0 0.5
 
 Each also takes --out and --format.  ``COMMANDS`` lists the flags each
-subcommand reads, and any other flag is a usage error (exit 2).  Scenario
-constants default to the checked-in fixtures, so each experiment runs with
-no arguments at all.  Exit codes: 0 on success, 2 on configuration errors,
-3 when a run ends in a liquidity drought or produces no result.
+subcommand reads, and any other flag is a usage error (exit 2).  A call builds
+only its command's parser, whose usage and errors match the full one's.
+Scenario constants default to the checked-in fixtures, so each experiment runs
+with no arguments at all.  Exit codes: 0 on success, 2 on configuration
+errors, 3 when a run ends in a liquidity drought or produces no result.
 """
 
 from __future__ import annotations
@@ -184,30 +185,28 @@ COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], int], tuple[str, .
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # The scenario commands copy their flags from one parent parser, which
-    # is faster than adding them to each command anew.
-    common = argparse.ArgumentParser(add_help=False)
-    for flag in _SCENARIO:
-        common.add_argument(flag, **_FLAGS[flag])
-
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matchbook",
         description="Deterministic matching-market order-book simulations.",
     )
-    # Given a prog, argparse need not format a usage line to derive it.
-    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
-    for name, (help_line, handler, flags) in COMMANDS.items():
-        shared = flags == _SCENARIO
-        command = sub.add_parser(name, parents=[common] if shared else [], help=help_line)
-        command.set_defaults(handler=handler)
-        for flag in () if shared else flags:
-            command.add_argument(flag, **_FLAGS[flag])
+    # Given a prog, argparse need not format a usage line to derive it.  With
+    # only ``command``, the metavar keeps the usage line naming every command.
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog, metavar=metavar)
+    for name in COMMANDS if command is None else (command,):
+        help_line, handler, flags = COMMANDS[name]
+        subparser = sub.add_parser(name, help=help_line)
+        subparser.set_defaults(handler=handler)
+        for flag in flags:
+            subparser.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Help, a missing or unknown command and a leading option need the full parser.
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         return args.handler(args)
     except InvalidConfig as exc:

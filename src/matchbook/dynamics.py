@@ -217,12 +217,15 @@ def apply_shock(commit: DecisionRecord, new_v_uncond: Valuation, v_partner: Valu
     downward repricing lifts theta back (upward shocks can only deepen it).
 
     ``commit`` is the agent's EXECUTE record; any other record raises
-    NotExecuted.  The new ask must be finite and > 0.
+    NotExecuted.  The new ask must be finite and > 0, and the partner's value
+    finite and >= 0.
     """
     if commit.decision is not Decision.EXECUTE:
         raise NotExecuted("shocks apply to executed agents only")
     if not (math.isfinite(new_v_uncond) and new_v_uncond > 0):
         raise ValueError(f"the repriced ask must be finite and > 0, got {new_v_uncond}")
+    if not (math.isfinite(v_partner) and v_partner >= 0):
+        raise ValueError(f"the partner's value must be finite and >= 0, got {v_partner}")
     gap = new_v_uncond - v_partner
     return DecisionRecord(
         t=commit.t + 1,

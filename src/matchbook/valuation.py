@@ -74,6 +74,8 @@ def compensation_utility(c: Money, rule: CompensationRule) -> float:
     """Utility bought by a transfer of ``c`` under the clipped-linear rule."""
     if not c >= 0:  # NaN fails too
         raise ValueError(f"transfer must be >= 0, got {c}")
+    if c == math.inf:  # inf * 0 is NaN; at zero elasticity no transfer buys utility
+        return rule.cap if rule.elasticity else 0.0
     return min(c * rule.elasticity, rule.cap)
 
 

@@ -8,13 +8,14 @@ import os
 import string
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import matchbook
-from matchbook import DensityProfile, cone_volume
+from matchbook import DensityProfile, cli, cone_volume
 from matchbook.cli import main
 from matchbook.experiments import MAX_GRID_POINTS, MAX_HORIZON, load_fixture
 from matchbook.population import MAX_CANDIDATES
@@ -292,14 +293,14 @@ class TestOverrideContract:
 
 
 def run_cli(argv):
-    """What ``matchbook`` exits with, argparse usage errors included, and its stdout."""
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+    """What ``matchbook`` exits with, argparse usage errors included, its stdout and its stderr."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    return code, stdout.getvalue()
+    return code, stdout.getvalue(), stderr.getvalue()
 
 
 def exit_status(argv):
@@ -419,7 +420,7 @@ class TestCommandFlags:
             shapes, profile = profile, "beta:{!r},{!r}".format(*profile)
         else:
             shapes = ()
-        code, out = run_cli(["cone", f"--profile={profile}", f"--h0={h0}", *fmt])
+        code, out, _ = run_cli(["cone", f"--profile={profile}", f"--h0={h0}", *fmt])
         assert code in (0, 2, 3)
         if code == 0:
             assert all(0 < shape < math.inf for shape in shapes)
@@ -435,6 +436,70 @@ class TestCommandFlags:
         assert printed.out == ""
         assert "no result" in printed.err
         assert not out.exists()
+
+
+def run_in_empty_dir(argv, full_parser=False):
+    """``run_cli(argv)`` from a fresh working directory, so that an ``--out``
+    file one run writes is no ``--config`` file for the next.  With
+    ``full_parser``, ``main`` gets the parser of every command."""
+    build = cli.build_parser
+    with tempfile.TemporaryDirectory() as cwd, pytest.MonkeyPatch.context() as patch:
+        patch.chdir(cwd)
+        if full_parser:
+            patch.setattr(cli, "build_parser", lambda command=None: build())
+        return run_cli(argv)
+
+
+#: Tokens an argv is drawn from: command names, flag names, flag values and
+#: junk.  No value names a Beta profile, which would make an example slow.
+ARGV_TOKENS = st.sampled_from([
+    *cli.COMMANDS, "bogus", *cli._FLAGS, "--steps", "--se", "-h", "-", "--", "extra",
+    "0.5", "7", "-1", "x", "T0=0.5", "csv", "json", "xml", "uniform", "beta:a,b",
+])
+
+
+class TestParserPerCommand:
+    """A call builds only its command's parser; exit code, stdout and stderr
+    are those of a run through the parser of every command."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["-h"], ["bogus"], ["--seed", "1", "exp1"], ["exp1", "--bogus"], ["exp1", "extra"],
+         ["exp1", "--seed"], ["cone", "--config", "x"], ["gen", "--override", "a=1"],
+         *([name, "-h"] for name in cli.COMMANDS)],
+        ids=" ".join,
+    )
+    def test_argv_runs_as_with_the_full_parser(self, argv):
+        assert run_in_empty_dir(argv) == run_in_empty_dir(argv, full_parser=True)
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [([], "the following arguments are required: command"),
+         (["bogus"], "argument command: invalid choice: 'bogus' (choose from {})".format(
+             ", ".join(map(repr, cli.COMMANDS)))),
+         (["exp1", "extra"], "unrecognized arguments: extra")],
+        ids=["missing", "unknown", "extra"],
+    )
+    def test_usage_error_text(self, argv, error):
+        # The one-command parser raises the last; the full parser the others.
+        usage = "usage: matchbook [-h] {" + ",".join(cli.COMMANDS) + "} ...\n"
+        assert run_cli(argv) == (2, "", f"{usage}matchbook: error: {error}\n")
+
+    @given(argv=st.lists(ARGV_TOKENS, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_any_argv_runs_as_with_the_full_parser(self, argv):
+        assert run_in_empty_dir(argv) == run_in_empty_dir(argv, full_parser=True)
+
+    def test_argv_defaults_to_sys_argv(self, tmp_path, monkeypatch):
+        out = tmp_path / "exp3.json"
+        monkeypatch.setattr(sys, "argv", ["matchbook", "exp3", "--out", str(out)])
+        built, build = [], cli.build_parser
+        monkeypatch.setattr(
+            cli, "build_parser", lambda command=None: built.append(command) or build(command)
+        )
+        assert main() == 0
+        assert built == ["exp3"]
+        assert json.loads(out.read_text())["summary"]["t_star"] == 1
 
 
 class TestDeterminism:

@@ -270,6 +270,12 @@ class TestApplyShock:
             with pytest.raises(ValueError):
                 apply_shock(self.commit_record(), ask, 70.0)
 
+    def test_bad_partner_value_is_no_verdict(self):
+        # A NaN partner gave a record with every metric NaN, read as no regret.
+        for partner in (math.nan, math.inf, -math.inf, -1.0):
+            with pytest.raises(ValueError):
+                apply_shock(self.commit_record(), 99.0, partner)
+
     def test_overflowing_ask_is_no_verdict(self):
         # 1e308 * 10 overflows to inf, which would read as theta = 0.
         assert reprice(1e308, 10.0) == math.inf

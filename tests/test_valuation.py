@@ -74,6 +74,18 @@ class TestCompensationUtility:
             with pytest.raises(ValueError):
                 compensation_utility(c, RULE)
 
+    def test_infinite_transfer_at_zero_elasticity_buys_nothing(self):
+        # inf * 0 is NaN: the clipped product gave NaN utility.
+        for cap in (0.0, 20.0, math.inf):
+            assert compensation_utility(math.inf, CompensationRule(0.0, cap)) == 0.0
+
+    @given(st.floats(min_value=0, allow_infinity=False),
+           st.floats(min_value=0, allow_infinity=False), st.floats(min_value=0))
+    def test_finite_transfer_is_the_clipped_product(self, c, eps, cap):
+        # Bit for bit, so that no finite transfer's utility moves.
+        got = compensation_utility(c, CompensationRule(eps, cap))
+        assert got.hex() == min(c * eps, cap).hex()
+
     @given(st.floats(min_value=0, max_value=1e9), st.floats(min_value=0, max_value=1),
            st.floats(min_value=0, max_value=100))
     def test_bounded_by_cap(self, c, eps, cap):
