@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import math
+import numbers
 from json.encoder import encode_basestring_ascii
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -83,6 +84,10 @@ class BookMetrics(NamedTuple):
     delta_v: float
     slippage: float
 
+
+#: The most rows a book holds, however it is built (generated, loaded or
+#: configured); a larger book is a ValueError.
+MAX_ROWS = 1_000_000
 
 #: Status codes: the column value ``k`` stands for ``STATUSES[k]``.
 STATUSES: tuple[LiquidityStatus, ...] = tuple(LiquidityStatus)
@@ -168,6 +173,8 @@ class PreferenceBook:
         """``values`` is the pair (v_intrinsic, c_offer); ``codes`` are valid."""
         ids = tuple(ids)
         n = len(ids)
+        if n > MAX_ROWS:
+            raise ValueError(f"a book holds at most {MAX_ROWS} rows, got {n}")
         vc = np.array(values, dtype=np.float64)
         if vc.shape != (2, n):
             raise ValueError(f"v_intrinsic and c_offer need one value per id, got shape {vc.shape}")
@@ -368,8 +375,11 @@ def book_from_mappings(rows: Iterable[dict], owner_id: str = "agent") -> Prefere
     try:
         v = [row["v_intrinsic"] for row in rows]
         c = [row["c_offer"] for row in rows]
-        if bool in {*map(type, v), *map(type, c)}:  # float(True) is 1.0
-            raise TypeError("book values are numbers, not booleans")
+        # float() would read True as 1.0 and "7_0" as 70.0: only real numbers pass.
+        bad = sorted(t.__name__ for t in {*map(type, v), *map(type, c)}
+                     if t is bool or not issubclass(t, numbers.Real))
+        if bad:
+            raise TypeError(f"book values are numbers, not booleans or strings: {', '.join(bad)}")
         return _book_from_fields([str(row["id"]) for row in rows], v, c,
                                  [row["status"] for row in rows], owner_id)
     except (KeyError, TypeError, OverflowError) as exc:

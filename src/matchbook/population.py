@@ -24,13 +24,13 @@ from typing import Callable
 
 import numpy as np
 
-from .book import STATUSES, LiquidityStatus, PreferenceBook
+from .book import MAX_ROWS, STATUSES, LiquidityStatus, PreferenceBook
 from .errors import InvalidConfig, OutOfRange
 
 
-#: The largest population the generator draws; a larger ``n_candidates`` is a
-#: config error before any array is allocated.
-MAX_CANDIDATES = 1_000_000
+#: The largest population the generator draws, the row cap of every book; a
+#: larger ``n_candidates`` is a config error before any array is allocated.
+MAX_CANDIDATES = MAX_ROWS
 
 
 @dataclass(frozen=True)
@@ -86,12 +86,25 @@ def generate(config: PopulationConfig) -> PreferenceBook:
 
     codes = np.where(liquid, STATUSES.index(LiquidityStatus.LIQUID),
                      STATUSES.index(LiquidityStatus.HYPOTHETICAL))
-    width = len(str(n - 1))
-    ids = ["c" + str(i).zfill(width) for i in range(n)]
     try:
-        return PreferenceBook.from_columns(ids, values, offers, codes, owner_id="population")
+        return PreferenceBook.from_columns(_ids(n), values, offers, codes, owner_id="population")
     except ValueError as exc:  # e.g. offers that overflow to inf
         raise InvalidConfig(f"population config draws an invalid book: {exc}") from exc
+
+
+def _ids(n: int) -> list[str]:
+    """``"c" + str(i).zfill(width)`` for i in range(n), width the digit count
+    of n - 1: one ASCII buffer holds every row as ``c``, the digits and a
+    space, and is decoded and split once instead of formatted row by row."""
+    width = len(str(n - 1))
+    rows = np.empty((n, width + 2), dtype=np.uint8)
+    rows[:, 0] = ord("c")
+    rows[:, -1] = ord(" ")
+    rest = np.arange(n, dtype=np.uint32)  # n <= MAX_CANDIDATES
+    for k in range(width, 0, -1):
+        rest, digit = np.divmod(rest, 10)
+        np.add(digit, ord("0"), out=rows[:, k], casting="unsafe")
+    return rows.tobytes().decode("ascii").split()
 
 
 def population_metadata(config: PopulationConfig) -> str:

@@ -474,9 +474,11 @@ class TestInvalidNumbersRejected:
     def test_csv_and_json_books(self, rows):
         with pytest.raises(ValueError, match="must be finite and >= 0"):
             book_from_csv(csv_text([("id", "v_intrinsic", "c_offer", "status"), *rows]))
-        for as_text in (True, False):
-            with pytest.raises(ValueError, match="must be finite and >= 0"):
-                book_from_json(rows_to_json(rows, as_text))
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            book_from_json(rows_to_json(rows, as_text=False))
+        # A JSON string is no number, whatever it spells.
+        with pytest.raises(ValueError, match="not booleans or strings"):
+            book_from_json(rows_to_json(rows, as_text=True))
 
     @given(rows=rows_with_one_bad_number())
     @settings(max_examples=30, deadline=None)
@@ -499,6 +501,46 @@ class TestInvalidNumbersRejected:
         cfg.write_text(json.dumps({"book": rows}), encoding="utf-8")
         with redirect_output():
             assert main(["appendix-a", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("field", ["v_intrinsic", "c_offer"])
+    @pytest.mark.parametrize("text", ["90", "7_0", " 1e3 ", "nan"])
+    def test_json_string_is_no_number(self, field, text, tmp_path):
+        # float("7_0") is 70.0 and float(" 1e3 ") is 1000.0.
+        rows = [{"id": "H", "v_intrinsic": 95.0, "c_offer": 0.0, "status": "hypothetical"},
+                {"id": "A", "v_intrinsic": 7.0, "c_offer": 0.0, "status": "liquid", field: text}]
+        with pytest.raises(ValueError, match="not booleans or strings"):
+            book_from_json(json.dumps(rows))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"book": rows}), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main(["appendix-a", "--config", str(cfg)]) == 2
+        assert "not booleans or strings" in err.getvalue()
+
+
+class TestRowCap:
+    ROWS = [(f"r{i}", f"{10 + i}.0", "1.0", "liquid") for i in range(4)]
+    HEADER = ("id", "v_intrinsic", "c_offer", "status")
+
+    @pytest.fixture(autouse=True)
+    def small_cap(self, monkeypatch):
+        monkeypatch.setattr("matchbook.book.MAX_ROWS", 3)
+
+    def test_loaded_books(self):
+        assert len(book_from_csv(csv_text([self.HEADER, *self.ROWS[:3]])).ids) == 3
+        assert len(book_from_json(rows_to_json(self.ROWS[:3], False)).ids) == 3
+        with pytest.raises(ValueError, match="at most 3 rows"):
+            book_from_csv(csv_text([self.HEADER, *self.ROWS]))
+        with pytest.raises(ValueError, match="at most 3 rows"):
+            book_from_json(rows_to_json(self.ROWS, False))
+
+    def test_config_book_exits_2(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"book": {rows_to_json(self.ROWS, False)}}}', encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main(["appendix-a", "--config", str(cfg)]) == 2
+        assert "at most 3 rows" in err.getvalue()
 
 
 def redirect_output():

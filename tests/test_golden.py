@@ -67,3 +67,23 @@ def test_override_bytes_match_golden(command, override, fmt, tmp_path):
     assert main(argv) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == GOLDEN_OVERRIDES[command, override, fmt]
+
+
+#: ``gen`` at 101 rows, whose ids are three digits wide (c000 ... c100) where
+#: the default's are four.
+GOLDEN_GEN_101 = {
+    "gen.csv": "042cf46e1ce24e76e4159bc3e66e05f5768323e0c4468122e7dd9acdf262e00b",
+    "gen.csv.meta.json": "74a475dfff3ec6005163ab8594bbc5a297eefdd15e592dff8addcc84347d2ab4",
+    "gen.json": "d1842a982979e5c418b37f4616a02652192230fae478e2544693b2d4531f34f6",
+    "gen.json.meta.json": "74a475dfff3ec6005163ab8594bbc5a297eefdd15e592dff8addcc84347d2ab4",
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_configured_gen_bytes_match_golden(fmt, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"population": {"n_candidates": 101}}', encoding="utf-8")
+    out = tmp_path / f"gen.{fmt}"
+    assert main(["gen", "--config", str(cfg), "--seed", "42", "--format", fmt, "--out", str(out)]) == 0
+    for name in (out.name, f"{out.name}.meta.json"):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == GOLDEN_GEN_101[name], name

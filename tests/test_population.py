@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from matchbook import (
@@ -24,6 +25,10 @@ def values_and_liquidity(book):
     vs = np.array([e.v_intrinsic for e in book.entries])
     liquid = np.array([e.status is LiquidityStatus.LIQUID for e in book.entries])
     return vs, liquid
+
+
+def reference_ids(n):
+    return tuple("c" + str(i).zfill(len(str(n - 1))) for i in range(n))
 
 
 class TestGenerate:
@@ -115,6 +120,15 @@ class TestGenerate:
         for n in (MAX_CANDIDATES + 1, 10**15):
             with pytest.raises(InvalidConfig, match="n_candidates"):
                 PopulationConfig(n_candidates=n)
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 100_000, 100_001])
+    def test_ids_at_width_boundaries(self, n):
+        assert generate(PopulationConfig(n_candidates=n)).ids == reference_ids(n)
+
+    @given(n=st.integers(1, 20_000))
+    @settings(max_examples=50, deadline=None)
+    def test_ids_match_zero_padded_counter(self, n):
+        assert generate(PopulationConfig(n_candidates=n, seed=n)).ids == reference_ids(n)
 
     def test_overflowing_offers_are_a_config_error(self):
         with pytest.raises(InvalidConfig):
