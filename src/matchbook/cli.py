@@ -13,6 +13,7 @@ only its command's parser, whose usage and errors match the full one's.
 Scenario constants default to the checked-in fixtures, so each experiment runs
 with no arguments at all.  Exit codes: 0 on success, 2 on configuration
 errors, 3 when a run ends in a liquidity drought or produces no result.
+``main`` alone turns an exception into an exit code; see its table.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from .dynamics import records_to_csv
-from .errors import InvalidConfig, NoLiquidity
+from .errors import InvalidConfig, NoLiquidity, NonPositiveAsk, OutOfRange
 from .experiments import (
     RUNNERS,
     ExperimentConfig,
@@ -34,7 +35,7 @@ from .experiments import (
     merge_config,
     run_sweep,
 )
-from .population import DensityProfile, PopulationConfig, cone_volume, generate, population_metadata
+from .population import DensityProfile, cone_volume, generate, population_metadata
 from .book import book_to_csv, book_to_json, csv_cell, write_csv
 
 EXIT_OK = 0
@@ -127,22 +128,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     cfg = _effective_config(args, "gen")
-    population = cfg.population if cfg.population is not None else PopulationConfig(seed=cfg.seed)
-    book = generate(population)
+    book = generate(cfg.population)
     text = book_to_csv(book) if cfg.format == "csv" else book_to_json(book)
     _write_output(args.out, text)
     if args.out is not None:
         # Sidecar makes the dataset reproducible from its own directory.
         Path(args.out + ".meta.json").write_text(
-            population_metadata(population), encoding="utf-8"
+            population_metadata(cfg.population), encoding="utf-8"
         )
     return EXIT_OK
 
 
 def _cmd_cone(args: argparse.Namespace) -> int:
     profile = _parse_profile(args.profile)
-    if not 0 <= args.h0 <= 1:
-        raise InvalidConfig(f"--h0 must lie in [0, 1], got {args.h0}")
     volume = cone_volume(profile, args.h0)
     if not math.isfinite(volume):
         # The trapezoid samples the density at its grid points, so a
@@ -203,13 +201,19 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+#: What a domain check raises for an input outside its domain: exit 2.  Any
+#: exception that is neither one of these nor NoLiquidity (exit 3) is a bug
+#: and keeps its traceback.
+_CONFIG_ERRORS = (InvalidConfig, NonPositiveAsk, OutOfRange, ValueError, OverflowError)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # Help, a missing or unknown command and a leading option need the full parser.
     args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         return args.handler(args)
-    except InvalidConfig as exc:
+    except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NoLiquidity as exc:

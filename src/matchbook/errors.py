@@ -1,9 +1,12 @@
 """Semantic exception hierarchy for the matchbook engine.
 
 Every failure mode callers are expected to branch on gets its own class.
-Configuration problems (anything that should make the CLI exit with status 2)
-derive from :class:`InvalidConfig`; liquidity droughts (CLI exit status 3)
-surface as :class:`NoLiquidity`.
+Configuration problems derive from :class:`InvalidConfig` and liquidity
+droughts surface as :class:`NoLiquidity`.  Which errors the CLI turns into
+which exit status is one table in ``cli.main``: :class:`InvalidConfig`,
+:class:`NonPositiveAsk`, :class:`OutOfRange`, ``ValueError`` and
+``OverflowError`` exit 2, :class:`NoLiquidity` exits 3, and any other
+exception is a bug that keeps its traceback.
 """
 
 from __future__ import annotations

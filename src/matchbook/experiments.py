@@ -20,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
-from typing import Any, Callable
+from typing import Any
 
 from .book import CandidateEntry, LiquidityStatus, PreferenceBook, book_from_mappings
 from .dynamics import (
@@ -35,7 +35,7 @@ from .dynamics import (
     reprice,
     step,
 )
-from .errors import EmptyGrid, InvalidConfig, MissingOverride, NonPositiveAsk
+from .errors import EmptyGrid, InvalidConfig, MissingOverride
 from .population import PopulationConfig, generate
 from .valuation import CompensationRule, effective_utility
 
@@ -73,10 +73,6 @@ class ExperimentConfig:
             raise InvalidConfig(f"format must be csv or json, got {self.format!r}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise InvalidConfig(f"seed must be an unsigned integer, got {self.seed!r}")
-
-
-#: What a conversion or a domain constructor raises for an unusable config value.
-_CONFIG_ERRORS = (KeyError, TypeError, ValueError, OverflowError, NonPositiveAsk)
 
 
 def _number(value: object) -> float:
@@ -126,7 +122,7 @@ def config_from_mapping(experiment: str, data: dict, seed: int | None = None) ->
             seed=seed if seed is not None else data.get("seed", 42),
             format=str(data.get("format", "json")),
         )
-    except _CONFIG_ERRORS as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidConfig(f"bad config for {experiment}: {exc}") from exc
 
 
@@ -155,8 +151,8 @@ def _override(cfg: ExperimentConfig, key: str, default: float | None = None) -> 
     value = cfg.overrides.get(key, default)
     try:
         return _number(value)
-    except (TypeError, ValueError) as exc:
-        raise InvalidConfig(f"non-numeric override for {cfg.experiment}: {key}={value!r}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidConfig(f"override for {cfg.experiment} is no float: {key}={value!r}") from exc
 
 
 def _need(cfg: ExperimentConfig, *keys: str) -> list[float]:
@@ -166,23 +162,14 @@ def _need(cfg: ExperimentConfig, *keys: str) -> list[float]:
     return [_override(cfg, k) for k in keys]
 
 
-def _from_config(make: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
-    """Call a domain constructor (or apply a shock) on config values: the
-    errors it raises for an out-of-domain value are config errors."""
-    try:
-        return make(*args, **kwargs)
-    except _CONFIG_ERRORS as exc:
-        raise InvalidConfig(str(exc)) from exc
-
-
 def _rule(cfg: ExperimentConfig, eps: float | None = None, cap: float | None = None) -> CompensationRule:
     elasticity = eps if eps is not None else _override(cfg, "elasticity", 0.05)
     ceiling = cap if cap is not None else _override(cfg, "cap", 20.0)
-    return _from_config(CompensationRule, elasticity=elasticity, cap=ceiling)
+    return CompensationRule(elasticity=elasticity, cap=ceiling)
 
 
 def _constant_schedule(T: float) -> TableSchedule:
-    return _from_config(TableSchedule, points=((1, T),))
+    return TableSchedule(points=((1, T),))
 
 
 def _bid_book(v_uncond: float, *bids: tuple[str, float, float], owner: str = "F") -> PreferenceBook:
@@ -192,7 +179,7 @@ def _bid_book(v_uncond: float, *bids: tuple[str, float, float], owner: str = "F"
         raise InvalidConfig(f"the internal ask must be > 0, got {v_uncond}")
     rows = [("ideal", v_uncond, 0.0, LiquidityStatus.HYPOTHETICAL)]
     rows += [(i, v, c, LiquidityStatus.LIQUID) for i, v, c in bids]
-    entries = tuple(_from_config(CandidateEntry, *row) for row in rows)
+    entries = tuple(CandidateEntry(*row) for row in rows)
     return PreferenceBook(entries=entries, owner_id=owner)
 
 
@@ -421,8 +408,8 @@ def run_exp5(cfg: ExperimentConfig) -> ExperimentReport:
     }
     # Only a commitment can be shocked; a hold's summary reports the failed premise.
     if executed:
-        new_ask = _from_config(reprice, ask, factor)
-        post = _from_config(apply_shock, commit, new_ask, partner)
+        new_ask = reprice(ask, factor)
+        post = apply_shock(commit, new_ask, partner)
         records.append(post)
         summary.update({
             "post_theta": post.theta,
@@ -511,7 +498,7 @@ def _sweep_schedule(cfg: ExperimentConfig, t0: float | None, rate: float | None)
     floor = base.floor if base is not None else _override(cfg, "floor", 0.0)
     if rate == 0.0:
         return _constant_schedule(t0)
-    return _from_config(DecaySchedule, t0=t0, rate=rate, floor=floor)
+    return DecaySchedule(t0=t0, rate=rate, floor=floor)
 
 
 def run_sweep(cfg: ExperimentConfig) -> list[dict[str, Any]]:
@@ -545,9 +532,9 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict[str, Any]]:
         if factor is None and "shock_factor" in cfg.overrides:
             factor = _override(cfg, "shock_factor")
         if factor is not None and commit.decision is Decision.EXECUTE:
-            new_ask = _from_config(reprice, book.v_uncond(), factor)
+            new_ask = reprice(book.v_uncond(), factor)
             partner = book.best_bid(rule).entry.v_intrinsic
-            post = _from_config(apply_shock, commit, new_ask, partner)
+            post = apply_shock(commit, new_ask, partner)
             row["post_theta"], row["regret"] = post.theta, post.theta < post.threshold
         rows.append(row)
     return rows

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 import matchbook
 from matchbook import DensityProfile, cli, cone_volume
 from matchbook.cli import main
-from matchbook.experiments import MAX_GRID_POINTS, MAX_HORIZON, load_fixture
+from matchbook.experiments import MAX_GRID_POINTS, MAX_HORIZON, RUNNERS, load_fixture
 from matchbook.population import MAX_CANDIDATES
 
 ALL_COMMANDS = [
@@ -110,8 +110,12 @@ OVERRIDE_KEYS = sorted(
     | {"horizon", "T0", "lambda", "floor"}
 )
 
-#: Override values as typed on the command line, numbers of any size: a
-#: horizon above MAX_HORIZON is a config error, so none runs for long.
+#: An integer no float can hold: float() of it raises OverflowError.
+BEYOND_FLOAT = str(10**400)
+
+#: Override values as typed on the command line, numbers of any size, integers
+#: beyond float range included: a horizon above MAX_HORIZON is a config error,
+#: so none runs for long.
 OVERRIDE_VALUES = st.one_of(
     st.sampled_from(
         ["NaN", "nan", "Infinity", "inf", "-Infinity", "-inf", "0", "-0.0", "-1", "-5",
@@ -119,6 +123,8 @@ OVERRIDE_VALUES = st.one_of(
     ),
     st.floats().map(repr),
     st.text(alphabet=string.ascii_letters, max_size=4),
+    st.integers(10**308, 10**400).map(str),
+    st.integers(-(10**400), -(10**308)).map(str),
 )
 
 CONFIG_COMMANDS = ["exp1", "exp2", "appendix-a", "sweep", "gen"]
@@ -189,12 +195,37 @@ class TestOverrideContract:
             ["sweep", "--override", "horizon=10001"],
             ["sweep", "--override", "horizon=12.7"],
             ["sweep", "--override", "lambda=abc"],
+            ["exp1", "--override", f"v_uncond={BEYOND_FLOAT}"],
+            ["exp2", "--override", f"v_reach={BEYOND_FLOAT}"],
+            ["sweep", "--override", f"horizon={BEYOND_FLOAT}"],
         ],
-        ids=" ".join,
+        ids=lambda argv: " ".join(argv).replace(BEYOND_FLOAT, "10**400"),
     )
     def test_out_of_domain_value_is_config_error(self, argv, capsys):
         assert main(argv) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_population_without_an_ask_is_config_error(self, tmp_path, capsys):
+        # Every value draws as 0.0, so the generated book has no positive ask.
+        # gen writes such a book; only a run that steps on it fails.
+        population = {"n_candidates": 50, "beta_alpha": 1e-300, "beta_beta": 1.0,
+                      "reach_slope": 0.0, "seed": 1}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"population": population, "overrides": {"T0": 0.5},
+                                   "grid": {"cap": [0.0]}}), encoding="utf-8")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "rows.csv")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, error", [("exp1", RuntimeError), ("exp3", TypeError)], ids=["runtime", "type"]
+    )
+    def test_a_bug_keeps_its_traceback(self, command, error, monkeypatch):
+        def broken(cfg):
+            raise error("a bug, not an input")
+
+        monkeypatch.setitem(RUNNERS, command, broken)
+        with pytest.raises(error, match="a bug, not an input"):
+            main([command])
 
     @pytest.mark.parametrize(
         "argv",

@@ -130,8 +130,8 @@ class TestGenerate:
     def test_ids_match_zero_padded_counter(self, n):
         assert generate(PopulationConfig(n_candidates=n, seed=n)).ids == reference_ids(n)
 
-    def test_overflowing_offers_are_a_config_error(self):
-        with pytest.raises(InvalidConfig):
+    def test_overflowing_offers_are_a_value_error(self):
+        with pytest.raises(ValueError, match="c_offer must be finite"):
             generate(PopulationConfig(n_candidates=20, comp_scale=1e308))
 
     def test_metadata_sidecar_echoes_config(self):
@@ -232,10 +232,10 @@ class TestConeVolume:
         with pytest.raises(InvalidConfig, match="finite and > 0"):
             DensityProfile.beta(*shapes)
 
-    def test_density_overflow_is_config_error(self):
+    def test_density_overflow_raises_overflow_error(self):
         # SciPy raises OverflowError evaluating this density near h = 0.
         profile = DensityProfile.beta(5e-324, 1.7976931348623157e308)
-        with pytest.raises(InvalidConfig, match="cannot be evaluated"):
+        with pytest.raises(OverflowError):
             cone_volume(profile, 5e-324)
 
     @pytest.mark.parametrize(
