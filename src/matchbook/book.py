@@ -12,16 +12,18 @@ priority, no partial fill, no cancellation.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import math
 import numbers
+import re
 from json.encoder import encode_basestring_ascii
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from types import SimpleNamespace
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -140,7 +142,7 @@ class PreferenceBook:
     """
 
     __slots__ = ("owner_id", "ids", "v_intrinsic", "c_offer", "status_codes",
-                 "_liquid", "_v_liquid", "_c_liquid", "_v_uncond", "_v_reach")
+                 "_liquid", "_v_liquid", "_c_liquid", "_v_uncond", "_v_reach", "_c_top")
 
     def __init__(self, entries: Iterable[CandidateEntry], owner_id: str = "agent") -> None:
         entries = tuple(entries)
@@ -189,14 +191,15 @@ class PreferenceBook:
             raise ValueError(f"duplicate entry ids in book {owner_id!r}")
         v, c = vc
         liquid = np.flatnonzero(codes == _LIQUID)
-        v_liquid = v[liquid]
+        v_liquid, c_liquid = v[liquid], c[liquid]
         state = {
             "owner_id": owner_id, "ids": ids, "v_intrinsic": v, "c_offer": c,
             "status_codes": codes, "_liquid": liquid, "_v_liquid": v_liquid,
-            "_c_liquid": c[liquid],
+            "_c_liquid": c_liquid,
             # Indexing at argmax keeps max()'s first maximum (and its sign of zero).
             "_v_uncond": float(v[v.argmax()]) if n else None,
             "_v_reach": float(v_liquid[v_liquid.argmax()]) if liquid.size else None,
+            "_c_top": float(c_liquid.max()) if liquid.size else None,
         }
         for name, value in state.items():
             object.__setattr__(self, name, value)
@@ -267,11 +270,17 @@ class PreferenceBook:
         The utilities are effective_utility's, bit for bit: the same IEEE
         product, minimum and sum, and np.minimum returns its second operand
         on a tie where min() returns its first, so even signed zeros agree.
-        argmax returns the first maximum.
+        argmax returns the first maximum.  A product or sum past the float
+        range is inf, silently, as in effective_utility.
         """
         if self._v_reach is None:
             raise NoLiquidity(f"book {self.owner_id!r} has no liquid entry")
-        utility = self._v_liquid + np.minimum(rule.cap, self._c_liquid * rule.elasticity)
+        # No product or sum overflows unless the top value plus the top offer's
+        # product does, so only then is numpy's warning silenced: entering
+        # np.errstate costs about a tenth of a 10^5-row query.
+        overflows = math.isinf(self._v_reach + self._c_top * rule.elasticity)
+        with np.errstate(over="ignore") if overflows else contextlib.nullcontext():
+            utility = self._v_liquid + np.minimum(rule.cap, self._c_liquid * rule.elasticity)
         k = int(utility.argmax())
         return BestBid(self._row(self._liquid[k]), float(utility[k]))
 
@@ -307,16 +316,35 @@ def csv_cell(value: object) -> str:
     return str(value)
 
 
-def write_csv(header: Sequence[str], rows: Iterable[Iterable[str]]) -> str:
-    """A CSV table of the cells as given, one line per row after the header,
-    each ended by LF; a cell holding a comma, a quote, LF or CR is quoted."""
-    lines: list[str] = []
-    # csv quotes the characters of its line terminator: lines end in CR LF,
-    # so a lone CR is quoted too, and each is then cut back to LF.
-    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return "\n".join([line[:-2] for line in lines]) + "\n"
+#: The characters that make csv quote a cell: a comma, a quote, LF and CR.
+_QUOTED_CHARS = ',"\r\n'
+_NEEDS_QUOTES = re.compile(f"[{_QUOTED_CHARS}]")
+
+
+def _quote(cell: str) -> str:
+    return '"' + cell.replace('"', '""') + '"' if _NEEDS_QUOTES.search(cell) else cell
+
+
+def write_csv(header: Sequence[str], columns: Iterable[Iterable[str]]) -> str:
+    """A CSV table of the cells as given, one column per header name and one
+    line per row after the header, each ended by LF; a cell holding a comma,
+    a quote, LF or CR is quoted, its quotes doubled, as csv.writer does.
+    ValueError when the columns do not match the header or each other in length."""
+    table = []
+    for name, column in zip(header, columns, strict=True):
+        column = [name, *column]
+        # Most columns (numbers, statuses) quote nothing.  Four substring scans
+        # of the joined column find that far faster than one regex search.
+        joined = "".join(column)
+        if any(char in joined for char in _QUOTED_CHARS):
+            column = list(map(_quote, column))
+        table.append(column)
+    return "\n".join(map(",".join, zip(*table, strict=True))) + "\n"
+
+
+def csv_columns(rows: Sequence, keys: Iterable) -> Iterator[list[str]]:
+    """The cells ``csv_cell(row[key])`` of ``rows`` as one column per key."""
+    return ([csv_cell(row[key]) for row in rows] for key in keys)
 
 
 def read_csv(text: str, header: Sequence[str]) -> list[list[str]]:
@@ -338,8 +366,8 @@ def read_csv(text: str, header: Sequence[str]) -> list[list[str]]:
 
 def book_to_csv(book: PreferenceBook) -> str:
     """One record per entry, header exactly id,v_intrinsic,c_offer,status."""
-    return write_csv(BOOK_CSV_HEADER, zip(book.ids, map(repr, book.v_intrinsic.tolist()),
-                                          map(repr, book.c_offer.tolist()), _status_values(book)))
+    return write_csv(BOOK_CSV_HEADER, (book.ids, map(repr, book.v_intrinsic.tolist()),
+                                       map(repr, book.c_offer.tolist()), _status_values(book)))
 
 
 def book_from_csv(text: str, owner_id: str = "agent") -> PreferenceBook:
@@ -347,18 +375,22 @@ def book_from_csv(text: str, owner_id: str = "agent") -> PreferenceBook:
     return _book_from_fields(*([row[k] for row in rows] for k in range(4)), owner_id)
 
 
-#: One entry object as ``json.dumps(rows, indent=2)`` lays it out.
-_JSON_ROW = '  {{\n    "id": {},\n    "v_intrinsic": {!r},\n    "c_offer": {!r},\n    "status": "{}"\n  }}'
+#: ``json.dumps(rows, indent=2)`` lays out an entry object as this head, the
+#: escaped id, each value after its key, and the tail of the entry's status.
+_JSON_ROW_HEAD = '  {\n    "id": '
+_JSON_STATUS_TAILS = tuple(f',\n    "status": "{value}"\n  }}' for value in _STATUS_VALUES)
 
 
 def book_to_json(book: PreferenceBook) -> str:
     """The bytes of ``json.dumps(rows, indent=2)`` for the row objects,
-    formatted from the columns without building them."""
+    joined from the columns without building them."""
     if not book.ids:
         return "[]\n"
-    rows = map(_JSON_ROW.format, map(encode_basestring_ascii, book.ids),
-               book.v_intrinsic.tolist(), book.c_offer.tolist(), _status_values(book))
-    return "[\n" + ",\n".join(rows) + "\n]\n"
+    tails = map(_JSON_STATUS_TAILS.__getitem__, book.status_codes.tolist())
+    rows = map("".join, zip(map(encode_basestring_ascii, book.ids), repeat(',\n    "v_intrinsic": '),
+                            map(repr, book.v_intrinsic.tolist()), repeat(',\n    "c_offer": '),
+                            map(repr, book.c_offer.tolist()), tails))
+    return "[\n" + _JSON_ROW_HEAD + (",\n" + _JSON_ROW_HEAD).join(rows) + "\n]\n"
 
 
 def book_from_json(text: str, owner_id: str = "agent") -> PreferenceBook:

@@ -36,7 +36,7 @@ from .experiments import (
     run_sweep,
 )
 from .population import DensityProfile, cone_volume, generate, population_metadata
-from .book import book_to_csv, book_to_json, csv_cell, write_csv
+from .book import book_to_csv, book_to_json, csv_columns, write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -86,10 +86,15 @@ def _effective_config(args: argparse.Namespace, experiment: str) -> ExperimentCo
 
 
 def _write_output(path: str | None, text: str) -> None:
+    """Write ``text`` to ``path``, or to stdout when there is none; a path
+    that cannot be written is a config error, as a config that cannot be read."""
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InvalidConfig(f"cannot write {path}: {exc}") from exc
 
 
 def _print_summary(summary: dict[str, Any]) -> None:
@@ -119,7 +124,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if cfg.format == "json":
         text = json.dumps(rows, indent=2) + "\n"
     else:
-        text = write_csv(list(rows[0]), (map(csv_cell, row.values()) for row in rows))
+        text = write_csv(list(rows[0]), csv_columns(rows, rows[0]))
     _write_output(args.out, text)
     if all(row["decision"] == "drought" for row in rows):
         return EXIT_DROUGHT
@@ -133,9 +138,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     _write_output(args.out, text)
     if args.out is not None:
         # Sidecar makes the dataset reproducible from its own directory.
-        Path(args.out + ".meta.json").write_text(
-            population_metadata(cfg.population), encoding="utf-8"
-        )
+        _write_output(args.out + ".meta.json", population_metadata(cfg.population))
     return EXIT_OK
 
 
@@ -147,9 +150,9 @@ def _cmd_cone(args: argparse.Namespace) -> int:
         # singular Beta density gives no usable volume.
         print(f"no result: the cone volume came out as {volume!r}", file=sys.stderr)
         return EXIT_DROUGHT
-    print(repr(volume))
     if args.out is not None:
         _write_output(args.out, repr(volume) + "\n")
+    print(repr(volume))
     return EXIT_OK
 
 

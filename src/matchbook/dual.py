@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .book import PreferenceBook, csv_cell, write_csv
+from .book import PreferenceBook, csv_columns, write_csv
 from .errors import NoLiquidity
 from .valuation import CompensationRule, Money, required_transfer
 
@@ -135,8 +135,6 @@ MATCH_CSV_HEADER = ("f_id", "m_id", "f_theta", "m_theta", "c_required", "c_max",
 
 def outcomes_to_csv(rows: list[tuple[str, str, MatchOutcome]]) -> str:
     """Pairwise match report: one row per (f_id, m_id, outcome)."""
-    return write_csv(MATCH_CSV_HEADER, (
-        map(csv_cell, (f_id, m_id, outcome.f_theta, outcome.m_theta,
-                       outcome.c_required, outcome.c_max, outcome.result.value))
-        for f_id, m_id, outcome in rows
-    ))
+    cells = [(f_id, m_id, outcome.f_theta, outcome.m_theta, outcome.c_required, outcome.c_max,
+              outcome.result.value) for f_id, m_id, outcome in rows]
+    return write_csv(MATCH_CSV_HEADER, csv_columns(cells, range(len(MATCH_CSV_HEADER))))

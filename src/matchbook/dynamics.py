@@ -22,7 +22,7 @@ from numbers import Integral
 from operator import itemgetter
 from typing import Iterable, Union
 
-from .book import PreferenceBook, csv_cell, read_csv, write_csv
+from .book import PreferenceBook, csv_columns, read_csv, write_csv
 from .errors import NoLiquidity, NotExecuted, StepBeforeSchedule
 from .valuation import CompensationRule, Valuation, market_to_book
 
@@ -265,7 +265,7 @@ RECORD_CSV_HEADER = ("t", "theta", "threshold", "delta_v", "slippage", "decision
 
 
 def records_to_csv(records: Iterable[DecisionRecord]) -> str:
-    return write_csv(RECORD_CSV_HEADER, (map(csv_cell, record_to_dict(r).values()) for r in records))
+    return write_csv(RECORD_CSV_HEADER, csv_columns(list(map(record_to_dict, records)), RECORD_CSV_HEADER))
 
 
 def records_from_csv(text: str) -> list[DecisionRecord]:

@@ -63,11 +63,16 @@ def market_to_book(v_reach: Valuation, v_uncond: Valuation) -> float:
     """Ratio of the best bid to the internal ask.
 
     Raises NonPositiveAsk when the ask is not strictly positive (or is NaN),
-    which signals an ill-formed book rather than a tight market.
+    which signals an ill-formed book rather than a tight market, and
+    OverflowError when the ratio is not finite: an infinite theta would pass
+    every threshold.
     """
     if not v_uncond > 0:  # NaN fails too
         raise NonPositiveAsk(f"internal ask must be > 0, got {v_uncond}")
-    return v_reach / v_uncond
+    theta = v_reach / v_uncond
+    if not math.isfinite(theta):
+        raise OverflowError(f"theta = {v_reach!r} / {v_uncond!r} is not finite")
+    return theta
 
 
 def compensation_utility(c: Money, rule: CompensationRule) -> float:

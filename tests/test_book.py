@@ -1,9 +1,12 @@
 import contextlib
+import csv
 import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,7 +30,7 @@ from matchbook import (
     slippage,
     spread,
 )
-from matchbook.book import STATUSES
+from matchbook.book import STATUSES, write_csv
 from matchbook.cli import main
 from conftest import make_book
 
@@ -100,6 +103,23 @@ class TestBestBid:
     def test_no_liquidity(self):
         with pytest.raises(NoLiquidity):
             make_book([("a", 80.0, 0.0, "h")]).best_bid(CLIPPED)
+
+    @pytest.mark.parametrize(
+        "value, offer, cap, utility",
+        # At elasticity 10: 1e308 * 10 overflows to inf, and the cap clips it
+        # or the sum stays inf; 1.7e308 + 1e307 * 10 overflows in the sum.
+        [(60.0, 1e308, 50.0, 110.0), (1.7e308, 1e308, math.inf, math.inf),
+         (1.7e308, 1e307, math.inf, math.inf)],
+        ids=["clipped-product", "infinite-product", "overflowing-sum"],
+    )
+    def test_overflow_is_silent(self, value, offer, cap, utility):
+        rule = CompensationRule(elasticity=10.0, cap=cap)
+        book = make_book([("rich", value, offer, "l"), ("poor", 85.0, 1.0, "l")])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy must not print an overflow warning
+            best = book.best_bid(rule)
+        assert best.entry.id == "rich"
+        assert best.utility == utility == effective_utility(value, offer, rule)
 
     def test_removing_loser_keeps_selection(self):
         rng = np.random.default_rng(11)
@@ -420,7 +440,6 @@ class TestAgainstRowReference:
     @example(rows=[CandidateEntry("z", -0.0, 0.0, LiquidityStatus.LIQUID)],
              rule=CompensationRule(1.0, -0.0))
     @settings(max_examples=250, deadline=None)
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_queries_match_row_by_row(self, rows, rule):
         book = PreferenceBook(rows, owner_id="F")
         best = outcome(lambda: book.best_bid(rule))
@@ -447,6 +466,58 @@ class TestAgainstRowReference:
             again = read(text, owner_id="F")
             assert again == book
             assert write(again) == text
+
+    @pytest.mark.parametrize("special", ["a,b", 'q"t', "x\ny", "\r", "x\r\ny", "", '""', "é", " "],
+                             ids=repr)
+    def test_ids_that_need_quoting_or_escaping(self, special):
+        rows = [CandidateEntry(special, 70.5, 0.25, LiquidityStatus.LIQUID),
+                CandidateEntry("plain", 1e-7, 3e20, LiquidityStatus.LOCKUP)]
+        book = PreferenceBook(rows, owner_id="F")
+        for write, read, reference in ((book_to_csv, book_from_csv, reference_csv),
+                                       (book_to_json, book_from_json, reference_json)):
+            text = write(book)
+            assert text == reference(rows)
+            assert read(text, owner_id="F") == book
+
+    def test_empty_book(self):
+        book = PreferenceBook([], owner_id="F")
+        assert book_to_csv(book) == reference_csv([]) == "id,v_intrinsic,c_offer,status\n"
+        assert book_to_json(book) == reference_json([]) == "[]\n"
+        assert book_from_csv(book_to_csv(book), owner_id="F") == book
+        assert book_from_json(book_to_json(book), owner_id="F") == book
+
+
+def stdlib_csv(header, columns):
+    """The table as csv.writer writes it, each line's CR LF cut back to LF."""
+    lines = []
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
+    writer.writerow(header)
+    writer.writerows(zip(*columns))
+    return "".join(line[:-2] + "\n" for line in lines)
+
+
+@st.composite
+def tables(draw):
+    width, n = draw(st.integers(2, 6)), draw(st.integers(0, 8))
+    header = draw(st.lists(st.text(), min_size=width, max_size=width))
+    return header, [draw(st.lists(st.text(), min_size=n, max_size=n)) for _ in range(width)]
+
+
+class TestWriteCsv:
+    @given(table=tables())
+    @example(table=(["a", "b"], [[",", '"', "\r", "\n", "\r\n"], ["", "é", " ", '""', "x,\"y\""]]))
+    @example(table=([",", '"'], [[], []]))
+    @example(table=(["\r\n", ""], [["\r"], ["\n"]]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_stdlib_writer(self, table):
+        header, columns = table
+        assert write_csv(header, columns) == stdlib_csv(header, columns)
+
+    @pytest.mark.parametrize("columns", [[["1"]], [["1"], ["2"], ["3"]], [["1", "2"], ["3"]]],
+                             ids=["too-few", "too-many", "ragged"])
+    def test_columns_must_fit_the_header(self, columns):
+        with pytest.raises(ValueError):
+            write_csv(["a", "b"], columns)
 
 
 BAD_NUMBERS = st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "-1", "-1e-300", "-5.5"])

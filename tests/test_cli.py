@@ -68,6 +68,18 @@ class TestExitCodes:
         assert main(["exp1", "--override", "v_uncond=tall"]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", ALL_COMMANDS, ids=lambda a: a[0])
+    def test_out_to_a_directory_is_config_error(self, argv, tmp_path, capsys):
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"config error: cannot write {tmp_path}: ")
+
+    def test_gen_sidecar_to_a_directory_is_config_error(self, tmp_path, capsys):
+        (tmp_path / "book.csv.meta.json").mkdir()
+        assert main(["gen", "--out", str(tmp_path / "book.csv")]) == 2
+        assert "config error: cannot write" in capsys.readouterr().err
+
     def test_sweep_drought_exits_3(self, tmp_path):
         cfg = tmp_path / "dry.json"
         cfg.write_text(
@@ -204,6 +216,25 @@ class TestOverrideContract:
     def test_out_of_domain_value_is_config_error(self, argv, capsys):
         assert main(argv) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", ["exp1", "exp3"])
+    def test_overflowing_theta_is_config_error(self, command, fmt, tmp_path, capsys):
+        # 1e300 / 1e-300 is inf, which would clear any threshold.
+        out = tmp_path / "report"
+        argv = [command, "--override", "v_uncond=1e-300", "--override", "bid=1e300",
+                "--override", "c=0", "--format", fmt, "--out", str(out)]
+        assert main(argv) == 2
+        assert "is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_offer_beyond_float_range_prints_no_warning(self, capsys):
+        # A's offer of base + 1e308 times the elasticity overflows; the cap clips it.
+        argv = ["exp4", "--override", "effort_a=1e308", "--override", "elasticity=10"]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert "'selected_id': 'A', 'selected_v': 85.0, 'utility': 105.0" in out
 
     def test_population_without_an_ask_is_config_error(self, tmp_path, capsys):
         # Every value draws as 0.0, so the generated book has no positive ask.

@@ -48,6 +48,12 @@ class TestMarketToBook:
         with pytest.raises(NonPositiveAsk):
             market_to_book(70.0, math.nan)
 
+    @pytest.mark.parametrize("v_reach, v_uncond", [(1e300, 1e-300), (math.inf, 95.0)])
+    def test_non_finite_ratio_is_an_overflow(self, v_reach, v_uncond):
+        # An infinite theta would clear every threshold.
+        with pytest.raises(OverflowError):
+            market_to_book(v_reach, v_uncond)
+
     def test_monotone_in_both_arguments(self):
         # Strict monotonicity, checked on a grid coarse enough that float
         # rounding cannot produce ties.
