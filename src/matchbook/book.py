@@ -192,6 +192,10 @@ class PreferenceBook:
         v, c = vc
         liquid = np.flatnonzero(codes == _LIQUID)
         v_liquid, c_liquid = v[liquid], c[liquid]
+        # Fancy indexing copies, and a copy is writable: a stray out= into
+        # one of these would change every later query without an error.
+        for derived in (liquid, v_liquid, c_liquid):
+            derived.flags.writeable = False
         state = {
             "owner_id": owner_id, "ids": ids, "v_intrinsic": v, "c_offer": c,
             "status_codes": codes, "_liquid": liquid, "_v_liquid": v_liquid,
@@ -271,16 +275,18 @@ class PreferenceBook:
         product, minimum and sum, and np.minimum returns its second operand
         on a tie where min() returns its first, so even signed zeros agree.
         argmax returns the first maximum.  A product or sum past the float
-        range is inf, silently, as in effective_utility.
+        range is inf, silently, as in effective_utility.  The query makes one
+        scratch array as long as the liquid columns and writes nothing else.
         """
         if self._v_reach is None:
             raise NoLiquidity(f"book {self.owner_id!r} has no liquid entry")
         # No product or sum overflows unless the top value plus the top offer's
-        # product does, so only then is numpy's warning silenced: entering
-        # np.errstate costs about a tenth of a 10^5-row query.
+        # product does, so only then is numpy's warning silenced.
         overflows = math.isinf(self._v_reach + self._c_top * rule.elasticity)
         with np.errstate(over="ignore") if overflows else contextlib.nullcontext():
-            utility = self._v_liquid + np.minimum(rule.cap, self._c_liquid * rule.elasticity)
+            utility = np.multiply(self._c_liquid, rule.elasticity)
+            np.minimum(rule.cap, utility, out=utility)  # cap first: see the tie rule above
+            np.add(self._v_liquid, utility, out=utility)
         k = int(utility.argmax())
         return BestBid(self._row(self._liquid[k]), float(utility[k]))
 

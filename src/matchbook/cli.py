@@ -135,10 +135,19 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     cfg = _effective_config(args, "gen")
     book = generate(cfg.population)
     text = book_to_csv(book) if cfg.format == "csv" else book_to_json(book)
-    _write_output(args.out, text)
-    if args.out is not None:
-        # Sidecar makes the dataset reproducible from its own directory.
-        _write_output(args.out + ".meta.json", population_metadata(cfg.population))
+    if args.out is None:
+        _write_output(None, text)
+        return EXIT_OK
+    # The sidecar makes the dataset reproducible from its own directory.  It
+    # goes first and is removed if the book cannot be written, so a gen that
+    # exits 2 leaves neither file, and a sidecar that fails leaves the book as it was.
+    sidecar = args.out + ".meta.json"
+    _write_output(sidecar, population_metadata(cfg.population))
+    try:
+        _write_output(args.out, text)
+    except InvalidConfig:
+        Path(sidecar).unlink()
+        raise
     return EXIT_OK
 
 

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -20,12 +21,14 @@ from matchbook import (
     LiquidityStatus,
     NoLiquidity,
     NonPositiveAsk,
+    PopulationConfig,
     PreferenceBook,
     book_from_csv,
     book_from_json,
     book_to_csv,
     book_to_json,
     effective_utility,
+    generate,
     market_to_book,
     slippage,
     spread,
@@ -137,6 +140,18 @@ class TestBestBid:
             drop = losers[int(rng.integers(0, len(losers)))][0]
             smaller = make_book([r for r in rows if r[0] != drop])
             assert smaller.best_bid(CLIPPED).entry.id == winner
+
+    def test_makes_one_liquid_length_scratch_array(self):
+        book = generate(PopulationConfig(n_candidates=100_000, seed=3))
+        book.best_bid(CLIPPED)  # any one-time setup (imports, caches) is not the query's
+        tracemalloc.start()
+        try:
+            book.best_bid(CLIPPED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One float64 per liquid row; two such arrays would pass 16 bytes a row.
+        assert peak < 1.5 * 8 * book._liquid.size
 
 
 class TestUniformShiftInvariance:
@@ -356,6 +371,19 @@ class TestColumns:
         with pytest.raises(ValueError):
             worked_book.v_intrinsic[0] = 0.0
         assert worked_book.v_uncond() == 95
+
+    def test_derived_columns_are_read_only_and_queries_keep_every_column(self):
+        book = generate(PopulationConfig(n_candidates=500, seed=9))
+        for derived in (book._liquid, book._v_liquid, book._c_liquid):
+            with pytest.raises(ValueError, match="read-only"):
+                derived[0] = 0
+        names = ("v_intrinsic", "c_offer", "status_codes", "_liquid", "_v_liquid", "_c_liquid")
+        before = {name: getattr(book, name).tobytes() for name in names}
+        rng = np.random.default_rng(5)
+        for elasticity, cap in zip(rng.choice([0.0, -0.0, 0.05, 1.0, 10.0], 50),
+                                   rng.choice([0.0, -0.0, 1.0, 20.0, math.inf], 50)):
+            book.metrics(CompensationRule(float(elasticity), float(cap)))
+        assert {name: getattr(book, name).tobytes() for name in names} == before
 
 
 # -- properties against a row-by-row reference ------------------------------------

@@ -79,6 +79,19 @@ class TestExitCodes:
         (tmp_path / "book.csv.meta.json").mkdir()
         assert main(["gen", "--out", str(tmp_path / "book.csv")]) == 2
         assert "config error: cannot write" in capsys.readouterr().err
+        assert not (tmp_path / "book.csv").exists()
+
+    def test_failed_gen_keeps_an_existing_book(self, tmp_path, capsys):
+        (tmp_path / "book.csv").write_text("old\n")
+        (tmp_path / "book.csv.meta.json").mkdir()
+        assert main(["gen", "--out", str(tmp_path / "book.csv")]) == 2
+        assert (tmp_path / "book.csv").read_text() == "old\n"
+
+    def test_gen_book_to_a_directory_leaves_no_sidecar(self, tmp_path, capsys):
+        (tmp_path / "book.csv").mkdir()
+        assert main(["gen", "--out", str(tmp_path / "book.csv")]) == 2
+        assert f"config error: cannot write {tmp_path / 'book.csv'}: " in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["book.csv"]
 
     def test_sweep_drought_exits_3(self, tmp_path):
         cfg = tmp_path / "dry.json"
