@@ -12,7 +12,6 @@ priority, no partial fill, no cancellation.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import json
@@ -21,7 +20,6 @@ import numbers
 import re
 from json.encoder import encode_basestring_ascii
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
 from typing import NamedTuple
@@ -53,20 +51,13 @@ class LiquidityStatus(str, Enum):
     LIQUID = "liquid"
 
 
-@dataclass(frozen=True)
-class CandidateEntry:
-    """One row of the book."""
+class CandidateEntry(NamedTuple):
+    """One row of the book; the book that holds it checks its values."""
 
     id: str
     v_intrinsic: Valuation
     c_offer: Money
     status: LiquidityStatus
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.v_intrinsic) or self.v_intrinsic < 0:
-            raise ValueError(f"v_intrinsic must be finite and >= 0, got {self.v_intrinsic}")
-        if not math.isfinite(self.c_offer) or self.c_offer < 0:
-            raise ValueError(f"c_offer must be finite and >= 0, got {self.c_offer}")
 
 
 class BestBid(NamedTuple):
@@ -99,14 +90,12 @@ _LIQUID = _STATUS_CODE[LiquidityStatus.LIQUID]
 
 
 def _status_codes(tokens: Iterable[object]) -> np.ndarray:
-    """Codes of LiquidityStatus members or their values; ValueError names
-    the first token that is neither."""
-    tokens = list(tokens)
+    """Codes of LiquidityStatus members or their values (a member hashes and
+    compares as its value); ValueError on the first token that is neither."""
     try:
-        codes = [_STATUS_CODE[t] for t in tokens]
-    except (KeyError, TypeError):
-        codes = [_STATUS_CODE[LiquidityStatus(t)] for t in tokens]
-    return np.array(codes, dtype=np.int8)
+        return np.array([_STATUS_CODE[t] for t in tokens], dtype=np.int8)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"a status is one of {', '.join(_STATUS_VALUES)}, got {exc}") from exc
 
 
 class _Rows(Sequence):
@@ -127,8 +116,8 @@ class _Rows(Sequence):
 
     def __iter__(self) -> Iterator[CandidateEntry]:
         book = self._book
-        return map(CandidateEntry, book.ids, book.v_intrinsic.tolist(),
-                   book.c_offer.tolist(), book.statuses())
+        return map(CandidateEntry, book.ids, book.v_intrinsic.tolist(), book.c_offer.tolist(),
+                   map(STATUSES.__getitem__, book.status_codes.tolist()))
 
 
 class PreferenceBook:
@@ -142,16 +131,11 @@ class PreferenceBook:
     """
 
     __slots__ = ("owner_id", "ids", "v_intrinsic", "c_offer", "status_codes",
-                 "_liquid", "_v_liquid", "_c_liquid", "_v_uncond", "_v_reach", "_c_top")
+                 "_liquid", "_v_liquid", "_c_liquid", "_v_uncond", "_v_reach")
 
     def __init__(self, entries: Iterable[CandidateEntry], owner_id: str = "agent") -> None:
-        entries = tuple(entries)
-        self._set_columns(
-            [e.id for e in entries],
-            ([e.v_intrinsic for e in entries], [e.c_offer for e in entries]),
-            _status_codes(e.status for e in entries),
-            owner_id,
-        )
+        ids, v, c, statuses = tuple(zip(*entries)) or ((),) * 4
+        self._set_columns(ids, (v, c), _status_codes(statuses), owner_id)
 
     @classmethod
     def from_columns(
@@ -203,7 +187,6 @@ class PreferenceBook:
             # Indexing at argmax keeps max()'s first maximum (and its sign of zero).
             "_v_uncond": float(v[v.argmax()]) if n else None,
             "_v_reach": float(v_liquid[v_liquid.argmax()]) if liquid.size else None,
-            "_c_top": float(c_liquid.max()) if liquid.size else None,
         }
         for name, value in state.items():
             object.__setattr__(self, name, value)
@@ -244,12 +227,6 @@ class PreferenceBook:
         return CandidateEntry(self.ids[i], float(self.v_intrinsic[i]), float(self.c_offer[i]),
                               STATUSES[self.status_codes[i]])
 
-    def statuses(self) -> Iterator[LiquidityStatus]:
-        return map(STATUSES.__getitem__, self.status_codes.tolist())
-
-    def liquid_entries(self) -> tuple[CandidateEntry, ...]:
-        return tuple(self._row(i) for i in self._liquid)
-
     # -- side derivations ---------------------------------------------------
 
     def v_uncond(self) -> Valuation:
@@ -280,10 +257,7 @@ class PreferenceBook:
         """
         if self._v_reach is None:
             raise NoLiquidity(f"book {self.owner_id!r} has no liquid entry")
-        # No product or sum overflows unless the top value plus the top offer's
-        # product does, so only then is numpy's warning silenced.
-        overflows = math.isinf(self._v_reach + self._c_top * rule.elasticity)
-        with np.errstate(over="ignore") if overflows else contextlib.nullcontext():
+        with np.errstate(over="ignore"):
             utility = np.multiply(self._c_liquid, rule.elasticity)
             np.minimum(rule.cap, utility, out=utility)  # cap first: see the tie rule above
             np.add(self._v_liquid, utility, out=utility)

@@ -177,10 +177,9 @@ def _bid_book(v_uncond: float, *bids: tuple[str, float, float], owner: str = "F"
     entry per ``(id, v, c)`` bid."""
     if not v_uncond > 0:
         raise InvalidConfig(f"the internal ask must be > 0, got {v_uncond}")
-    rows = [("ideal", v_uncond, 0.0, LiquidityStatus.HYPOTHETICAL)]
-    rows += [(i, v, c, LiquidityStatus.LIQUID) for i, v, c in bids]
-    entries = tuple(CandidateEntry(*row) for row in rows)
-    return PreferenceBook(entries=entries, owner_id=owner)
+    entries = [CandidateEntry("ideal", v_uncond, 0.0, LiquidityStatus.HYPOTHETICAL)]
+    entries += [CandidateEntry(i, v, c, LiquidityStatus.LIQUID) for i, v, c in bids]
+    return PreferenceBook(entries, owner_id=owner)
 
 
 # -- reports -----------------------------------------------------------------------
@@ -397,6 +396,8 @@ def run_exp5(cfg: ExperimentConfig) -> ExperimentReport:
     partner, ask, T, factor = _need(cfg, "partner", "ask", "commit_threshold", "shock_factor")
     rule = _rule(cfg)
     book = _bid_book(ask, ("bid", partner, 0.0))
+    # The shock needs only the ask and the factor, so a bad factor fails even on a hold.
+    new_ask = reprice(ask, factor)
     records = run_schedule(book, rule, _constant_schedule(T))
     constants = {"partner": partner, "ask": ask, "commit_threshold": T, "shock_factor": factor}
     commit = records[-1]
@@ -408,7 +409,6 @@ def run_exp5(cfg: ExperimentConfig) -> ExperimentReport:
     }
     # Only a commitment can be shocked; a hold's summary reports the failed premise.
     if executed:
-        new_ask = reprice(ask, factor)
         post = apply_shock(commit, new_ask, partner)
         records.append(post)
         summary.update({
@@ -440,7 +440,7 @@ def run_appendix_a(cfg: ExperimentConfig) -> ExperimentReport:
             "v_reach": v_reach,
             "effective_bids": {
                 e.id: effective_utility(e.v_intrinsic, e.c_offer, rule)
-                for e in book.liquid_entries()
+                for e in book.entries if e.status is LiquidityStatus.LIQUID
             },
             "best_id": best.entry.id,
             "best_utility": best.utility,
@@ -522,17 +522,18 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict[str, Any]]:
         point = dict(zip(params, values))
         rule = _rule(cfg, eps=point.get("eps"), cap=point.get("cap"))
         book = book_for(point.get("reach_slope"))
+        factor = point.get("shock_factor")
+        if factor is None and "shock_factor" in cfg.overrides:
+            factor = _override(cfg, "shock_factor")
+        # As in run_exp5, the factor is checked whether or not the point executes.
+        new_ask = None if factor is None else reprice(book.v_uncond(), factor)
         schedule = _sweep_schedule(cfg, point.get("T0"), point.get("lambda"))
         records = run_schedule(book, rule, schedule, horizon=horizon)
         row: dict[str, Any] = {
             "grid_index": index, **point, **_base_summary(records), "post_theta": None, "regret": None,
         }
         commit = records[-1]
-        factor = point.get("shock_factor")
-        if factor is None and "shock_factor" in cfg.overrides:
-            factor = _override(cfg, "shock_factor")
-        if factor is not None and commit.decision is Decision.EXECUTE:
-            new_ask = reprice(book.v_uncond(), factor)
+        if new_ask is not None and commit.decision is Decision.EXECUTE:
             partner = book.best_bid(rule).entry.v_intrinsic
             post = apply_shock(commit, new_ask, partner)
             row["post_theta"], row["regret"] = post.theta, post.theta < post.threshold

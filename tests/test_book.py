@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import re
 import tempfile
 import tracemalloc
 import warnings
@@ -254,18 +255,35 @@ class TestMetrics:
             book.metrics(CLIPPED)
 
 
+#: Every way into a book: each builds a good row, then row ``x`` from a value, offer and status.
+BOOK_PATHS = {
+    "rows": lambda v, c, status: PreferenceBook(
+        [CandidateEntry("a", 1.0, 0.0, LiquidityStatus.LIQUID), CandidateEntry("x", v, c, status)]),
+    "columns": lambda v, c, status: PreferenceBook.from_columns(
+        ["a", "x"], [1.0, v], [0.0, c], [STATUSES.index(LiquidityStatus.LIQUID), STATUSES.index(status)]),
+    "csv": lambda v, c, status: book_from_csv(
+        f"id,v_intrinsic,c_offer,status\na,1.0,0.0,liquid\nx,{v!r},{c!r},{status.value}\n"),
+    "json": lambda v, c, status: book_from_json(json.dumps(
+        [{"id": "a", "v_intrinsic": 1.0, "c_offer": 0.0, "status": "liquid"},
+         {"id": "x", "v_intrinsic": v, "c_offer": c, "status": status}])),
+}
+
+
 class TestEntryValidation:
-    def test_rejects_negative_value(self):
-        with pytest.raises(ValueError):
-            CandidateEntry("x", -1.0, 0.0, LiquidityStatus.LIQUID)
+    @pytest.mark.parametrize("path", BOOK_PATHS)
+    @pytest.mark.parametrize("column", ["v_intrinsic", "c_offer"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
+    def test_rejects_a_bad_value_on_every_path(self, bad, column, path):
+        values = {"v_intrinsic": 10.0, "c_offer": 5.0, column: bad}
+        message = f"^{column} must be finite and >= 0, got {re.escape(str(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            BOOK_PATHS[path](values["v_intrinsic"], values["c_offer"], LiquidityStatus.LOCKUP)
 
-    def test_rejects_nonfinite_value(self):
-        with pytest.raises(ValueError):
-            CandidateEntry("x", math.inf, 0.0, LiquidityStatus.LIQUID)
-
-    def test_rejects_negative_offer(self):
-        with pytest.raises(ValueError):
-            CandidateEntry("x", 10.0, -5.0, LiquidityStatus.LIQUID)
+    @pytest.mark.parametrize("path", ["rows", "json"])
+    @pytest.mark.parametrize("status", ["frozen", 2, ["liquid"]], ids=["frozen", "int", "list"])
+    def test_rejects_a_bad_status(self, status, path):
+        with pytest.raises(ValueError, match="^a status is one of hypothetical, lockup, liquid, got "):
+            BOOK_PATHS[path](10.0, 5.0, status)
 
     def test_rejects_duplicate_ids(self):
         with pytest.raises(ValueError):

@@ -212,6 +212,10 @@ class TestOverrideContract:
             ["exp5", "--override", "ask=0", "--override", "partner=5"],
             # 90 * 1e308 overflows to an infinite ask, which would read as theta = 0.
             ["exp5", "--override", "shock_factor=1e308"],
+            # At commit_threshold 1 the agent holds, and the factor is still checked.
+            *(["exp5", "--override", "commit_threshold=1", "--override", f"shock_factor={factor}"]
+              for factor in ("NaN", "-3", "0", "inf", "-inf")),
+            ["sweep", "--override", "bid=1", "--override", "shock_factor=-1"],
             ["exp1", "--override", "T=true"],
             ["appendix-a", "--override", "T=0"],
             ["sweep", "--override", "horizon=abc"],
@@ -349,6 +353,22 @@ class TestOverrideContract:
         cfg.write_text(text, encoding="utf-8")
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [(["exp5", "--override", "commit_threshold=1", "--override", "shock_factor=NaN"], None),
+         (["sweep"], '{"grid": {"T0": [0.99], "shock_factor": [-1e999]}}')],
+        ids=["exp5-override", "sweep-grid"],
+    )
+    def test_bad_shock_factor_on_a_hold_writes_nothing(self, argv, config, tmp_path, capsys):
+        # Every run holds, so no shock lands, but the factor is checked all the same.
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(config, encoding="utf-8")
+            argv = [*argv, "--config", str(tmp_path / "cfg.json")]
+        out = tmp_path / "report.json"
+        assert main([*argv, "--format", "json", "--out", str(out)]) == 2
+        assert "config error: a shock factor must be finite and > 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_grid_list_is_an_empty_grid(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
