@@ -2,7 +2,8 @@
 
 A constant bid sits 22% below the ask.  Nothing about the book improves;
 the agent's willingness threshold decays with inventory age until the
-standing ratio clears it.
+standing ratio clears it.  The book is one snapshot, so its metrics are
+computed once and every step compares them with the threshold.
 """
 
 from matchbook import (
@@ -26,11 +27,12 @@ book = PreferenceBook(
     owner_id="F",
 )
 rule = CompensationRule(elasticity=0.05, cap=20.0)
+metrics = book.metrics(rule)
 
 print("== tabulated decay ==")
 records = []
 for t in range(1, 6):
-    record = step(book, rule, SETTLING_TABLE, t)
+    record = step(metrics, SETTLING_TABLE, t)
     records.append(record)
     print(
         f"t{t}: theta {record.theta:.4f} vs T {record.threshold:.2f}"
@@ -48,6 +50,6 @@ print(records_to_csv(records))
 
 print("== parametric decay reaches the same place ==")
 schedule = DecaySchedule(t0=0.95, rate=0.06, floor=0.70)
-commit = run_schedule(book, rule, schedule, horizon=29)[-1]
+commit = run_schedule(metrics, schedule, horizon=29)[-1]
 if commit.decision is Decision.EXECUTE:
     print(f"exponential schedule executes at t={commit.t} (T={commit.threshold:.4f})")

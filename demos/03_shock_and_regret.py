@@ -30,7 +30,8 @@ book = PreferenceBook(
     ),
     owner_id="F",
 )
-record = step(book, rule, TableSchedule(points=((1, 0.95),)), 1, ask=90.0)
+# The ask is pinned at 90: the arriving bid must not become the ask.
+record = step(book.metrics(rule, ask=90.0), TableSchedule(points=((1, 0.95),)), 1)
 print(f"theta {record.theta:.4f} >= T {record.threshold} -> {record.decision.value}: instant fill")
 
 print("\n== a settled match, then a peer-comparison shock ==")
@@ -41,7 +42,7 @@ book = PreferenceBook(
     ),
     owner_id="F",
 )
-commit = step(book, rule, TableSchedule(points=((1, 0.80),)), 1)
+commit = step(book.metrics(rule), TableSchedule(points=((1, 0.80),)), 1)
 print(f"executed: theta {commit.theta:.4f} at threshold {commit.threshold}")
 
 shocked_ask = reprice(90.0, 1.10)

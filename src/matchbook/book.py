@@ -156,12 +156,23 @@ class PreferenceBook:
         return book
 
     def _set_columns(self, ids, values, codes: np.ndarray, owner_id: str) -> None:
-        """``values`` is the pair (v_intrinsic, c_offer); ``codes`` are valid."""
+        """``values`` is the pair (v_intrinsic, c_offer); ``codes`` are valid.
+
+        A value column must be one numpy holds as integers or floats:
+        strings, booleans and objects (an int past 64 bits, say) are a
+        ValueError, not a cast.  numpy promotes a boolean mixed into a float
+        column to a float, so that one passes; CSV and JSON input reject
+        booleans before they get here.
+        """
         ids = tuple(ids)
         n = len(ids)
         if n > MAX_ROWS:
             raise ValueError(f"a book holds at most {MAX_ROWS} rows, got {n}")
-        vc = np.array(values, dtype=np.float64)
+        columns = [np.asarray(column) for column in values]
+        for name, column in zip(("v_intrinsic", "c_offer"), columns):
+            if column.dtype.kind not in "iuf":
+                raise ValueError(f"{name} must hold numbers, got an array of {column.dtype}")
+        vc = np.array(columns, dtype=np.float64)
         if vc.shape != (2, n):
             raise ValueError(f"v_intrinsic and c_offer need one value per id, got shape {vc.shape}")
         ok = (vc >= 0) & (vc < math.inf)

@@ -1,13 +1,14 @@
 """Execution dynamics: threshold schedules, per-step decision records,
 post-execution shocks, lock-in and impulse adjustments.
 
-An agent evaluates the market-to-book ratio theta against a time-decaying
-threshold T(t) at each step and executes at the first step where
-theta >= T.  That step's EXECUTE record is the agent's commitment: it
-carries the step and the threshold committed at.  Execution is absorbing;
-only external shocks reprice the internal ask afterwards.  A shock's
-re-evaluation is one more record, a HOLD a step after the commit, and a
-theta there below the committed threshold is regret.
+An agent compares the market-to-book ratio theta of its book, a fixed
+snapshot, with a time-decaying threshold T(t) at each step and executes at
+the first step where theta >= T: only the threshold moves.  That step's
+EXECUTE record is the agent's commitment: it carries the step and the
+threshold committed at.  Execution is absorbing; only external shocks
+reprice the internal ask afterwards.  A shock's re-evaluation is one more
+record, a HOLD a step after the commit, and a theta there below the
+committed threshold is regret.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from numbers import Integral
 from operator import itemgetter
 from typing import Iterable, Union
 
-from .book import PreferenceBook, csv_columns, read_csv, write_csv
-from .errors import NoLiquidity, NotExecuted, StepBeforeSchedule
-from .valuation import CompensationRule, Valuation, market_to_book
+from .book import BookMetrics, csv_columns, read_csv, write_csv
+from .errors import NotExecuted, StepBeforeSchedule
+from .valuation import Valuation, market_to_book
 
 
 # -- threshold schedules ------------------------------------------------------
@@ -146,46 +147,27 @@ class DecisionRecord:
         return self.theta is None
 
 
-def step(
-    book: PreferenceBook,
-    rule: CompensationRule,
-    schedule: ThresholdSchedule,
-    t: int,
-    ask: Valuation | None = None,
-    intrinsic_theta: bool = False,
-) -> DecisionRecord:
-    """One evaluation: compute the book's metrics and compare theta to T(t).
+def step(metrics: BookMetrics | None, schedule: ThresholdSchedule, t: int) -> DecisionRecord:
+    """One evaluation: compare the snapshot's theta with T(t).
 
-    theta defaults to the effective-utility convention (best bid including
-    compensation over the ask); pass intrinsic_theta=True to use the raw
-    v_reach / v_uncond ratio instead.  ``ask`` pins the internal ask when it
-    should not be derived from the book (see PreferenceBook.metrics).
-
-    A liquidity drought records a Hold without metrics rather than
-    propagating.  Execution is absorbing: run_schedule stops at the first
+    ``metrics`` is the book's snapshot (PreferenceBook.metrics); the book
+    does not change during a run, so one snapshot serves every step and only
+    the threshold moves.  ``None`` is a liquidity drought: a Hold without
+    metrics.  Execution is absorbing: run_schedule stops at the first
     EXECUTE record.
     """
     T = schedule.at(t)
-    try:
-        metrics = book.metrics(rule, ask=ask)
-    except NoLiquidity:
+    if metrics is None:
         return DecisionRecord(
             t=t, theta=None, threshold=T, delta_v=None, slippage=None, decision=Decision.HOLD
         )
-
-    if intrinsic_theta:
-        v_ask = book.v_uncond() if ask is None else ask
-        theta = market_to_book(book.v_reach(), v_ask)
-    else:
-        theta = metrics.theta
-
     return DecisionRecord(
         t=t,
-        theta=theta,
+        theta=metrics.theta,
         threshold=T,
         delta_v=metrics.delta_v,
         slippage=metrics.slippage,
-        decision=decide(theta, T),
+        decision=decide(metrics.theta, T),
     )
 
 
@@ -193,7 +175,8 @@ def step(
 
 
 def reprice(v_uncond: Valuation, factor: float) -> Valuation:
-    """The ask scaled by a finite ``factor`` > 0.
+    """The ask scaled by a finite ``factor`` > 0: a finite ask > 0, or a
+    ValueError when the product overflows to inf or underflows to 0.
 
     Repricing in decimal keeps decimally-quoted factors exact: 90 * 1.1 is
     99, not 99.00000000000001.
@@ -202,7 +185,10 @@ def reprice(v_uncond: Valuation, factor: float) -> Valuation:
         raise ValueError(f"current ask must be > 0, got {v_uncond}")
     if not (math.isfinite(factor) and factor > 0):
         raise ValueError(f"a shock factor must be finite and > 0, got {factor}")
-    return float(Decimal(repr(v_uncond)) * Decimal(repr(factor)))
+    ask = float(Decimal(repr(v_uncond)) * Decimal(repr(factor)))
+    if not (math.isfinite(ask) and ask > 0):
+        raise ValueError(f"the repriced ask must be finite and > 0, got {ask}")
+    return ask
 
 
 def apply_shock(commit: DecisionRecord, new_v_uncond: Valuation, v_partner: Valuation) -> DecisionRecord:

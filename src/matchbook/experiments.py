@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import Any
 
-from .book import CandidateEntry, LiquidityStatus, PreferenceBook, book_from_mappings
+from .book import BookMetrics, CandidateEntry, LiquidityStatus, PreferenceBook, book_from_mappings
 from .dynamics import (
     DecaySchedule,
     Decision,
@@ -35,9 +35,9 @@ from .dynamics import (
     reprice,
     step,
 )
-from .errors import EmptyGrid, InvalidConfig, MissingOverride
+from .errors import EmptyGrid, InvalidConfig, MissingOverride, NoLiquidity
 from .population import PopulationConfig, generate
-from .valuation import CompensationRule, effective_utility
+from .valuation import CompensationRule, effective_utility, market_to_book
 
 SWEEP_PARAMS = ("T0", "lambda", "eps", "cap", "reach_slope", "shock_factor")
 
@@ -272,21 +272,17 @@ def _schedule_steps(schedule: ThresholdSchedule, horizon: int | None) -> range:
 
 
 def run_schedule(
-    book: PreferenceBook,
-    rule: CompensationRule,
-    schedule: ThresholdSchedule,
-    ask: float | None = None,
-    intrinsic_theta: bool = False,
-    horizon: int | None = None,
+    metrics: BookMetrics | None, schedule: ThresholdSchedule, horizon: int | None = None
 ) -> list[DecisionRecord]:
-    """Step an agent over a schedule until it executes or the horizon ends.
+    """Step an agent with the book snapshot ``metrics`` (None in a drought)
+    over a schedule until it executes or the horizon ends.
 
     Execution is absorbing: the list stops at the first EXECUTE record, so
     an executed run's last record is its commitment.
     """
     records: list[DecisionRecord] = []
     for t in _schedule_steps(schedule, horizon):
-        records.append(step(book, rule, schedule, t, ask=ask, intrinsic_theta=intrinsic_theta))
+        records.append(step(metrics, schedule, t))
         if records[-1].decision is Decision.EXECUTE:
             break
     if not records:
@@ -315,7 +311,7 @@ def run_exp1(cfg: ExperimentConfig) -> ExperimentReport:
     rule = _rule(cfg)
     book = _bid_book(v_uncond, ("bid", bid, c))
     # The ask is pinned: a bid above it would otherwise become the ask.
-    records = run_schedule(book, rule, _constant_schedule(T), ask=v_uncond)
+    records = run_schedule(book.metrics(rule, ask=v_uncond), _constant_schedule(T))
     summary = _base_summary(records)
     summary["best_utility"] = effective_utility(bid, c, rule)
     summary["theta_convention"] = "effective"
@@ -331,7 +327,7 @@ def run_exp2(cfg: ExperimentConfig) -> ExperimentReport:
     rule = _rule(cfg)
     schedule = cfg.schedule if cfg.schedule is not None else SETTLING_TABLE
     book = _bid_book(v_uncond, ("bid", v_reach, 0.0))
-    records = run_schedule(book, rule, schedule)
+    records = run_schedule(book.metrics(rule), schedule)
     summary = _base_summary(records)
     summary["theta_convention"] = "effective"
     constants = {"v_uncond": v_uncond, "v_reach": v_reach}
@@ -346,7 +342,7 @@ def run_exp3(cfg: ExperimentConfig) -> ExperimentReport:
     book = _bid_book(v_uncond, ("bid", bid, c))
     # The ask is a belief anchor, pinned explicitly: the arriving bid must
     # not be absorbed into the unconditional side.
-    records = run_schedule(book, rule, _constant_schedule(T), ask=v_uncond)
+    records = run_schedule(book.metrics(rule, ask=v_uncond), _constant_schedule(T))
     summary = _base_summary(records)
     summary["immediate_fill"] = summary["t_star"] == records[0].t
     summary["theta_convention"] = "effective"
@@ -366,7 +362,7 @@ def run_exp4(cfg: ExperimentConfig) -> ExperimentReport:
     for label, base in (("high_norm", base_high), ("low_norm", base_low)):
         book = _bid_book(v_uncond, ("A", v_a, base + e_a), ("B", v_b, base + e_b), owner=f"F-{label}")
         best = book.best_bid(rule)
-        market_records = run_schedule(book, rule, _constant_schedule(T))
+        market_records = run_schedule(book.metrics(rule), _constant_schedule(T))
         records.extend(market_records)
         markets.append(
             {
@@ -398,7 +394,7 @@ def run_exp5(cfg: ExperimentConfig) -> ExperimentReport:
     book = _bid_book(ask, ("bid", partner, 0.0))
     # The shock needs only the ask and the factor, so a bad factor fails even on a hold.
     new_ask = reprice(ask, factor)
-    records = run_schedule(book, rule, _constant_schedule(T))
+    records = run_schedule(book.metrics(rule), _constant_schedule(T))
     constants = {"partner": partner, "ask": ask, "commit_threshold": T, "shock_factor": factor}
     commit = records[-1]
     executed = commit.decision is Decision.EXECUTE
@@ -432,7 +428,8 @@ def run_appendix_a(cfg: ExperimentConfig) -> ExperimentReport:
     v_uncond = book.v_uncond()
     v_reach = book.v_reach()
     best = book.best_bid(rule)
-    records = run_schedule(book, rule, _constant_schedule(T), intrinsic_theta=True)
+    metrics = book.metrics(rule)._replace(theta=market_to_book(v_reach, v_uncond))
+    records = run_schedule(metrics, _constant_schedule(T))
     summary = _base_summary(records)
     summary.update(
         {
@@ -528,7 +525,11 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict[str, Any]]:
         # As in run_exp5, the factor is checked whether or not the point executes.
         new_ask = None if factor is None else reprice(book.v_uncond(), factor)
         schedule = _sweep_schedule(cfg, point.get("T0"), point.get("lambda"))
-        records = run_schedule(book, rule, schedule, horizon=horizon)
+        try:
+            metrics = book.metrics(rule)
+        except NoLiquidity:
+            metrics = None  # a drought: every step holds without metrics
+        records = run_schedule(metrics, schedule, horizon=horizon)
         row: dict[str, Any] = {
             "grid_index": index, **point, **_base_summary(records), "post_theta": None, "regret": None,
         }

@@ -285,6 +285,15 @@ class TestEntryValidation:
         with pytest.raises(ValueError, match="^a status is one of hypothetical, lockup, liquid, got "):
             BOOK_PATHS[path](10.0, 5.0, status)
 
+    def test_rejects_a_value_column_that_holds_no_numbers(self):
+        # A string and a boolean cast to 1000.0 and 1.0 without this check.
+        with pytest.raises(ValueError, match="^v_intrinsic must hold numbers"):
+            PreferenceBook.from_columns(["x"], ["1e3"], [True], [2])
+        with pytest.raises(ValueError, match="^v_intrinsic must hold numbers"):
+            PreferenceBook([CandidateEntry("x", "1e3", True, "liquid")])
+        with pytest.raises(ValueError, match="^c_offer must hold numbers"):
+            PreferenceBook([CandidateEntry("x", 1e3, True, "liquid")])
+
     def test_rejects_duplicate_ids(self):
         with pytest.raises(ValueError):
             make_book([("a", 10.0, 0.0, "l"), ("a", 20.0, 0.0, "l")])

@@ -215,6 +215,10 @@ class TestOverrideContract:
             # At commit_threshold 1 the agent holds, and the factor is still checked.
             *(["exp5", "--override", "commit_threshold=1", "--override", f"shock_factor={factor}"]
               for factor in ("NaN", "-3", "0", "inf", "-inf")),
+            # A finite factor whose product overflows or underflows, on a hold.
+            ["exp5", "--override", "commit_threshold=1", "--override", "shock_factor=1e308"],
+            ["exp5", "--override", "ask=1e-300", "--override", "partner=0",
+             "--override", "shock_factor=1e-300"],
             ["sweep", "--override", "bid=1", "--override", "shock_factor=-1"],
             ["exp1", "--override", "T=true"],
             ["appendix-a", "--override", "T=0"],
@@ -233,6 +237,13 @@ class TestOverrideContract:
     def test_out_of_domain_value_is_config_error(self, argv, capsys):
         assert main(argv) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_overflowing_shock_on_a_held_sweep_point_is_config_error(self, tmp_path, capsys):
+        # 70 / 90 holds at 0.99, and 90 * 1e308 is still no ask.
+        cfg = tmp_path / "shock.json"
+        cfg.write_text(json.dumps({"grid": {"T0": [0.99], "shock_factor": [1e308]}}), encoding="utf-8")
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert "the repriced ask must be finite and > 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("command", ["exp1", "exp3"])

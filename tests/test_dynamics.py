@@ -9,6 +9,7 @@ from matchbook import (
     Decision,
     DecisionRecord,
     NotExecuted,
+    PreferenceBook,
     SETTLING_TABLE,
     StepBeforeSchedule,
     TableSchedule,
@@ -24,6 +25,7 @@ from matchbook import (
     run_schedule,
     step,
 )
+from matchbook.cli import main
 from conftest import make_book
 
 RULE = CompensationRule(elasticity=0.05, cap=20.0)
@@ -141,7 +143,7 @@ class TestDecide:
 
 class TestStep:
     def test_settling_run(self):
-        records = run_schedule(settling_book(), RULE, SETTLING_TABLE)
+        records = run_schedule(settling_book().metrics(RULE), SETTLING_TABLE)
         decisions = [r.decision for r in records]
         assert decisions == [Decision.HOLD, Decision.HOLD, Decision.HOLD, Decision.EXECUTE]
         commit = records[-1]
@@ -152,38 +154,60 @@ class TestStep:
 
     def test_marketable_bid_fills_on_first_step(self):
         book = make_book([("ideal", 90.0, 0.0, "h"), ("bid", 94.0, 0.0, "l")])
+        metrics = book.metrics(RULE, ask=90.0)
         for T in (0.70, 0.85, 1.0):
-            record = step(book, RULE, TableSchedule(points=((1, T),)), 1, ask=90.0)
+            record = step(metrics, TableSchedule(points=((1, T),)), 1)
             assert record.decision is Decision.EXECUTE
 
     def test_drought_records_hold_with_flag(self):
-        book = make_book([("ideal", 90.0, 0.0, "h")])
-        record = step(book, RULE, SETTLING_TABLE, 2)
+        record = step(None, SETTLING_TABLE, 2)
         assert record.drought is True
         assert record.decision is Decision.HOLD
         assert record.theta is None and record.delta_v is None and record.slippage is None
+        assert record.threshold == 0.88
+
+    def test_drought_holds_to_the_horizon(self):
+        records = run_schedule(None, SETTLING_TABLE)
+        assert [(r.t, r.drought, r.decision) for r in records] == [
+            (t, True, Decision.HOLD) for t in range(1, 6)
+        ]
 
     def test_execute_is_absorbing(self):
         # The schedule runs to t=5, but the run ends at its first execution.
         book = make_book([("bid", 90.0, 0.0, "l")])
-        records = run_schedule(book, RULE, TableSchedule(points=((1, 0.5), (5, 0.4))))
+        records = run_schedule(book.metrics(RULE), TableSchedule(points=((1, 0.5), (5, 0.4))))
         assert [(r.t, r.decision) for r in records] == [(1, Decision.EXECUTE)]
 
     def test_record_carries_metrics(self):
-        book = settling_book()
-        record = step(book, RULE, SETTLING_TABLE, 1)
+        metrics = settling_book().metrics(RULE)
+        record = step(metrics, SETTLING_TABLE, 1)
         assert record.t == 1
         assert record.threshold == 0.95
+        assert (record.theta, record.delta_v, record.slippage) == metrics
         assert record.theta == pytest.approx(70 / 90, abs=1e-12)
         assert record.delta_v == 20.0
         assert record.slippage == 20.0
 
     def test_deterministic_records(self):
         def run():
-            return run_schedule(settling_book(), RULE, SETTLING_TABLE)
+            return run_schedule(settling_book().metrics(RULE), SETTLING_TABLE)
 
         assert records_to_csv(run()) == records_to_csv(run())
         assert records_to_jsonl(run()) == records_to_jsonl(run())
+
+    def test_a_run_evaluates_its_book_once(self, monkeypatch, capsys):
+        # exp2 holds three steps and executes at the fourth on one snapshot.
+        calls = []
+        best_bid = PreferenceBook.best_bid
+
+        def counted(book, rule):
+            calls.append(rule)
+            return best_bid(book, rule)
+
+        monkeypatch.setattr(PreferenceBook, "best_bid", counted)
+        assert main(["exp2"]) == 0
+        assert "t_star = 4" in capsys.readouterr().out
+        assert len(calls) == 1
 
 
 class TestEventualExecution:
@@ -277,9 +301,12 @@ class TestApplyShock:
                 apply_shock(self.commit_record(), 99.0, partner)
 
     def test_overflowing_ask_is_no_verdict(self):
-        # 1e308 * 10 overflows to inf, which would read as theta = 0.
-        assert reprice(1e308, 10.0) == math.inf
-        for ask in (reprice(1e308, 10.0), -math.inf):
+        # 1e308 * 10 overflows to inf, which would read as theta = 0, and
+        # 1e-300 * 1e-300 underflows to an ask of 0.
+        for ask, factor in ((1e308, 10.0), (1e-300, 1e-300)):
+            with pytest.raises(ValueError, match="the repriced ask must be finite and > 0"):
+                reprice(ask, factor)
+        for ask in (math.inf, -math.inf):
             with pytest.raises(ValueError):
                 apply_shock(self.commit_record(), ask, 70.0)
 
