@@ -42,8 +42,8 @@ print("and what exists there is the least likely to be reachable.")
 
 print("\n== best bid of the generated book ==")
 rule = CompensationRule(elasticity=0.05, cap=20.0)
-best = book.best_bid(rule)
 metrics = book.metrics(rule)
+best = metrics.bid  # the bid the snapshot was priced from
 print(f"ask {book.v_uncond():.2f}, best bid {best.entry.v_intrinsic:.2f} "
       f"(effective {best.utility:.2f}), theta {metrics.theta:.4f}")
 

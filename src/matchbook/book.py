@@ -66,16 +66,18 @@ class BestBid(NamedTuple):
 
 
 class BookMetrics(NamedTuple):
-    """Snapshot metrics of a book under a compensation rule.
+    """Snapshot metrics of a book under a compensation rule, priced from the
+    best bid ``bid``.
 
-    theta uses the best bid's *effective* utility (compensation included);
-    delta_v uses the best bid's *intrinsic* value; slippage is the ask minus
+    theta uses the bid's *effective* utility (compensation included);
+    delta_v uses the bid's *intrinsic* value; slippage is the ask minus
     the effective utility.
     """
 
     theta: float
     delta_v: float
     slippage: float
+    bid: BestBid
 
 
 #: The most rows a book holds, however it is built (generated, loaded or
@@ -275,8 +277,9 @@ class PreferenceBook:
         k = int(utility.argmax())
         return BestBid(self._row(self._liquid[k]), float(utility[k]))
 
-    def metrics(self, rule: CompensationRule, ask: Valuation | None = None) -> BookMetrics:
-        """theta / delta_v / slippage of the current snapshot.
+    def metrics(self, rule: CompensationRule, ask: Valuation | None = None) -> BookMetrics | None:
+        """theta / delta_v / slippage of the current snapshot and the best bid
+        they are priced from; None when no row is liquid (a drought).
 
         ``ask`` overrides the book-derived internal ask.  The ask is a belief
         anchor and does not reprice when a strong bid arrives, so scenarios
@@ -284,11 +287,14 @@ class PreferenceBook:
         (the book-derived maximum would swallow the bid).
         """
         v_ask = self.v_uncond() if ask is None else ask
+        if self._v_reach is None:
+            return None
         best = self.best_bid(rule)
         return BookMetrics(
             theta=market_to_book(best.utility, v_ask),
             delta_v=spread(v_ask, best.entry.v_intrinsic),
             slippage=slippage(v_ask, best.utility),
+            bid=best,
         )
 
 

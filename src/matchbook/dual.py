@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .book import PreferenceBook, csv_columns, write_csv
-from .errors import NoLiquidity
 from .valuation import CompensationRule, Money, required_transfer
 
 
@@ -78,13 +77,6 @@ def effective_compensation_cap(
     return min(transfer, c_max)
 
 
-def _side_theta(book: PreferenceBook, rule: CompensationRule) -> tuple[float | None, bool]:
-    try:
-        return book.metrics(rule).theta, False
-    except NoLiquidity:
-        return None, True
-
-
 def triple_coincidence(
     f_book: PreferenceBook,
     f_threshold: float,
@@ -105,12 +97,13 @@ def triple_coincidence(
         raise ValueError(f"f_threshold must lie in (0, 1], got {f_threshold}")
     if math.isnan(c_required) or c_required < 0:
         raise ValueError(f"c_required must be >= 0 (inf allowed), got {c_required}")
-    f_theta, f_drought = _side_theta(f_book, rule)
-    m_theta, m_drought = _side_theta(m.book, rule)
+    f_metrics, m_metrics = f_book.metrics(rule), m.book.metrics(rule)  # None: a drought
+    f_theta = None if f_metrics is None else f_metrics.theta
+    m_theta = None if m_metrics is None else m_metrics.theta
 
-    if f_drought or f_theta < f_threshold:
+    if f_metrics is None or f_theta < f_threshold:
         result = MatchResult.F_SIDE_HOLD
-    elif m_drought or m_theta < m.threshold:
+    elif m_metrics is None or m_theta < m.threshold:
         result = MatchResult.M_SIDE_HOLD
     elif c_required > m.c_max:
         result = MatchResult.CIRCUIT_BREAKER
@@ -123,8 +116,8 @@ def triple_coincidence(
         m_theta=m_theta,
         c_required=c_required,
         c_max=m.c_max,
-        f_drought=f_drought,
-        m_drought=m_drought,
+        f_drought=f_metrics is None,
+        m_drought=m_metrics is None,
     )
 
 

@@ -1,12 +1,14 @@
 """Semantic exception hierarchy for the matchbook engine.
 
 Every failure mode callers are expected to branch on gets its own class.
-Configuration problems derive from :class:`InvalidConfig` and liquidity
-droughts surface as :class:`NoLiquidity`.  Which errors the CLI turns into
-which exit status is one table in ``cli.main``: :class:`InvalidConfig`,
-:class:`NonPositiveAsk`, :class:`OutOfRange`, ``ValueError`` and
-``OverflowError`` exit 2, :class:`NoLiquidity` exits 3, and any other
-exception is a bug that keeps its traceback.
+Configuration problems derive from :class:`InvalidConfig`.  A liquidity
+drought is an ordinary outcome: ``PreferenceBook.metrics`` returns None for
+it, and :class:`NoLiquidity` comes only from ``PreferenceBook.best_bid`` and
+``PreferenceBook.v_reach``, the queries that need a liquid row.  Which
+errors the CLI turns into which exit status is one table in ``cli.main``:
+:class:`InvalidConfig`, :class:`NonPositiveAsk`, :class:`OutOfRange`,
+``ValueError`` and ``OverflowError`` exit 2, :class:`NoLiquidity` exits 3,
+and any other exception is a bug that keeps its traceback.
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ from .dynamics import (
     reprice,
     step,
 )
-from .errors import EmptyGrid, InvalidConfig, MissingOverride, NoLiquidity
+from .errors import EmptyGrid, InvalidConfig, MissingOverride
 from .population import PopulationConfig, generate
 from .valuation import CompensationRule, effective_utility, market_to_book
 
@@ -48,6 +48,11 @@ MAX_HORIZON = 10_000
 #: The most points a sweep grid may have, counted as the product of its list
 #: lengths before any point is built.
 MAX_GRID_POINTS = 10_000
+
+#: The top-level keys config_from_mapping reads; any other key is a config error.
+CONFIG_KEYS = frozenset(
+    ("experiment", "owner_id", "overrides", "schedule", "book", "population", "grid", "seed", "format")
+)
 
 
 # -- configuration ---------------------------------------------------------------
@@ -82,6 +87,14 @@ def _number(value: object) -> float:
     return float(value)
 
 
+def _grid_values(value: object) -> list[float]:
+    """A grid parameter's values: a JSON array of numbers, since a string
+    would iterate one character at a time."""
+    if not isinstance(value, list):
+        raise TypeError(f"a grid value must be an array of numbers, got {value!r}")
+    return [_number(x) for x in value]
+
+
 def _schedule_from_mapping(d: dict) -> ThresholdSchedule:
     mode = d["mode"]
     if mode == "table":
@@ -95,6 +108,9 @@ def _schedule_from_mapping(d: dict) -> ThresholdSchedule:
 
 def config_from_mapping(experiment: str, data: dict, seed: int | None = None) -> ExperimentConfig:
     """Build a config from a parsed JSON object; ``seed`` (CLI) wins if given."""
+    unknown = sorted(set(data) - CONFIG_KEYS)
+    if unknown:
+        raise InvalidConfig(f"unknown config keys {unknown}; supported: {', '.join(sorted(CONFIG_KEYS))}")
     try:
         schedule = _schedule_from_mapping(data["schedule"]) if "schedule" in data else None
         book = None
@@ -111,7 +127,7 @@ def config_from_mapping(experiment: str, data: dict, seed: int | None = None) ->
             population = PopulationConfig(**pop)
         grid = None
         if "grid" in data:
-            grid = {str(k): [_number(x) for x in v] for k, v in dict(data["grid"]).items()}
+            grid = {str(k): _grid_values(v) for k, v in dict(data["grid"]).items()}
         return ExperimentConfig(
             experiment=experiment,
             overrides=dict(data.get("overrides", {})),
@@ -361,16 +377,16 @@ def run_exp4(cfg: ExperimentConfig) -> ExperimentReport:
     records: list[DecisionRecord] = []
     for label, base in (("high_norm", base_high), ("low_norm", base_low)):
         book = _bid_book(v_uncond, ("A", v_a, base + e_a), ("B", v_b, base + e_b), owner=f"F-{label}")
-        best = book.best_bid(rule)
-        market_records = run_schedule(book.metrics(rule), _constant_schedule(T))
+        metrics = book.metrics(rule)
+        market_records = run_schedule(metrics, _constant_schedule(T))
         records.extend(market_records)
         markets.append(
             {
                 "market": label,
                 "base": base,
-                "selected_id": best.entry.id,
-                "selected_v": best.entry.v_intrinsic,
-                "utility": best.utility,
+                "selected_id": metrics.bid.entry.id,
+                "selected_v": metrics.bid.entry.v_intrinsic,
+                "utility": metrics.bid.utility,
                 "theta": market_records[-1].theta,
                 "decision": market_records[-1].decision.value,
             }
@@ -426,8 +442,7 @@ def run_appendix_a(cfg: ExperimentConfig) -> ExperimentReport:
         raise MissingOverride("appendix_a needs a book (five-row fixture)")
     book = cfg.book
     v_uncond = book.v_uncond()
-    v_reach = book.v_reach()
-    best = book.best_bid(rule)
+    v_reach = book.v_reach()  # a drought raises here: exit 3
     metrics = book.metrics(rule)._replace(theta=market_to_book(v_reach, v_uncond))
     records = run_schedule(metrics, _constant_schedule(T))
     summary = _base_summary(records)
@@ -439,8 +454,8 @@ def run_appendix_a(cfg: ExperimentConfig) -> ExperimentReport:
                 e.id: effective_utility(e.v_intrinsic, e.c_offer, rule)
                 for e in book.entries if e.status is LiquidityStatus.LIQUID
             },
-            "best_id": best.entry.id,
-            "best_utility": best.utility,
+            "best_id": metrics.bid.entry.id,
+            "best_utility": metrics.bid.utility,
             "theta_convention": "intrinsic",
         }
     )
@@ -525,18 +540,14 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict[str, Any]]:
         # As in run_exp5, the factor is checked whether or not the point executes.
         new_ask = None if factor is None else reprice(book.v_uncond(), factor)
         schedule = _sweep_schedule(cfg, point.get("T0"), point.get("lambda"))
-        try:
-            metrics = book.metrics(rule)
-        except NoLiquidity:
-            metrics = None  # a drought: every step holds without metrics
+        metrics = book.metrics(rule)  # None in a drought: every step holds
         records = run_schedule(metrics, schedule, horizon=horizon)
         row: dict[str, Any] = {
             "grid_index": index, **point, **_base_summary(records), "post_theta": None, "regret": None,
         }
         commit = records[-1]
         if new_ask is not None and commit.decision is Decision.EXECUTE:
-            partner = book.best_bid(rule).entry.v_intrinsic
-            post = apply_shock(commit, new_ask, partner)
+            post = apply_shock(commit, new_ask, metrics.bid.entry.v_intrinsic)
             row["post_theta"], row["regret"] = post.theta, post.theta < post.threshold
         rows.append(row)
     return rows

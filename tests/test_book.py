@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from matchbook import (
+    BestBid,
     BookMetrics,
     CandidateEntry,
     CompensationRule,
@@ -254,6 +255,20 @@ class TestMetrics:
         with pytest.raises(NonPositiveAsk):
             book.metrics(CLIPPED)
 
+    @pytest.mark.parametrize("ask", [None, 90.0])
+    def test_no_liquid_row_is_a_drought(self, ask):
+        book = make_book([("ideal", 95.0, 0.0, "h"), ("taken", 88.0, 0.0, "k")])
+        assert book.metrics(CLIPPED, ask=ask) is None
+        with pytest.raises(NoLiquidity):
+            book.best_bid(CLIPPED)
+
+    @pytest.mark.parametrize("rule", [LINEAR, CLIPPED])
+    def test_carries_the_bid_it_priced(self, worked_book, rule):
+        m = worked_book.metrics(rule)
+        assert m.bid == worked_book.best_bid(rule)
+        assert m.delta_v == worked_book.v_uncond() - m.bid.entry.v_intrinsic
+        assert m.slippage == worked_book.v_uncond() - m.bid.utility
+
 
 #: Every way into a book: each builds a good row, then row ``x`` from a value, offer and status.
 BOOK_PATHS = {
@@ -462,9 +477,11 @@ def reference_best(rows, rule):
 
 def reference_metrics(rows, rule):
     v_ask = max(e.v_intrinsic for e in rows)
+    if not any(e.status is LiquidityStatus.LIQUID for e in rows):
+        return None
     best, utility = reference_best(rows, rule)
     return BookMetrics(market_to_book(utility, v_ask), spread(v_ask, best.v_intrinsic),
-                       slippage(v_ask, utility))
+                       slippage(v_ask, utility), BestBid(best, utility))
 
 
 def csv_text(lines):

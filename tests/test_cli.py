@@ -354,9 +354,11 @@ class TestOverrideContract:
         ['{"seed": 1e400}', '{"seed": 1.5}', '{"seed": "7"}', '{"seed": true}',
          '{"schedule": {"mode": "table", "points": [[1e400, 0.5]]}}', '{"grid": 5}',
          '{"schedule": {"mode": "table", "points": [[1.5, 0.99], [2.7, 0.5]]}}',
-         '{"schedule": {"mode": "decay", "t0": true, "rate": 0.1}}', '{"grid": {"T0": [true]}}'],
+         '{"schedule": {"mode": "decay", "t0": true, "rate": 0.1}}', '{"grid": {"T0": [true]}}',
+         '{"grid": {"T0": [0.8], "cap": "20"}}', '{"overides": {"bid": 3}}'],
         ids=["overflowing-seed", "fractional-seed", "string-seed", "boolean-seed", "overflowing-step",
-             "scalar-grid", "fractional-steps", "boolean-t0", "boolean-grid-value"],
+             "scalar-grid", "fractional-steps", "boolean-t0", "boolean-grid-value",
+             "string-grid-value", "misspelled-key"],
     )
     @pytest.mark.parametrize("command", CONFIG_COMMANDS)
     def test_bad_config_is_config_error(self, command, text, tmp_path, capsys):

@@ -183,7 +183,7 @@ class TestStep:
         record = step(metrics, SETTLING_TABLE, 1)
         assert record.t == 1
         assert record.threshold == 0.95
-        assert (record.theta, record.delta_v, record.slippage) == metrics
+        assert (record.theta, record.delta_v, record.slippage) == metrics[:3]
         assert record.theta == pytest.approx(70 / 90, abs=1e-12)
         assert record.delta_v == 20.0
         assert record.slippage == 20.0

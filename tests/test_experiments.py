@@ -8,10 +8,12 @@ from matchbook import (
     ExperimentReport,
     InvalidConfig,
     MissingOverride,
+    PreferenceBook,
     apply_shock,
     reprice,
     run_sweep,
 )
+from matchbook.cli import main
 from matchbook.experiments import (
     RUNNERS,
     config_from_mapping,
@@ -24,6 +26,20 @@ from matchbook.experiments import (
     run_exp4,
     run_exp5,
 )
+
+
+@pytest.fixture
+def best_bid_calls(monkeypatch):
+    """The rule of every PreferenceBook.best_bid query the test makes."""
+    calls = []
+    best_bid = PreferenceBook.best_bid
+
+    def counted(book, rule):
+        calls.append(rule)
+        return best_bid(book, rule)
+
+    monkeypatch.setattr(PreferenceBook, "best_bid", counted)
+    return calls
 
 
 def cfg_for(name, overrides=None, **top):
@@ -144,6 +160,11 @@ class TestExp4:
             )
             assert market["selected_id"] == oracle
 
+    def test_each_market_queries_its_book_once(self, best_bid_calls, capsys):
+        assert main(["exp4"]) == 0
+        assert "ranking_invariant = True" in capsys.readouterr().out
+        assert len(best_bid_calls) == 2
+
 
 class TestExp5:
     def test_shock_triggers_regret(self):
@@ -180,6 +201,11 @@ class TestExp5:
 
 
 class TestAppendixA:
+    def test_the_replay_queries_its_book_once(self, best_bid_calls, capsys):
+        assert main(["appendix-a"]) == 0
+        assert "best_id = C" in capsys.readouterr().out
+        assert len(best_bid_calls) == 1
+
     def test_full_replay(self):
         report = run_appendix_a(cfg_for("appendix_a"))
         s = report.summary
@@ -306,6 +332,17 @@ class TestSweep:
         assert rows[0]["regret"] is False
         assert rows[1]["regret"] is True
         assert rows[1]["post_theta"] == pytest.approx(75 / 99, abs=1e-12)
+
+    def test_a_shocked_point_queries_its_book_once(self, best_bid_calls):
+        # The partner of the shock is the bid the point's snapshot was priced from.
+        data = {
+            "overrides": {"v_uncond": 90, "bid": 75, "c": 0, "T0": 0.8},
+            "grid": {"shock_factor": [1.0, 1.1, 1.2]},
+        }
+        rows = run_sweep(config_from_mapping("sweep", data))
+        assert all(row["decision"] == "execute" and row["post_theta"] is not None for row in rows)
+        assert rows[2]["post_theta"] == 75 / reprice(90.0, 1.2)
+        assert len(best_bid_calls) == 3
 
     def test_population_generated_once_per_reach_slope(self, monkeypatch):
         import matchbook.experiments as experiments
