@@ -54,6 +54,26 @@ CONFIG_KEYS = frozenset(
     ("experiment", "owner_id", "overrides", "schedule", "book", "population", "grid", "seed", "format")
 )
 
+#: The override keys each command takes; any other key is a config error.  The
+#: sets are declared, not the keys a run reads: a sweep over a population never
+#: reads the fixture's bid.  Every scenario also takes the compensation rule's
+#: elasticity and cap; gen takes no overrides.
+OVERRIDE_KEYS: dict[str, frozenset[str]] = {
+    "gen": frozenset(),
+    **{
+        name: frozenset(("elasticity", "cap", *keys))
+        for name, keys in (
+            ("exp1", ("v_uncond", "bid", "c", "T")),
+            ("exp2", ("v_uncond", "v_reach")),
+            ("exp3", ("v_uncond", "bid", "c", "T")),
+            ("exp4", ("v_uncond", "T", "v_a", "effort_a", "v_b", "effort_b", "base_high", "base_low")),
+            ("exp5", ("partner", "ask", "commit_threshold", "shock_factor")),
+            ("appendix_a", ("T",)),
+            ("sweep", ("v_uncond", "bid", "c", "T", "T0", "lambda", "floor", "horizon", "shock_factor")),
+        )
+    },
+}
+
 
 # -- configuration ---------------------------------------------------------------
 
@@ -72,8 +92,15 @@ class ExperimentConfig:
     format: str = "json"
 
     def __post_init__(self) -> None:
-        if self.experiment not in RUNNERS and self.experiment not in ("sweep", "gen"):
+        if self.experiment not in OVERRIDE_KEYS:
             raise InvalidConfig(f"unknown experiment {self.experiment!r}")
+        declared = OVERRIDE_KEYS[self.experiment]
+        unknown = sorted(set(self.overrides) - declared)
+        if unknown:
+            supported = ", ".join(sorted(declared)) or "none"
+            raise InvalidConfig(
+                f"unknown override keys {unknown} for {self.experiment}; supported: {supported}"
+            )
         if self.format not in ("csv", "json"):
             raise InvalidConfig(f"format must be csv or json, got {self.format!r}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:

@@ -173,10 +173,30 @@ class DensityProfile:
     def beta(cls, alpha: float, beta: float) -> "DensityProfile":
         if not (0 < alpha < math.inf and 0 < beta < math.inf):  # NaN fails both
             raise InvalidConfig(f"beta profile shapes must be finite and > 0, got {alpha}, {beta}")
-        from scipy import stats  # its only user: importing matchbook stays scipy-free
+        name = f"beta:{alpha:g},{beta:g}"
+        # SciPy's only user, imported here so importing matchbook stays
+        # scipy-free.  stats.beta.pdf ends in the private Boost ufunc
+        # scipy.special._ufuncs._beta_pdf, and scipy.stats costs about 1 s and
+        # 45 MB to import, so g calls the ufunc as beta_gen._pdf does and
+        # masks as beta.pdf does: 0.0 outside [0, 1], NaN for NaN.
+        # tests/test_population.py::TestBetaDensity guards the name and
+        # checks g against stats.beta.pdf bit for bit.
+        try:
+            from scipy.special._ufuncs import _beta_pdf
+        except ImportError:  # a SciPy that does not export it
+            from scipy import stats
 
-        dist = stats.beta(alpha, beta)
-        return cls(f"beta:{alpha:g},{beta:g}", lambda h: dist.pdf(np.asarray(h, dtype=float)))
+            return cls(name, lambda h: stats.beta.pdf(np.asarray(h, dtype=float), alpha, beta))
+
+        def g(h: np.ndarray) -> np.ndarray:
+            x = np.asarray(h, dtype=float)
+            inside = (0.0 <= x) & (x <= 1.0)
+            out = np.where(np.isnan(x), np.nan, 0.0)
+            with np.errstate(over="ignore"):
+                out[inside] = _beta_pdf(x[inside], alpha, beta)
+            return out[()] if out.ndim == 0 else out
+
+        return cls(name, g)
 
     @classmethod
     def tabulated(cls, heights: np.ndarray, densities: np.ndarray) -> "DensityProfile":

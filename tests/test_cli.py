@@ -238,6 +238,21 @@ class TestOverrideContract:
         assert main(argv) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", SCENARIOS)
+    def test_unknown_override_key_is_config_error(self, command, tmp_path, capsys):
+        # A misspelled key is rejected, not ignored in favour of the fixture's value.
+        out = tmp_path / "out"
+        assert main([command, "--override", "bidd=3", "--out", str(out)]) == 2
+        assert "unknown override keys ['bidd']" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [*SCENARIOS, "gen"])
+    def test_unknown_override_key_in_config_is_config_error(self, command, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"overrides": {"bidd": 3}}', encoding="utf-8")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "unknown override keys ['bidd']" in capsys.readouterr().err
+
     def test_overflowing_shock_on_a_held_sweep_point_is_config_error(self, tmp_path, capsys):
         # 70 / 90 holds at 0.99, and 90 * 1e308 is still no ask.
         cfg = tmp_path / "shock.json"
@@ -716,14 +731,26 @@ class TestModuleEntryPoint:
         assert "immediate_fill = True" in proc.stdout
         assert json.loads(out.read_text())["summary"]["t_star"] == 1
 
-    def test_cli_import_leaves_scipy_stats_unloaded(self):
-        # scipy.stats takes about a second to import; only the beta profile needs it.
-        code = "import sys, matchbook.cli; print('scipy.stats' in sys.modules)"
+    @staticmethod
+    def run_fresh(code):
+        """Run ``code`` in a fresh interpreter that imports this matchbook; its stdout."""
         src = str(Path(matchbook.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        return proc.stdout
+
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats takes about a second to import, and no command needs it.
+        code = "import sys, matchbook.cli; print('scipy.stats' in sys.modules)"
+        assert self.run_fresh(code).strip() == "False"
+
+    def test_beta_cone_leaves_scipy_stats_unloaded(self):
+        # The beta profile calls the Boost density in scipy.special directly.
+        code = ("import sys; from matchbook import cli; "
+                "status = cli.main(['cone', '--profile', 'beta:2,8', '--h0', '0.5']); "
+                "print(status, 'scipy.stats' in sys.modules)")
+        assert self.run_fresh(code) == "0.06135923153751499\n0 False\n"
 
     def test_usage_error_is_exit_2(self):
         proc = subprocess.run(

@@ -15,6 +15,7 @@ from matchbook import (
 )
 from matchbook.cli import main
 from matchbook.experiments import (
+    OVERRIDE_KEYS,
     RUNNERS,
     config_from_mapping,
     load_fixture,
@@ -456,6 +457,21 @@ class TestConfigMachinery:
     def test_unknown_experiment(self):
         with pytest.raises(InvalidConfig):
             config_from_mapping("exp9", {})
+
+    @pytest.mark.parametrize("name", sorted(OVERRIDE_KEYS))
+    def test_override_keys_are_declared_per_command(self, name):
+        data = load_fixture(name)
+        assert set(data.get("overrides", {})) <= OVERRIDE_KEYS[name]
+        for key in OVERRIDE_KEYS[name]:
+            config_from_mapping(name, merge_config(data, {"overrides": {key: 1}}))
+        with pytest.raises(InvalidConfig, match=r"unknown override keys \['bidd'\]"):
+            config_from_mapping(name, merge_config(data, {"overrides": {"bidd": 3}}))
+
+    def test_declared_key_a_run_does_not_read_is_accepted(self):
+        # A sweep over a population keeps the fixture's bid keys unread.
+        data = merge_config(load_fixture("sweep"), {"population": {"n_candidates": 20}})
+        rows = run_sweep(config_from_mapping("sweep", data))
+        assert [row["grid_index"] for row in rows] == list(range(5))
 
     def test_seed_argument_wins(self):
         cfg = config_from_mapping("gen", load_fixture("gen"), seed=123)

@@ -1,12 +1,15 @@
 """Output bytes pinned across commits.
 
 Every ``--out`` file the CLI writes at fixture defaults with ``--seed 42``,
-in both formats, must hash to the value recorded here.  A refactor that
+in both formats, must hash to the value recorded here, and ``cone`` must
+print and write the volumes recorded here.  A refactor that
 changes any byte of a report, record stream, sweep table or generated book
 fails this test; a deliberate format change re-records the table.
 """
 
+import contextlib
 import hashlib
+import io
 
 import pytest
 
@@ -87,3 +90,24 @@ def test_configured_gen_bytes_match_golden(fmt, tmp_path):
     assert main(["gen", "--config", str(cfg), "--seed", "42", "--format", fmt, "--out", str(out)]) == 0
     for name in (out.name, f"{out.name}.meta.json"):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == GOLDEN_GEN_101[name], name
+
+
+#: ``cone`` prints the volume's repr and writes the same line to ``--out``.
+GOLDEN_CONE = {
+    ("uniform", "0.25"): "2.356194490192345\n",
+    ("uniform", "0.5"): "1.5707963267948966\n",
+    ("linear-cone", "0.25"): "0.44178646693315404\n",
+    ("linear-cone", "0.5"): "0.1308996939061197\n",
+    ("beta:2,8", "0.25"): "0.9435419954372422\n",
+    ("beta:2,8", "0.5"): "0.06135923153751499\n",
+}
+
+
+@pytest.mark.parametrize("profile, h0", list(GOLDEN_CONE), ids="-".join)
+def test_cone_bytes_match_golden(profile, h0, tmp_path):
+    out = tmp_path / "cone.txt"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["cone", "--profile", profile, "--h0", h0, "--out", str(out)]) == 0
+    assert stdout.getvalue() == GOLDEN_CONE[profile, h0]
+    assert out.read_bytes() == GOLDEN_CONE[profile, h0].encode()

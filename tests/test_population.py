@@ -248,3 +248,52 @@ class TestConeVolume:
     def test_tabulated_grid_must_be_finite_and_increasing(self, heights, densities):
         with pytest.raises(InvalidConfig):
             DensityProfile.tabulated(np.array(heights), np.array(densities))
+
+
+#: Beta shapes below, at and above 1, and at the ends of the float range.
+BETA_SHAPES = (0.5, 1.0, 2.0, 8.0, 1e-300, 1e300)
+
+#: Density points: the support's ends with both zeros, subnormals, interior
+#: points, points outside [0, 1], the infinities and NaN.
+BETA_POINTS = np.array(
+    [0.0, -0.0, 1.0, 5e-324, -5e-324, 1e-300, 0.25, 0.5, 1 - 2**-53, 1 + 2**-52,
+     -0.5, 1.5, -1e300, math.inf, -math.inf, math.nan]
+)
+
+
+def density_outcome(pdf, x):
+    """What a density gives at x: its type and bit pattern, or the exception it raises."""
+    try:
+        result = pdf(x)
+    except OverflowError:
+        return OverflowError
+    return type(result), np.asarray(result).view(np.uint64).tolist()
+
+
+class TestBetaDensity:
+    """DensityProfile.beta's g calls scipy.special._ufuncs._beta_pdf, the
+    private Boost ufunc behind stats.beta.pdf, and must give stats.beta.pdf's
+    values bit for bit: signed zeros, NaN and OverflowError included."""
+
+    @pytest.mark.parametrize("b", BETA_SHAPES, ids=repr)
+    @pytest.mark.parametrize("a", BETA_SHAPES, ids=repr)
+    def test_density_matches_scipy_stats_bit_for_bit(self, a, b):
+        g, pdf = DensityProfile.beta(a, b).g, stats.beta(a, b).pdf
+        assert density_outcome(g, BETA_POINTS) == density_outcome(pdf, BETA_POINTS)
+        for x in BETA_POINTS:
+            assert density_outcome(g, x) == density_outcome(pdf, x), x
+
+    def test_takes_the_ufunc_not_scipy_stats(self, monkeypatch):
+        monkeypatch.setattr(stats.beta, "pdf", lambda *args: pytest.fail("g called stats.beta.pdf"))
+        assert DensityProfile.beta(2, 8).g(0.5) == pytest.approx(0.28125)  # 72 * 0.5 * 0.5**7
+
+    def test_falls_back_to_scipy_stats_without_the_ufunc(self, monkeypatch):
+        import scipy.special._ufuncs
+
+        monkeypatch.delattr(scipy.special._ufuncs, "_beta_pdf")
+        profile = DensityProfile.beta(2, 8)
+        monkeypatch.undo()
+        expected, calls, pdf = density_outcome(stats.beta(2, 8).pdf, BETA_POINTS), [], stats.beta.pdf
+        monkeypatch.setattr(stats.beta, "pdf", lambda *args: calls.append(args) or pdf(*args))
+        assert density_outcome(profile.g, BETA_POINTS) == expected
+        assert len(calls) == 1
