@@ -1,8 +1,9 @@
 """Experiment runners and their configuration.
 
 Every scenario constant lives in a checked-in JSON fixture under
-``matchbook/configs/`` so each numbered experiment is reproducible from its
-config alone; user configs and ``--override`` flags merge on top.  Runners
+``matchbook/configs/`` or, as a default, in ``OVERRIDE_KEYS``, so each
+numbered experiment is reproducible from its config alone; user configs and
+``--override`` flags merge on top.  Runners
 emit an :class:`ExperimentReport`, which checks its summary against its own
 decision records when it is built (``verify``), so a report can never
 disagree with its record stream.
@@ -54,22 +55,24 @@ CONFIG_KEYS = frozenset(
     ("experiment", "owner_id", "overrides", "schedule", "book", "population", "grid", "seed", "format")
 )
 
-#: The override keys each command takes; any other key is a config error.  The
-#: sets are declared, not the keys a run reads: a sweep over a population never
+#: The override keys each command takes, each with its default (None: a run
+#: that reads the key needs it given); any other key is a config error.  The
+#: keys are declared, not the keys a run reads: a sweep over a population never
 #: reads the fixture's bid.  Every scenario also takes the compensation rule's
 #: elasticity and cap; gen takes no overrides.
-OVERRIDE_KEYS: dict[str, frozenset[str]] = {
-    "gen": frozenset(),
+OVERRIDE_KEYS: dict[str, dict[str, float | None]] = {
+    "gen": {},
     **{
-        name: frozenset(("elasticity", "cap", *keys))
-        for name, keys in (
-            ("exp1", ("v_uncond", "bid", "c", "T")),
-            ("exp2", ("v_uncond", "v_reach")),
-            ("exp3", ("v_uncond", "bid", "c", "T")),
-            ("exp4", ("v_uncond", "T", "v_a", "effort_a", "v_b", "effort_b", "base_high", "base_low")),
-            ("exp5", ("partner", "ask", "commit_threshold", "shock_factor")),
-            ("appendix_a", ("T",)),
-            ("sweep", ("v_uncond", "bid", "c", "T", "T0", "lambda", "floor", "horizon", "shock_factor")),
+        name: {**dict.fromkeys(keys), "elasticity": 0.05, "cap": 20.0, **defaults}
+        for name, keys, defaults in (
+            ("exp1", ("v_uncond", "bid", "c", "T"), {}),
+            ("exp2", ("v_uncond", "v_reach"), {}),
+            ("exp3", ("v_uncond", "bid", "c", "T"), {}),
+            ("exp4", ("v_uncond", "T", "v_a", "effort_a", "v_b", "effort_b", "base_high", "base_low"), {}),
+            ("exp5", ("partner", "ask", "commit_threshold", "shock_factor"), {}),
+            ("appendix_a", ("T",), {}),
+            ("sweep", ("v_uncond", "bid", "c", "T", "T0", "horizon", "shock_factor"),
+             {"lambda": 0.0, "floor": 0.0}),
         )
     },
 }
@@ -80,22 +83,22 @@ OVERRIDE_KEYS: dict[str, frozenset[str]] = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Merged scenario configuration for one runner invocation."""
+    """Merged scenario configuration for one runner invocation; once built,
+    ``overrides`` holds floats, the overrides given over OVERRIDE_KEYS' defaults."""
 
     experiment: str
-    overrides: dict[str, Any] = field(default_factory=dict)
+    overrides: dict[str, float] = field(default_factory=dict)
     schedule: ThresholdSchedule | None = None
     population: PopulationConfig | None = None
     book: PreferenceBook | None = None
     grid: dict[str, list[float]] | None = None
-    seed: int = 42
     format: str = "json"
 
     def __post_init__(self) -> None:
         if self.experiment not in OVERRIDE_KEYS:
             raise InvalidConfig(f"unknown experiment {self.experiment!r}")
         declared = OVERRIDE_KEYS[self.experiment]
-        unknown = sorted(set(self.overrides) - declared)
+        unknown = sorted(self.overrides.keys() - declared.keys())
         if unknown:
             supported = ", ".join(sorted(declared)) or "none"
             raise InvalidConfig(
@@ -103,8 +106,13 @@ class ExperimentConfig:
             )
         if self.format not in ("csv", "json"):
             raise InvalidConfig(f"format must be csv or json, got {self.format!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
-            raise InvalidConfig(f"seed must be an unsigned integer, got {self.seed!r}")
+        overrides = {key: value for key, value in declared.items() if value is not None}
+        for key, value in self.overrides.items():
+            try:
+                overrides[key] = _number(value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise InvalidConfig(f"override for {self.experiment} is no float: {key}={value!r}") from exc
+        object.__setattr__(self, "overrides", overrides)
 
 
 def _number(value: object) -> float:
@@ -138,6 +146,9 @@ def config_from_mapping(experiment: str, data: dict, seed: int | None = None) ->
     unknown = sorted(set(data) - CONFIG_KEYS)
     if unknown:
         raise InvalidConfig(f"unknown config keys {unknown}; supported: {', '.join(sorted(CONFIG_KEYS))}")
+    run_seed = seed if seed is not None else data.get("seed", 42)
+    if isinstance(run_seed, bool) or not isinstance(run_seed, int) or run_seed < 0:
+        raise InvalidConfig(f"seed must be an unsigned integer, got {run_seed!r}")
     try:
         schedule = _schedule_from_mapping(data["schedule"]) if "schedule" in data else None
         book = None
@@ -150,7 +161,7 @@ def config_from_mapping(experiment: str, data: dict, seed: int | None = None) ->
             pop = dict(data["population"])
             if seed is not None:
                 pop["seed"] = seed
-            pop.setdefault("seed", data.get("seed", 42))
+            pop.setdefault("seed", run_seed)
             population = PopulationConfig(**pop)
         grid = None
         if "grid" in data:
@@ -162,7 +173,6 @@ def config_from_mapping(experiment: str, data: dict, seed: int | None = None) ->
             population=population,
             book=book,
             grid=grid,
-            seed=seed if seed is not None else data.get("seed", 42),
             format=str(data.get("format", "json")),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -189,26 +199,16 @@ def merge_config(base: dict, user: dict) -> dict:
     return merged
 
 
-def _override(cfg: ExperimentConfig, key: str, default: float | None = None) -> float:
-    """A numeric override, or ``default`` when the key is absent."""
-    value = cfg.overrides.get(key, default)
-    try:
-        return _number(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidConfig(f"override for {cfg.experiment} is no float: {key}={value!r}") from exc
-
-
-def _need(cfg: ExperimentConfig, *keys: str) -> list[float]:
+def _need(cfg: ExperimentConfig, *keys: str) -> dict[str, float]:
+    """The overrides ``keys`` in the order given: a runner's constants echo."""
     missing = [k for k in keys if k not in cfg.overrides]
     if missing:
         raise MissingOverride(f"{cfg.experiment} needs overrides: {', '.join(missing)}")
-    return [_override(cfg, k) for k in keys]
+    return {k: cfg.overrides[k] for k in keys}
 
 
-def _rule(cfg: ExperimentConfig, eps: float | None = None, cap: float | None = None) -> CompensationRule:
-    elasticity = eps if eps is not None else _override(cfg, "elasticity", 0.05)
-    ceiling = cap if cap is not None else _override(cfg, "cap", 20.0)
-    return CompensationRule(elasticity=elasticity, cap=ceiling)
+def _rule(cfg: ExperimentConfig) -> CompensationRule:
+    return CompensationRule(elasticity=cfg.overrides["elasticity"], cap=cfg.overrides["cap"])
 
 
 def _constant_schedule(T: float) -> TableSchedule:
@@ -344,68 +344,69 @@ def _base_summary(records: list[DecisionRecord]) -> dict[str, Any]:
     }
 
 
+def _shock(
+    records: list[DecisionRecord], new_ask: float | None, partner: float | None
+) -> DecisionRecord | None:
+    """The post-shock record of a run that executed, at the repriced ask
+    ``new_ask``; None for a hold or where no shock lands."""
+    if new_ask is None or records[-1].decision is not Decision.EXECUTE:
+        return None
+    return apply_shock(records[-1], new_ask, partner)
+
+
 # -- the numbered runners ------------------------------------------------------------
+
+
+def _pinned_ask(cfg: ExperimentConfig, *echoed: str) -> tuple[dict[str, float], list[DecisionRecord]]:
+    """One bid against an ask pinned at ``v_uncond``, under a constant
+    threshold: the constants echo (``echoed`` appended) and the records."""
+    k = _need(cfg, "v_uncond", "bid", "c", "T", *echoed)
+    book = _bid_book(k["v_uncond"], ("bid", k["bid"], k["c"]))
+    # The ask is pinned: a bid above it would otherwise become the ask.
+    return k, run_schedule(book.metrics(_rule(cfg), ask=k["v_uncond"]), _constant_schedule(k["T"]))
 
 
 def run_exp1(cfg: ExperimentConfig) -> ExperimentReport:
     """Deep out-of-the-money bid with an aggressive transfer: the clipped
     compensation rule leaves the spread open and the order is rejected."""
-    v_uncond, bid, c, T = _need(cfg, "v_uncond", "bid", "c", "T")
-    rule = _rule(cfg)
-    book = _bid_book(v_uncond, ("bid", bid, c))
-    # The ask is pinned: a bid above it would otherwise become the ask.
-    records = run_schedule(book.metrics(rule, ask=v_uncond), _constant_schedule(T))
-    summary = _base_summary(records)
-    summary["best_utility"] = effective_utility(bid, c, rule)
-    summary["theta_convention"] = "effective"
-    constants = {"v_uncond": v_uncond, "bid": bid, "c": c, "T": T,
-                 "elasticity": rule.elasticity, "cap": rule.cap}
-    return ExperimentReport("exp1", constants, records, summary)
+    k, records = _pinned_ask(cfg, "elasticity", "cap")
+    summary = {**_base_summary(records), "best_utility": effective_utility(k["bid"], k["c"], _rule(cfg)),
+               "theta_convention": "effective"}
+    return ExperimentReport("exp1", k, records, summary)
 
 
 def run_exp2(cfg: ExperimentConfig) -> ExperimentReport:
     """Settling: a constant ratio executes once the tabulated threshold
     decays beneath it."""
-    v_uncond, v_reach = _need(cfg, "v_uncond", "v_reach")
-    rule = _rule(cfg)
+    k = _need(cfg, "v_uncond", "v_reach")
     schedule = cfg.schedule if cfg.schedule is not None else SETTLING_TABLE
-    book = _bid_book(v_uncond, ("bid", v_reach, 0.0))
-    records = run_schedule(book.metrics(rule), schedule)
-    summary = _base_summary(records)
-    summary["theta_convention"] = "effective"
-    constants = {"v_uncond": v_uncond, "v_reach": v_reach}
-    return ExperimentReport("exp2", constants, records, summary)
+    book = _bid_book(k["v_uncond"], ("bid", k["v_reach"], 0.0))
+    records = run_schedule(book.metrics(_rule(cfg)), schedule)
+    summary = {**_base_summary(records), "theta_convention": "effective"}
+    return ExperimentReport("exp2", k, records, summary)
 
 
 def run_exp3(cfg: ExperimentConfig) -> ExperimentReport:
     """A bid above the internal ask is a marketable order: theta > 1 clears
     any rational threshold on the first evaluation."""
-    v_uncond, bid, c, T = _need(cfg, "v_uncond", "bid", "c", "T")
-    rule = _rule(cfg)
-    book = _bid_book(v_uncond, ("bid", bid, c))
-    # The ask is a belief anchor, pinned explicitly: the arriving bid must
-    # not be absorbed into the unconditional side.
-    records = run_schedule(book.metrics(rule, ask=v_uncond), _constant_schedule(T))
+    k, records = _pinned_ask(cfg)
     summary = _base_summary(records)
-    summary["immediate_fill"] = summary["t_star"] == records[0].t
-    summary["theta_convention"] = "effective"
-    constants = {"v_uncond": v_uncond, "bid": bid, "c": c, "T": T}
-    return ExperimentReport("exp3", constants, records, summary)
+    summary.update(immediate_fill=summary["t_star"] == records[0].t, theta_convention="effective")
+    return ExperimentReport("exp3", k, records, summary)
 
 
 def run_exp4(cfg: ExperimentConfig) -> ExperimentReport:
     """Two markets with different base transfer norms rank the same pool
     identically: a uniform intercept cannot reorder the book."""
-    v_uncond, T, v_a, e_a, v_b, e_b, base_high, base_low = _need(
-        cfg, "v_uncond", "T", "v_a", "effort_a", "v_b", "effort_b", "base_high", "base_low"
-    )
+    k = _need(cfg, "v_uncond", "T", "v_a", "effort_a", "v_b", "effort_b", "base_high", "base_low",
+              "elasticity", "cap")
     rule = _rule(cfg)
     markets: list[dict[str, Any]] = []
     records: list[DecisionRecord] = []
-    for label, base in (("high_norm", base_high), ("low_norm", base_low)):
-        book = _bid_book(v_uncond, ("A", v_a, base + e_a), ("B", v_b, base + e_b), owner=f"F-{label}")
-        metrics = book.metrics(rule)
-        market_records = run_schedule(metrics, _constant_schedule(T))
+    for label, base in (("high_norm", k["base_high"]), ("low_norm", k["base_low"])):
+        bids = ("A", k["v_a"], base + k["effort_a"]), ("B", k["v_b"], base + k["effort_b"])
+        metrics = _bid_book(k["v_uncond"], *bids, owner=f"F-{label}").metrics(rule)
+        market_records = run_schedule(metrics, _constant_schedule(k["T"]))
         records.extend(market_records)
         markets.append(
             {
@@ -423,32 +424,26 @@ def run_exp4(cfg: ExperimentConfig) -> ExperimentReport:
         "ranking_invariant": markets[0]["selected_id"] == markets[1]["selected_id"],
         "theta_convention": "effective",
     }
-    constants = {"v_uncond": v_uncond, "T": T, "v_a": v_a, "effort_a": e_a,
-                 "v_b": v_b, "effort_b": e_b, "base_high": base_high, "base_low": base_low,
-                 "elasticity": rule.elasticity, "cap": rule.cap}
-    return ExperimentReport("exp4", constants, records, summary)
+    return ExperimentReport("exp4", k, records, summary)
 
 
 def run_exp5(cfg: ExperimentConfig) -> ExperimentReport:
     """Post-execution repricing: a peer-comparison shock lifts the ask,
     theta falls through the committed threshold, and regret latches."""
-    partner, ask, T, factor = _need(cfg, "partner", "ask", "commit_threshold", "shock_factor")
-    rule = _rule(cfg)
-    book = _bid_book(ask, ("bid", partner, 0.0))
+    k = _need(cfg, "partner", "ask", "commit_threshold", "shock_factor")
+    book = _bid_book(k["ask"], ("bid", k["partner"], 0.0))
     # The shock needs only the ask and the factor, so a bad factor fails even on a hold.
-    new_ask = reprice(ask, factor)
-    records = run_schedule(book.metrics(rule), _constant_schedule(T))
-    constants = {"partner": partner, "ask": ask, "commit_threshold": T, "shock_factor": factor}
+    new_ask = reprice(k["ask"], k["shock_factor"])
+    records = run_schedule(book.metrics(_rule(cfg)), _constant_schedule(k["commit_threshold"]))
     commit = records[-1]
-    executed = commit.decision is Decision.EXECUTE
     summary = {
         "commit_decision": commit.decision.value,
-        "t_star": commit.t if executed else None,
+        "t_star": commit.t if commit.decision is Decision.EXECUTE else None,
         "pre_theta": commit.theta,
     }
     # Only a commitment can be shocked; a hold's summary reports the failed premise.
-    if executed:
-        post = apply_shock(commit, new_ask, partner)
+    post = _shock(records, new_ask, k["partner"])
+    if post is not None:
         records.append(post)
         summary.update({
             "post_theta": post.theta,
@@ -457,13 +452,13 @@ def run_exp5(cfg: ExperimentConfig) -> ExperimentReport:
             "regret_gap_jump": post.delta_v - records[0].delta_v,
         })
     summary["theta_convention"] = "intrinsic (post-execution)"
-    return ExperimentReport("exp5", constants, records, summary)
+    return ExperimentReport("exp5", k, records, summary)
 
 
 def run_appendix_a(cfg: ExperimentConfig) -> ExperimentReport:
     """Replay of the worked five-row book: side derivation, clipped bids,
     best-bid selection, and the intrinsic-ratio execution check."""
-    (T,) = _need(cfg, "T")
+    k = _need(cfg, "T", "elasticity", "cap")
     rule = _rule(cfg)
     if cfg.book is None:
         raise MissingOverride("appendix_a needs a book (five-row fixture)")
@@ -471,7 +466,8 @@ def run_appendix_a(cfg: ExperimentConfig) -> ExperimentReport:
     v_uncond = book.v_uncond()
     v_reach = book.v_reach()  # a drought raises here: exit 3
     metrics = book.metrics(rule)._replace(theta=market_to_book(v_reach, v_uncond))
-    records = run_schedule(metrics, _constant_schedule(T))
+    records = run_schedule(metrics, _constant_schedule(k["T"]))
+    k["v_uncond"] = v_uncond
     summary = _base_summary(records)
     summary.update(
         {
@@ -486,9 +482,7 @@ def run_appendix_a(cfg: ExperimentConfig) -> ExperimentReport:
             "theta_convention": "intrinsic",
         }
     )
-    constants = {"T": T, "elasticity": rule.elasticity, "cap": rule.cap,
-                 "v_uncond": v_uncond}
-    return ExperimentReport("appendix_a", constants, records, summary)
+    return ExperimentReport("appendix_a", k, records, summary)
 
 
 # -- sweep ------------------------------------------------------------------------
@@ -517,8 +511,8 @@ def _sweep_book(cfg: ExperimentConfig, reach_slope: float | None) -> PreferenceB
         if reach_slope is not None:
             pop = replace(pop, reach_slope=reach_slope)
         return generate(pop)
-    v_uncond, bid, c = _need(cfg, "v_uncond", "bid", "c")
-    return _bid_book(v_uncond, ("bid", bid, c))
+    k = _need(cfg, "v_uncond", "bid", "c")
+    return _bid_book(k["v_uncond"], ("bid", k["bid"], k["c"]))
 
 
 def _sweep_schedule(cfg: ExperimentConfig, t0: float | None, rate: float | None) -> ThresholdSchedule:
@@ -526,15 +520,12 @@ def _sweep_schedule(cfg: ExperimentConfig, t0: float | None, rate: float | None)
         return cfg.schedule
     base = cfg.schedule if isinstance(cfg.schedule, DecaySchedule) else None
     if rate is None:
-        rate = base.rate if base is not None else _override(cfg, "lambda", 0.0)
+        rate = base.rate if base is not None else cfg.overrides["lambda"]
     if t0 is None:
-        if base is not None:
-            t0 = base.t0
-        elif "T0" in cfg.overrides or "T" in cfg.overrides:
-            t0 = _override(cfg, "T0" if "T0" in cfg.overrides else "T")
-        else:
+        t0 = base.t0 if base is not None else cfg.overrides.get("T0", cfg.overrides.get("T"))
+        if t0 is None:
             raise MissingOverride("sweep needs a schedule, or T0/T in overrides")
-    floor = base.floor if base is not None else _override(cfg, "floor", 0.0)
+    floor = base.floor if base is not None else cfg.overrides["floor"]
     if rate == 0.0:
         return _constant_schedule(t0)
     return DecaySchedule(t0=t0, rate=rate, floor=floor)
@@ -551,32 +542,28 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict[str, Any]]:
     params, points = _grid_points(cfg.grid)
     if "reach_slope" in params and (cfg.population is None or cfg.book is not None):
         raise InvalidConfig("a reach_slope grid needs a population and no book")
-    horizon = None
-    if "horizon" in cfg.overrides:
-        horizon = _check_horizon(_override(cfg, "horizon"))
+    horizon = _check_horizon(cfg.overrides["horizon"]) if "horizon" in cfg.overrides else None
     # generate is a pure function of its config: one book per reach_slope.
     book_for = functools.cache(functools.partial(_sweep_book, cfg))
     rows: list[dict[str, Any]] = []
     for index, values in enumerate(points):
         point = dict(zip(params, values))
-        rule = _rule(cfg, eps=point.get("eps"), cap=point.get("cap"))
+        rule = CompensationRule(
+            point.get("eps", cfg.overrides["elasticity"]), point.get("cap", cfg.overrides["cap"])
+        )
         book = book_for(point.get("reach_slope"))
-        factor = point.get("shock_factor")
-        if factor is None and "shock_factor" in cfg.overrides:
-            factor = _override(cfg, "shock_factor")
+        factor = point.get("shock_factor", cfg.overrides.get("shock_factor"))
         # As in run_exp5, the factor is checked whether or not the point executes.
         new_ask = None if factor is None else reprice(book.v_uncond(), factor)
         schedule = _sweep_schedule(cfg, point.get("T0"), point.get("lambda"))
         metrics = book.metrics(rule)  # None in a drought: every step holds
         records = run_schedule(metrics, schedule, horizon=horizon)
-        row: dict[str, Any] = {
-            "grid_index": index, **point, **_base_summary(records), "post_theta": None, "regret": None,
-        }
-        commit = records[-1]
-        if new_ask is not None and commit.decision is Decision.EXECUTE:
-            post = apply_shock(commit, new_ask, metrics.bid.entry.v_intrinsic)
-            row["post_theta"], row["regret"] = post.theta, post.theta < post.threshold
-        rows.append(row)
+        post = _shock(records, new_ask, None if metrics is None else metrics.bid.entry.v_intrinsic)
+        rows.append({
+            "grid_index": index, **point, **_base_summary(records),
+            "post_theta": None if post is None else post.theta,
+            "regret": None if post is None else post.theta < post.threshold,
+        })
     return rows
 
 

@@ -228,6 +228,9 @@ class TestOverrideContract:
             ["sweep", "--override", "horizon=10001"],
             ["sweep", "--override", "horizon=12.7"],
             ["sweep", "--override", "lambda=abc"],
+            # The grid's T0 replaces the override's, which must still be a number.
+            ["sweep", "--override", "T0=abc"],
+            ["exp1", "--seed", "-1"],
             ["exp1", "--override", f"v_uncond={BEYOND_FLOAT}"],
             ["exp2", "--override", f"v_reach={BEYOND_FLOAT}"],
             ["sweep", "--override", f"horizon={BEYOND_FLOAT}"],
@@ -252,6 +255,14 @@ class TestOverrideContract:
         cfg.write_text('{"overrides": {"bidd": 3}}', encoding="utf-8")
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert "unknown override keys ['bidd']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", ["bid=abc", "bid=true", "c=null", "v_uncond=[1]"])
+    def test_declared_key_a_run_does_not_read_must_be_a_number(self, override, tmp_path, capsys):
+        # A sweep over a population never reads the fixture's bid keys.
+        cfg = tmp_path / "pop.json"
+        cfg.write_text('{"population": {"n_candidates": 50}}', encoding="utf-8")
+        assert main(["sweep", "--config", str(cfg), "--override", override]) == 2
+        assert "is no float" in capsys.readouterr().err
 
     def test_overflowing_shock_on_a_held_sweep_point_is_config_error(self, tmp_path, capsys):
         # 70 / 90 holds at 0.99, and 90 * 1e308 is still no ask.

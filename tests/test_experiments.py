@@ -461,7 +461,7 @@ class TestConfigMachinery:
     @pytest.mark.parametrize("name", sorted(OVERRIDE_KEYS))
     def test_override_keys_are_declared_per_command(self, name):
         data = load_fixture(name)
-        assert set(data.get("overrides", {})) <= OVERRIDE_KEYS[name]
+        assert set(data.get("overrides", {})) <= OVERRIDE_KEYS[name].keys()
         for key in OVERRIDE_KEYS[name]:
             config_from_mapping(name, merge_config(data, {"overrides": {key: 1}}))
         with pytest.raises(InvalidConfig, match=r"unknown override keys \['bidd'\]"):
@@ -475,5 +475,4 @@ class TestConfigMachinery:
 
     def test_seed_argument_wins(self):
         cfg = config_from_mapping("gen", load_fixture("gen"), seed=123)
-        assert cfg.seed == 123
         assert cfg.population.seed == 123

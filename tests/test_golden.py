@@ -51,8 +51,10 @@ def test_out_bytes_match_golden(command, fmt, tmp_path):
 
 
 #: Paths the fixture defaults never take: exp5's hold branch (nothing
-#: commits at 0.9), a shock that lowers the ask, and a sweep whose executed
-#: points fill the post_theta and regret columns.
+#: commits at 0.9), a shock that lowers the ask, a sweep whose executed
+#: points fill the post_theta and regret columns, an exp3 bid priced by the
+#: default compensation rule (elasticity 0.05, cap 20), and a sweep on a
+#: decay schedule with the default floor.
 GOLDEN_OVERRIDES = {
     ("exp5", "commit_threshold=0.9", "csv"): "b00b6568dee8abb04fad23d0f881dc322a0736652b20bfa847739866af3917d5",
     ("exp5", "commit_threshold=0.9", "json"): "c17577a6bc5ecbbdf780265db74d6619ad90fc169dc69c7c3498bb45b752e8b2",
@@ -60,6 +62,10 @@ GOLDEN_OVERRIDES = {
     ("exp5", "shock_factor=0.9", "json"): "fa1f3f867544a864c991638dc825aa86227c83810b918e5f46a0efa330ccdda9",
     ("sweep", "shock_factor=1.2", "csv"): "f1a695ea7e048ac6fc9d608f68f1d3488d9bffeb79e6a6cc52a86defc2b97a19",
     ("sweep", "shock_factor=1.2", "json"): "192385caef7fe88ef609a2765a5968080ec92c03a12ceeff1a2806df1b5c5b52",
+    ("exp3", "c=500", "csv"): "198de180c5019e8c4cf6f7bc6b19c2c3c77c2caa2d5eef973d54a0bc016cbdcb",
+    ("exp3", "c=500", "json"): "66a9c2c3f344fd41bd7eb383c1509e1134fa564e9e35f14df9119c206876ea9a",
+    ("sweep", "lambda=0.5", "csv"): "7ad347f739fc321e77dcf129786a480f6846685da0d3c908a0e14291b9736e1a",
+    ("sweep", "lambda=0.5", "json"): "c44f4eea581226b440a262d1c48d481c59c88940741de7987441995ad88a4974",
 }
 
 
