@@ -13,7 +13,6 @@ from matchbook import (
     compensation_utility,
     effective_utility,
     market_to_book,
-    regime_threshold,
     required_transfer,
     slippage,
     spread,
@@ -37,7 +36,7 @@ print("\nEven an unbounded transfer stops mattering at the cap:")
 print(f"effective bid at 10^6 k: {effective_utility(bid, 1e6, rule):.1f}")
 
 print("\n== the regime threshold ==")
-gap = regime_threshold(ask, bid)
+gap = spread(ask, bid)
 print(f"utility gap to the ask tier: {gap}")
 needed = required_transfer(gap, rule)
 if needed == INFEASIBLE:

@@ -85,7 +85,6 @@ from .valuation import (
     compensation_utility,
     effective_utility,
     market_to_book,
-    regime_threshold,
     required_transfer,
     slippage,
     spread,

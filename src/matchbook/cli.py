@@ -3,8 +3,8 @@
 Subcommands mirror the numbered experiments plus the population generator
 and the cone-volume calculator:
 
-    matchbook exp1|exp2|exp3|exp4|exp5|appendix-a|sweep [--config F] [--seed N] [--override k=v ...]
-    matchbook gen [--config F] [--seed N]
+    matchbook exp1|exp2|exp3|exp4|exp5|appendix-a|sweep [--config F] [--override k=v ...]
+    matchbook sweep|gen [--config F] [--seed N]
     matchbook cone --profile beta:2,8 --h0 0.5
 
 Each also takes --out and --format.  ``COMMANDS`` lists the flags each
@@ -82,7 +82,7 @@ def _effective_config(args: argparse.Namespace, experiment: str) -> ExperimentCo
         flags["overrides"] = dict(_parse_override(item) for item in args.override)
     if args.format is not None:
         flags["format"] = args.format
-    return config_from_mapping(experiment, merge_config(data, flags), seed=args.seed)
+    return config_from_mapping(experiment, merge_config(data, flags), seed=getattr(args, "seed", None))
 
 
 def _write_output(path: str | None, text: str) -> None:
@@ -170,14 +170,14 @@ _FLAGS: dict[str, dict[str, Any]] = {
     "--out": {"metavar": "PATH", "help": "write the result to this file"},
     "--format": {"choices": ("csv", "json"), "help": "output format"},
     "--config": {"metavar": "PATH", "help": "JSON config merged over the fixture"},
-    "--seed": {"type": int, "metavar": "UINT", "help": "override the run seed"},
+    "--seed": {"type": int, "metavar": "UINT", "help": "seed the generated population"},
     "--override": {"action": "append", "default": [], "metavar": "KEY=VALUE",
                    "help": "override one scenario constant (repeatable)"},
     "--profile": {"default": "uniform", "metavar": "NAME", "help": "uniform, linear-cone, or beta:a,b"},
     "--h0": {"type": float, "default": 0.0, "metavar": "REAL", "help": "status cutoff in [0, 1]"},
 }
-#: The flags of the six scenarios and sweep.
-_SCENARIO = ("--out", "--format", "--config", "--seed", "--override")
+#: The flags of the six scenarios.
+_SCENARIO = ("--out", "--format", "--config", "--override")
 
 #: Subcommand -> (help line, handler, the flags it reads).
 COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], int], tuple[str, ...]]] = {
@@ -188,7 +188,7 @@ COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], int], tuple[str, .
     "exp4": ("regional norm invariance of the book ranking", _cmd_experiment, _SCENARIO),
     "exp5": ("post-execution shock, slippage and regret", _cmd_experiment, _SCENARIO),
     "appendix-a": ("worked five-row book replay", _cmd_experiment, _SCENARIO),
-    "sweep": ("grid sweep emitting one summary row per point", _cmd_sweep, _SCENARIO),
+    "sweep": ("grid sweep emitting one summary row per point", _cmd_sweep, (*_SCENARIO, "--seed")),
     "gen": ("generate a seeded population book", _cmd_gen, ("--out", "--format", "--config", "--seed")),
     "cone": ("candidate volume above a status cutoff",
              _cmd_cone, ("--out", "--format", "--profile", "--h0")),

@@ -50,32 +50,33 @@ MAX_HORIZON = 10_000
 #: lengths before any point is built.
 MAX_GRID_POINTS = 10_000
 
-#: The top-level keys config_from_mapping reads; any other key is a config error.
-CONFIG_KEYS = frozenset(
-    ("experiment", "owner_id", "overrides", "schedule", "book", "population", "grid", "seed", "format")
+#: One row per scenario: the override keys with no default, the override
+#: defaults, and the config keys it reads beside experiment, format and
+#: overrides.  Every scenario also takes the compensation rule's elasticity
+#: and cap; gen takes no overrides.  The override keys are declared, not the
+#: keys a run reads: a sweep over a population never reads the fixture's bid.
+_SCENARIOS = (
+    ("exp1", ("v_uncond", "bid", "c", "T"), {}, ()),
+    ("exp2", ("v_uncond", "v_reach"), {}, ("schedule",)),
+    ("exp3", ("v_uncond", "bid", "c", "T"), {}, ()),
+    ("exp4", ("v_uncond", "T", "v_a", "effort_a", "v_b", "effort_b", "base_high", "base_low"), {}, ()),
+    ("exp5", ("partner", "ask", "commit_threshold", "shock_factor"), {}, ()),
+    ("appendix_a", ("T",), {}, ("book", "owner_id")),
+    ("sweep", ("v_uncond", "bid", "c", "T", "T0", "horizon", "shock_factor"),
+     {"lambda": 0.0, "floor": 0.0}, ("schedule", "book", "owner_id", "population", "seed", "grid")),
 )
 
-#: The override keys each command takes, each with its default (None: a run
-#: that reads the key needs it given); any other key is a config error.  The
-#: keys are declared, not the keys a run reads: a sweep over a population never
-#: reads the fixture's bid.  Every scenario also takes the compensation rule's
-#: elasticity and cap; gen takes no overrides.
+#: Each command's override keys, each with its default (None: a run that
+#: reads the key needs it given); any other key is a config error.
 OVERRIDE_KEYS: dict[str, dict[str, float | None]] = {
-    "gen": {},
-    **{
-        name: {**dict.fromkeys(keys), "elasticity": 0.05, "cap": 20.0, **defaults}
-        for name, keys, defaults in (
-            ("exp1", ("v_uncond", "bid", "c", "T"), {}),
-            ("exp2", ("v_uncond", "v_reach"), {}),
-            ("exp3", ("v_uncond", "bid", "c", "T"), {}),
-            ("exp4", ("v_uncond", "T", "v_a", "effort_a", "v_b", "effort_b", "base_high", "base_low"), {}),
-            ("exp5", ("partner", "ask", "commit_threshold", "shock_factor"), {}),
-            ("appendix_a", ("T",), {}),
-            ("sweep", ("v_uncond", "bid", "c", "T", "T0", "horizon", "shock_factor"),
-             {"lambda": 0.0, "floor": 0.0}),
-        )
-    },
-}
+    name: {**dict.fromkeys(keys), "elasticity": 0.05, "cap": 20.0, **defaults}
+    for name, keys, defaults, _ in _SCENARIOS
+} | {"gen": {}}
+
+#: Each command's top-level config keys, the CLI's --seed included; any other is a config error.
+CONFIG_KEYS: dict[str, frozenset[str]] = {
+    name: frozenset(("experiment", "format", "overrides", *keys)) for name, _, _, keys in _SCENARIOS
+} | {"gen": frozenset(("experiment", "format", "population", "seed"))}
 
 
 # -- configuration ---------------------------------------------------------------
@@ -143,9 +144,15 @@ def _schedule_from_mapping(d: dict) -> ThresholdSchedule:
 
 def config_from_mapping(experiment: str, data: dict, seed: int | None = None) -> ExperimentConfig:
     """Build a config from a parsed JSON object; ``seed`` (CLI) wins if given."""
-    unknown = sorted(set(data) - CONFIG_KEYS)
+    if experiment not in CONFIG_KEYS:
+        raise InvalidConfig(f"unknown experiment {experiment!r}")
+    accepted = CONFIG_KEYS[experiment]
+    unknown = sorted(set(data).union(() if seed is None else ("seed",)) - accepted)
     if unknown:
-        raise InvalidConfig(f"unknown config keys {unknown}; supported: {', '.join(sorted(CONFIG_KEYS))}")
+        raise InvalidConfig(f"unknown config keys {unknown} for {experiment}; supported: {sorted(accepted)}")
+    named = data.get("experiment", experiment)
+    if not isinstance(named, str) or named.replace("-", "_") != experiment:
+        raise InvalidConfig(f"a config for {experiment} names the experiment {named!r}")
     run_seed = seed if seed is not None else data.get("seed", 42)
     if isinstance(run_seed, bool) or not isinstance(run_seed, int) or run_seed < 0:
         raise InvalidConfig(f"seed must be an unsigned integer, got {run_seed!r}")
@@ -158,14 +165,12 @@ def config_from_mapping(experiment: str, data: dict, seed: int | None = None) ->
                 raise InvalidConfig("a configured book needs an entry with v_intrinsic > 0")
         population = None
         if "population" in data:
-            pop = dict(data["population"])
+            # The population's own seed beats a config's, and the CLI's beats both.
+            pop = {"seed": run_seed, **dict(data["population"])}
             if seed is not None:
                 pop["seed"] = seed
-            pop.setdefault("seed", run_seed)
             population = PopulationConfig(**pop)
-        grid = None
-        if "grid" in data:
-            grid = {str(k): _grid_values(v) for k, v in dict(data["grid"]).items()}
+        grid = {str(k): _grid_values(v) for k, v in dict(data["grid"]).items()} if "grid" in data else None
         return ExperimentConfig(
             experiment=experiment,
             overrides=dict(data.get("overrides", {})),

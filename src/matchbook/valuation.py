@@ -89,11 +89,6 @@ def effective_utility(v: Valuation, c: Money, rule: CompensationRule) -> float:
     return v + compensation_utility(c, rule)
 
 
-def regime_threshold(v_uncond: Valuation, v_intrinsic: Valuation) -> float:
-    """Utility gap a transfer must close to lift a candidate to the ask tier."""
-    return v_uncond - v_intrinsic
-
-
 def required_transfer(utility_gap: float, rule: CompensationRule) -> Money:
     """Smallest transfer whose clipped utility equals ``utility_gap``.
 

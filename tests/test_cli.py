@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 import matchbook
 from matchbook import DensityProfile, cli, cone_volume
 from matchbook.cli import main
-from matchbook.experiments import MAX_GRID_POINTS, MAX_HORIZON, RUNNERS, load_fixture
+from matchbook.experiments import CONFIG_KEYS, MAX_GRID_POINTS, MAX_HORIZON, RUNNERS, load_fixture
 from matchbook.population import MAX_CANDIDATES
 
 ALL_COMMANDS = [
@@ -230,7 +230,7 @@ class TestOverrideContract:
             ["sweep", "--override", "lambda=abc"],
             # The grid's T0 replaces the override's, which must still be a number.
             ["sweep", "--override", "T0=abc"],
-            ["exp1", "--seed", "-1"],
+            ["sweep", "--seed", "-1"],
             ["exp1", "--override", f"v_uncond={BEYOND_FLOAT}"],
             ["exp2", "--override", f"v_reach={BEYOND_FLOAT}"],
             ["sweep", "--override", f"horizon={BEYOND_FLOAT}"],
@@ -249,7 +249,7 @@ class TestOverrideContract:
         assert "unknown override keys ['bidd']" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", [*SCENARIOS, "gen"])
+    @pytest.mark.parametrize("command", SCENARIOS)
     def test_unknown_override_key_in_config_is_config_error(self, command, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"overrides": {"bidd": 3}}', encoding="utf-8")
@@ -414,11 +414,15 @@ class TestOverrideContract:
         cfg.write_text('{"grid": []}', encoding="utf-8")
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert "non-empty grid" in capsys.readouterr().err
-        assert main(["exp1", "--config", str(cfg)]) == 0
+        # exp1 reads no grid, so it takes none.
+        assert main(["exp1", "--config", str(cfg)]) == 2
+        assert "unknown config keys ['grid'] for exp1" in capsys.readouterr().err
 
     @given(config=CONFIG_OBJECTS, command=st.sampled_from(CONFIG_COMMANDS))
     @settings(max_examples=200, deadline=None)
     def test_any_config_exits_0_2_or_3(self, config, command, tmp_path_factory):
+        # Only keys the command reads, so that the values get past the key check.
+        config = {k: v for k, v in config.items() if k in CONFIG_KEYS[command.replace("-", "_")]}
         cfg = tmp_path_factory.getbasetemp() / "any-config.json"
         cfg.write_text(json.dumps(config), encoding="utf-8")
         argv = [command, "--config", str(cfg), "--out", str(cfg.with_suffix(".out"))]
@@ -476,6 +480,66 @@ class TestSizeCaps:
         assert f"at most {MAX_GRID_POINTS} points, got {10**15}" in capsys.readouterr().err
 
 
+#: A value in its key's domain for each top-level config key but
+#: ``experiment``, which every command takes, so that a command that read the
+#: key would run.
+CONFIG_KEY_VALUES = {
+    "format": "csv",
+    "overrides": {},
+    "schedule": load_fixture("exp2")["schedule"],
+    "book": load_fixture("appendix_a")["book"],
+    "owner_id": "F",
+    "population": {"n_candidates": 50},
+    "seed": 7,
+    "grid": {"T0": [0.8]},
+}
+
+
+class TestConfigKeys:
+    """Each command takes exactly the top-level config keys it reads
+    (``experiments.CONFIG_KEYS``); any other key is exit 2."""
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [pytest.param(name.replace("_", "-"), key, id=f"{name}-{key}")
+         for name, keys in CONFIG_KEYS.items() for key in sorted(set().union(*CONFIG_KEYS.values()) - keys)],
+    )
+    def test_key_outside_the_command_table_is_config_error(self, command, key, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: CONFIG_KEY_VALUES[key]}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"unknown config keys ['{key}']" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [name.replace("_", "-") for name in CONFIG_KEYS])
+    def test_every_key_in_the_command_table_is_read(self, command, tmp_path):
+        keys = CONFIG_KEYS[command.replace("-", "_")] - {"experiment"}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": command, **{k: CONFIG_KEY_VALUES[k] for k in keys}}),
+                       encoding="utf-8")
+        assert exit_status([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("named", ["exp1", 5, None])
+    def test_config_naming_another_experiment_is_config_error(self, named, tmp_path, capsys):
+        # exp1's constants must not run as an exp3 report.
+        cfg = tmp_path / "exp1.json"
+        cfg.write_text(json.dumps({**load_fixture("exp1"), "experiment": named}), encoding="utf-8")
+        out = tmp_path / "out.json"
+        assert main(["exp3", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"a config for exp3 names the experiment {named!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("named", ["appendix-a", "appendix_a"])
+    def test_appendix_a_config_takes_either_spelling(self, named, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": named}), encoding="utf-8")
+        plain, configured = tmp_path / "plain.json", tmp_path / "configured.json"
+        assert main(["appendix-a", "--out", str(plain)]) == 0
+        assert main(["appendix-a", "--config", str(cfg), "--out", str(configured)]) == 0
+        assert configured.read_bytes() == plain.read_bytes()
+
+
 #: Each command's help line, as ``matchbook --help`` lists it.
 HELP_LINES = {
     "exp1": "deep out-of-the-money bid: clipped compensation fails to clear",
@@ -525,14 +589,28 @@ class TestCommandFlags:
         assert not (tmp_path / "b.csv").exists()
 
     @pytest.mark.parametrize("command", SCENARIOS)
-    def test_scenarios_take_all_five_common_flags(self, command, tmp_path):
+    def test_scenarios_take_every_flag_they_read(self, command, tmp_path):
+        # Four flags for the six scenarios; sweep also takes --seed.
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{}", encoding="utf-8")
         key, value = next(iter(load_fixture(command.replace("-", "_"))["overrides"].items()))
+        seed = ["--seed", "7"] if command == "sweep" else []
         out = tmp_path / "out.csv"
-        assert main([command, "--config", str(cfg), "--seed", "7", "--override",
+        assert main([command, "--config", str(cfg), *seed, "--override",
                      f"{key}={json.dumps(value)}", "--format", "csv", "--out", str(out)]) == 0
         assert out.read_text().startswith(("t,", "grid_index,"))
+
+    @pytest.mark.parametrize("command", [name for name in SCENARIOS if name != "sweep"])
+    def test_scenarios_reject_seed(self, command, tmp_path):
+        # Nothing in these runs is drawn, so a seed would change no byte.
+        out = tmp_path / "out.json"
+        assert exit_status([command, "--seed", "7", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_seed_flag_matches_config_keys(self):
+        seeded = {name for name, (_, _, flags) in cli.COMMANDS.items() if "--seed" in flags}
+        assert seeded == {name.replace("_", "-") for name, keys in CONFIG_KEYS.items() if "seed" in keys}
+        assert seeded == {"sweep", "gen"}
 
     @pytest.mark.parametrize(
         "profile", ["beta:nan,2", "beta:2,nan", "beta:inf,2", "beta:1e400,2", "beta:2,-inf"]
@@ -642,7 +720,7 @@ class TestDeterminism:
         hashes = []
         for run in ("a", "b"):
             out = tmp_path / f"{run}.out"
-            seed = [] if argv[0] == "cone" else ["--seed", "42"]
+            seed = ["--seed", "42"] if argv[0] in ("sweep", "gen") else []
             assert main([*argv, *seed, "--out", str(out)]) == 0
             hashes.append(digest(out))
         assert hashes[0] == hashes[1]

@@ -458,7 +458,7 @@ class TestConfigMachinery:
         with pytest.raises(InvalidConfig):
             config_from_mapping("exp9", {})
 
-    @pytest.mark.parametrize("name", sorted(OVERRIDE_KEYS))
+    @pytest.mark.parametrize("name", sorted(name for name in OVERRIDE_KEYS if OVERRIDE_KEYS[name]))
     def test_override_keys_are_declared_per_command(self, name):
         data = load_fixture(name)
         assert set(data.get("overrides", {})) <= OVERRIDE_KEYS[name].keys()
@@ -476,3 +476,9 @@ class TestConfigMachinery:
     def test_seed_argument_wins(self):
         cfg = config_from_mapping("gen", load_fixture("gen"), seed=123)
         assert cfg.population.seed == 123
+
+    def test_seed_argument_passes_the_key_check(self):
+        # One rule for a seed, whether it comes from the CLI or a config file.
+        for data, seed in (({}, 7), ({"seed": 7}, None)):
+            with pytest.raises(InvalidConfig, match=r"unknown config keys \['seed'\] for exp1"):
+                config_from_mapping("exp1", data, seed=seed)

@@ -11,7 +11,6 @@ from matchbook import (
     compensation_utility,
     effective_utility,
     market_to_book,
-    regime_threshold,
     required_transfer,
     slippage,
     spread,
@@ -118,9 +117,10 @@ class TestEffectiveUtility:
 
 class TestRegimeThreshold:
     def test_gap(self):
-        assert regime_threshold(95, 60) == 35
-        assert regime_threshold(95, 95) == 0
-        assert regime_threshold(90, 75) == 15
+        # The utility gap a transfer must close to lift a bid to the ask tier.
+        assert spread(95, 60) == 35
+        assert spread(95, 95) == 0
+        assert spread(90, 75) == 15
 
 
 class TestRequiredTransfer:
