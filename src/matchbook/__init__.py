@@ -37,10 +37,7 @@ from .dynamics import (
     decide,
     impulse_adjust,
     lock_in_threshold,
-    records_from_csv,
-    records_from_jsonl,
     records_to_csv,
-    records_to_jsonl,
     reprice,
     step,
 )

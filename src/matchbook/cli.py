@@ -113,8 +113,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if args.out is not None:
         _write_output(args.out, text)
     _print_summary(report.summary)
-    if report.summary.get("decision") == "drought":
-        return EXIT_DROUGHT
     return EXIT_OK
 
 

@@ -14,7 +14,6 @@ committed threshold is regret.
 from __future__ import annotations
 
 import bisect
-import json
 import math
 from dataclasses import dataclass
 from decimal import Decimal
@@ -23,7 +22,7 @@ from numbers import Integral
 from operator import itemgetter
 from typing import Iterable, Union
 
-from .book import BookMetrics, csv_columns, read_csv, write_csv
+from .book import BookMetrics, csv_columns, write_csv
 from .errors import NotExecuted, StepBeforeSchedule
 from .valuation import Valuation, market_to_book
 
@@ -254,11 +253,6 @@ def records_to_csv(records: Iterable[DecisionRecord]) -> str:
     return write_csv(RECORD_CSV_HEADER, csv_columns(list(map(record_to_dict, records)), RECORD_CSV_HEADER))
 
 
-def records_from_csv(text: str) -> list[DecisionRecord]:
-    return [record_from_dict(dict(zip(RECORD_CSV_HEADER, row)))
-            for row in read_csv(text, RECORD_CSV_HEADER)]
-
-
 def record_to_dict(r: DecisionRecord) -> dict:
     return {
         "t": r.t,
@@ -269,39 +263,3 @@ def record_to_dict(r: DecisionRecord) -> dict:
         "decision": r.decision.value,
         "drought": r.drought,
     }
-
-
-#: The drought flag as JSON and as a CSV cell (csv_cell) write it.
-_FLAGS = {True: True, False: False, "true": True, "false": False}
-
-
-def record_from_dict(d: dict) -> DecisionRecord:
-    """The record of a record_to_dict mapping, from JSON or from CSV cells
-    (None is empty); ValueError on a missing key or a value that won't parse."""
-
-    def number(value: object) -> float | None:
-        return None if value is None or value == "" else float(value)
-
-    try:
-        record = DecisionRecord(
-            t=int(d["t"]) if isinstance(d["t"], str) else _integer(d["t"], "a record's t"),
-            theta=number(d["theta"]),
-            threshold=float(d["threshold"]),
-            delta_v=number(d["delta_v"]),
-            slippage=number(d["slippage"]),
-            decision=Decision(d["decision"]),
-        )
-        drought = _FLAGS[d["drought"]]
-    except (KeyError, TypeError, OverflowError) as exc:
-        raise ValueError(f"bad decision record {d!r}: {exc!r}") from exc
-    if drought != record.drought:
-        raise ValueError(f"bad decision record {d!r}: the drought flag disagrees with its metrics")
-    return record
-
-
-def records_to_jsonl(records: Iterable[DecisionRecord]) -> str:
-    return "".join(json.dumps(record_to_dict(r)) + "\n" for r in records)
-
-
-def records_from_jsonl(text: str) -> list[DecisionRecord]:
-    return [record_from_dict(json.loads(line)) for line in text.splitlines() if line.strip()]

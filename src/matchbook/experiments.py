@@ -222,7 +222,8 @@ def _constant_schedule(T: float) -> TableSchedule:
 
 def _bid_book(v_uncond: float, *bids: tuple[str, float, float], owner: str = "F") -> PreferenceBook:
     """A hypothetical ideal at the internal ask ``v_uncond`` plus one liquid
-    entry per ``(id, v, c)`` bid."""
+    entry per ``(id, v, c)`` bid.  Price it at ``ask=v_uncond``: a bid above
+    the ask would otherwise become the ask."""
     if not v_uncond > 0:
         raise InvalidConfig(f"the internal ask must be > 0, got {v_uncond}")
     entries = [CandidateEntry("ideal", v_uncond, 0.0, LiquidityStatus.HYPOTHETICAL)]
@@ -367,7 +368,6 @@ def _pinned_ask(cfg: ExperimentConfig, *echoed: str) -> tuple[dict[str, float], 
     threshold: the constants echo (``echoed`` appended) and the records."""
     k = _need(cfg, "v_uncond", "bid", "c", "T", *echoed)
     book = _bid_book(k["v_uncond"], ("bid", k["bid"], k["c"]))
-    # The ask is pinned: a bid above it would otherwise become the ask.
     return k, run_schedule(book.metrics(_rule(cfg), ask=k["v_uncond"]), _constant_schedule(k["T"]))
 
 
@@ -386,7 +386,7 @@ def run_exp2(cfg: ExperimentConfig) -> ExperimentReport:
     k = _need(cfg, "v_uncond", "v_reach")
     schedule = cfg.schedule if cfg.schedule is not None else SETTLING_TABLE
     book = _bid_book(k["v_uncond"], ("bid", k["v_reach"], 0.0))
-    records = run_schedule(book.metrics(_rule(cfg)), schedule)
+    records = run_schedule(book.metrics(_rule(cfg), ask=k["v_uncond"]), schedule)
     summary = {**_base_summary(records), "theta_convention": "effective"}
     return ExperimentReport("exp2", k, records, summary)
 
@@ -410,7 +410,7 @@ def run_exp4(cfg: ExperimentConfig) -> ExperimentReport:
     records: list[DecisionRecord] = []
     for label, base in (("high_norm", k["base_high"]), ("low_norm", k["base_low"])):
         bids = ("A", k["v_a"], base + k["effort_a"]), ("B", k["v_b"], base + k["effort_b"])
-        metrics = _bid_book(k["v_uncond"], *bids, owner=f"F-{label}").metrics(rule)
+        metrics = _bid_book(k["v_uncond"], *bids, owner=f"F-{label}").metrics(rule, ask=k["v_uncond"])
         market_records = run_schedule(metrics, _constant_schedule(k["T"]))
         records.extend(market_records)
         markets.append(
@@ -439,7 +439,7 @@ def run_exp5(cfg: ExperimentConfig) -> ExperimentReport:
     book = _bid_book(k["ask"], ("bid", k["partner"], 0.0))
     # The shock needs only the ask and the factor, so a bad factor fails even on a hold.
     new_ask = reprice(k["ask"], k["shock_factor"])
-    records = run_schedule(book.metrics(_rule(cfg)), _constant_schedule(k["commit_threshold"]))
+    records = run_schedule(book.metrics(_rule(cfg), ask=k["ask"]), _constant_schedule(k["commit_threshold"]))
     commit = records[-1]
     summary = {
         "commit_decision": commit.decision.value,
@@ -508,16 +508,19 @@ def _grid_points(grid: dict[str, list[float]]) -> tuple[list[str], list[tuple[fl
     return params, list(itertools.product(*(grid[p] for p in params)))
 
 
-def _sweep_book(cfg: ExperimentConfig, reach_slope: float | None) -> PreferenceBook:
+def _sweep_book(cfg: ExperimentConfig, reach_slope: float | None) -> tuple[PreferenceBook, float]:
+    """A point's book and the ask it is priced against: the configured
+    ``v_uncond`` for the fixture bid, the book's own ask otherwise."""
     if cfg.book is not None:
-        return cfg.book
+        return cfg.book, cfg.book.v_uncond()
     if cfg.population is not None:
         pop = cfg.population
         if reach_slope is not None:
             pop = replace(pop, reach_slope=reach_slope)
-        return generate(pop)
+        book = generate(pop)
+        return book, book.v_uncond()
     k = _need(cfg, "v_uncond", "bid", "c")
-    return _bid_book(k["v_uncond"], ("bid", k["bid"], k["c"]))
+    return _bid_book(k["v_uncond"], ("bid", k["bid"], k["c"])), k["v_uncond"]
 
 
 def _sweep_schedule(cfg: ExperimentConfig, t0: float | None, rate: float | None) -> ThresholdSchedule:
@@ -556,12 +559,12 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict[str, Any]]:
         rule = CompensationRule(
             point.get("eps", cfg.overrides["elasticity"]), point.get("cap", cfg.overrides["cap"])
         )
-        book = book_for(point.get("reach_slope"))
+        book, ask = book_for(point.get("reach_slope"))
         factor = point.get("shock_factor", cfg.overrides.get("shock_factor"))
         # As in run_exp5, the factor is checked whether or not the point executes.
-        new_ask = None if factor is None else reprice(book.v_uncond(), factor)
+        new_ask = None if factor is None else reprice(ask, factor)
         schedule = _sweep_schedule(cfg, point.get("T0"), point.get("lambda"))
-        metrics = book.metrics(rule)  # None in a drought: every step holds
+        metrics = book.metrics(rule, ask=ask)  # None in a drought: every step holds
         records = run_schedule(metrics, schedule, horizon=horizon)
         post = _shock(records, new_ask, None if metrics is None else metrics.bid.entry.v_intrinsic)
         rows.append({

@@ -17,10 +17,7 @@ from matchbook import (
     decide,
     impulse_adjust,
     lock_in_threshold,
-    records_from_csv,
-    records_from_jsonl,
     records_to_csv,
-    records_to_jsonl,
     reprice,
     run_schedule,
     step,
@@ -193,7 +190,6 @@ class TestStep:
             return run_schedule(settling_book().metrics(RULE), SETTLING_TABLE)
 
         assert records_to_csv(run()) == records_to_csv(run())
-        assert records_to_jsonl(run()) == records_to_jsonl(run())
 
     def test_a_run_evaluates_its_book_once(self, monkeypatch, capsys):
         # exp2 holds three steps and executes at the fourth on one snapshot.
@@ -366,15 +362,14 @@ class TestRecordSerialization:
             DecisionRecord(4, 70 / 90, 0.75, 20.0, 20.0, Decision.EXECUTE),
         ]
 
-    def test_csv_round_trip(self):
-        text = records_to_csv(self.records())
-        assert text.splitlines()[0] == "t,theta,threshold,delta_v,slippage,decision,drought"
-        assert records_from_csv(text) == self.records()
-
-    def test_jsonl_round_trip(self):
-        text = records_to_jsonl(self.records())
-        assert len(text.splitlines()) == 3
-        assert records_from_jsonl(text) == self.records()
+    def test_csv_text(self):
+        # A drought row leaves its metrics empty; no golden stream holds one.
+        assert records_to_csv(self.records()) == (
+            "t,theta,threshold,delta_v,slippage,decision,drought\n"
+            "1,0.7777777777777778,0.95,20.0,20.0,hold,false\n"
+            "2,,0.88,,,hold,true\n"
+            "4,0.7777777777777778,0.75,20.0,20.0,execute,false\n"
+        )
 
     def test_execute_record_must_cross_threshold(self):
         with pytest.raises(ValueError):
@@ -393,38 +388,3 @@ class TestRecordSerialization:
     def test_metrics_all_or_none(self, theta, delta_v, slippage):
         with pytest.raises(ValueError):
             DecisionRecord(1, theta, 0.9, delta_v, slippage, Decision.HOLD)
-
-    HEADER = "t,theta,threshold,delta_v,slippage,decision,drought\n"
-
-    @pytest.mark.parametrize(
-        "text",
-        ["t,theta\n1,0.5\n", HEADER + "1,0.5,0.9,1.0,1.0,hold\n",
-         HEADER + "1,0.5,0.9,1.0,1.0,hold,false,extra\n", HEADER + '1,0.5,0.9,1.0,1.0,hold,"true',
-         HEADER + '1,0.5,0.9,1.0,1.0,hold,maybe\n', HEADER + "1,0.5,0.8,1.0,1.0,hold,true\n",
-         HEADER + "1,,0.8,,,hold,false\n", HEADER + "1,0.5,0.8,,1.0,hold,false\n"],
-        ids=["wrong-header", "short-row", "long-row", "unterminated-quote", "unknown-flag",
-             "drought-with-theta", "no-drought-without-theta", "partial-metrics"],
-    )
-    def test_malformed_csv_rejected(self, text):
-        with pytest.raises(ValueError):
-            records_from_csv(text)
-
-    @pytest.mark.parametrize(
-        "line",
-        ['{"t": 1, "theta": 0.5}', "[1]", "5", '"t"',
-         '{"t": 1, "theta": 0.5, "threshold": 0.9, "delta_v": 1.0, "slippage": 1.0, '
-         '"decision": "hold", "drought": "maybe"}',
-         '{"t": 1.9, "theta": 0.5, "threshold": 0.9, "delta_v": 1.0, "slippage": 1.0, '
-         '"decision": "hold", "drought": false}',
-         '{"t": true, "theta": 0.5, "threshold": 0.9, "delta_v": 1.0, "slippage": 1.0, '
-         '"decision": "hold", "drought": false}',
-         '{"t": 1, "theta": 0.5, "threshold": 0.8, "delta_v": 1.0, "slippage": 1.0, '
-         '"decision": "hold", "drought": true}',
-         '{"t": 1, "theta": null, "threshold": 0.8, "delta_v": null, "slippage": null, '
-         '"decision": "hold", "drought": false}'],
-        ids=["missing-key", "array", "number", "string", "unknown-flag", "fractional-t", "boolean-t",
-             "drought-with-theta", "no-drought-without-theta"],
-    )
-    def test_malformed_jsonl_rejected(self, line):
-        with pytest.raises(ValueError):
-            records_from_jsonl(line + "\n")

@@ -99,6 +99,13 @@ class TestExp2:
         report = run_exp2(cfg_for("exp2", {"v_reach": 90}))
         assert report.summary["t_star"] == 1
 
+    def test_bid_above_the_ask_is_priced_at_the_ask(self):
+        # The echoed v_uncond stays the ask: the bid does not become it.
+        report = run_exp2(cfg_for("exp2", {"v_reach": 95}))
+        assert report.constants["v_uncond"] == 90.0
+        assert report.summary["theta"] == 95 / 90
+        assert report.summary["delta_v"] == -5.0
+
 
 class TestExp3:
     def test_marketable_bid(self):
@@ -161,6 +168,13 @@ class TestExp4:
             )
             assert market["selected_id"] == oracle
 
+    def test_bid_above_the_ask_is_priced_at_the_ask(self):
+        # A's 99 tops the ask of 95; high-norm utility is 99 + min(200 * 0.05, 20).
+        report = run_exp4(cfg_for("exp4", {"v_a": 99, "effort_a": 0}))
+        high = report.summary["markets"][0]
+        assert (high["selected_id"], high["utility"]) == ("A", 109.0)
+        assert high["theta"] == 109 / 95
+
     def test_each_market_queries_its_book_once(self, best_bid_calls, capsys):
         assert main(["exp4"]) == 0
         assert "ranking_invariant = True" in capsys.readouterr().out
@@ -191,6 +205,12 @@ class TestExp5:
         report = run_exp5(cfg_for("exp5"))
         assert report.records[-1].delta_v == 24.0
         assert report.records[0].delta_v == 15.0
+
+    def test_partner_above_the_ask_is_priced_at_the_ask(self):
+        report = run_exp5(cfg_for("exp5", {"partner": 95}))
+        assert report.summary["pre_theta"] == 95 / 90
+        # delta_v goes from 90 - 95 to 99 - 95.
+        assert report.summary["regret_gap_jump"] == 9.0
 
     def test_failed_commitment_reports_hold(self):
         # With the threshold above the ratio nothing commits, so there is
@@ -274,6 +294,14 @@ class TestSweep:
         report = run_exp2(cfg_for("exp2", {"v_uncond": 90, "v_reach": 70}))
         assert rows[0]["decision"] == "execute"
         assert rows[0]["theta"] == report.summary["theta"]
+
+    def test_bid_above_the_ask_is_priced_at_the_ask(self):
+        rows = run_sweep(cfg_for("sweep", {"bid": 95}))
+        assert [row["theta"] for row in rows] == [95 / 90] * 5
+        assert {row["delta_v"] for row in rows} == {-5.0}
+        # The shock reprices the configured ask, 90, not the bid.
+        shocked = run_sweep(cfg_for("sweep", {"bid": 95, "shock_factor": 1.1}))
+        assert {row["post_theta"] for row in shocked} == {95 / 99}
 
     def test_cap_grid_is_ceilinged_by_elasticity(self):
         # With a 500k offer at elasticity 0.05 the utility tops out at 25

@@ -75,7 +75,7 @@ GOLDEN_OVERRIDES = {
 }
 
 
-@pytest.mark.parametrize("command, override, fmt", list(GOLDEN_OVERRIDES), ids="-".join)
+@pytest.mark.parametrize("command, override, fmt", list(GOLDEN_OVERRIDES), ids=str)
 def test_override_bytes_match_golden(command, override, fmt, tmp_path):
     out = tmp_path / f"{command}.{fmt}"
     argv = [command, *seed(command), "--format", fmt, "--override", override, "--out", str(out)]
@@ -115,7 +115,7 @@ GOLDEN_CONE = {
 }
 
 
-@pytest.mark.parametrize("profile, h0", list(GOLDEN_CONE), ids="-".join)
+@pytest.mark.parametrize("profile, h0", list(GOLDEN_CONE), ids=str)
 def test_cone_bytes_match_golden(profile, h0, tmp_path):
     out = tmp_path / "cone.txt"
     stdout = io.StringIO()
