@@ -762,6 +762,20 @@ class TestOutputs:
         assert main(["exp1", "--override", "T=0.8"]) == 0
         assert "decision = execute" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["exp2", "--override", "v_reach=95"], "theta = 1.0555555555555556"),
+            (["exp2", "--override", "v_reach=95"], "delta_v = -5.0"),
+            (["exp5", "--override", "partner=95"], "pre_theta = 1.0555555555555556"),
+            (["exp5", "--override", "partner=95"], "regret_gap_jump = 9.0"),
+        ],
+    )
+    def test_bid_above_the_ask_prints_theta_above_1(self, argv, line, capsys):
+        # A bid above the configured ask is priced at that ask, not capped to it.
+        assert main(argv) == 0
+        assert line in capsys.readouterr().out.splitlines()
+
     def test_summary_printed(self, capsys):
         assert main(["exp5"]) == 0
         out = capsys.readouterr().out

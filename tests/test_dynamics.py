@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -22,7 +23,10 @@ from matchbook import (
     run_schedule,
     step,
 )
+import matchbook
+from matchbook import dynamics
 from matchbook.cli import main
+from matchbook.dynamics import record_to_dict
 from conftest import make_book
 
 RULE = CompensationRule(elasticity=0.05, cap=20.0)
@@ -370,6 +374,39 @@ class TestRecordSerialization:
             "2,,0.88,,,hold,true\n"
             "4,0.7777777777777778,0.75,20.0,20.0,execute,false\n"
         )
+
+    def test_csv_of_no_records_is_the_header(self):
+        assert records_to_csv([]) == "t,theta,threshold,delta_v,slippage,decision,drought\n"
+
+    def test_csv_takes_any_iterable(self):
+        assert records_to_csv(iter(self.records())) == records_to_csv(self.records())
+
+    @pytest.mark.parametrize(
+        "index, expected",
+        [
+            (0, {"t": 1, "theta": 70 / 90, "threshold": 0.95, "delta_v": 20.0, "slippage": 20.0,
+                 "decision": "hold", "drought": False}),
+            (1, {"t": 2, "theta": None, "threshold": 0.88, "delta_v": None, "slippage": None,
+                 "decision": "hold", "drought": True}),
+            (2, {"t": 4, "theta": 70 / 90, "threshold": 0.75, "delta_v": 20.0, "slippage": 20.0,
+                 "decision": "execute", "drought": False}),
+        ],
+        ids=["hold", "drought", "execute"],
+    )
+    def test_dict_form(self, index, expected):
+        # The JSON report's spelling of a record; a JSON round trip keeps it,
+        # a drought's metrics as null.
+        d = record_to_dict(self.records()[index])
+        assert d == expected
+        assert json.loads(json.dumps(d)) == expected
+
+    @pytest.mark.parametrize(
+        "name", ["records_from_csv", "records_from_jsonl", "records_to_jsonl", "record_from_dict"]
+    )
+    def test_record_streams_have_no_reader(self, name):
+        # Record streams are written, never read back.
+        assert not hasattr(matchbook, name)
+        assert not hasattr(dynamics, name)
 
     def test_execute_record_must_cross_threshold(self):
         with pytest.raises(ValueError):

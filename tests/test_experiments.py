@@ -373,6 +373,25 @@ class TestSweep:
         assert rows[2]["post_theta"] == 75 / reprice(90.0, 1.2)
         assert len(best_bid_calls) == 3
 
+    def test_a_book_prices_its_ask_once(self, monkeypatch):
+        # The ask is cached with its book, not recomputed per grid point.
+        calls = []
+        v_uncond = PreferenceBook.v_uncond
+
+        def counted(book):
+            calls.append(book)
+            return v_uncond(book)
+
+        monkeypatch.setattr(PreferenceBook, "v_uncond", counted)
+        data = {
+            "population": {"n_candidates": 200, "seed": 5},
+            "overrides": {"T0": 0.5},
+            "grid": {"reach_slope": [0.0, 0.8], "eps": [0.05, 0.1, 0.2]},
+        }
+        rows = run_sweep(config_from_mapping("sweep", data))
+        assert len(rows) == 6
+        assert len(calls) == 2
+
     def test_population_generated_once_per_reach_slope(self, monkeypatch):
         import matchbook.experiments as experiments
 
