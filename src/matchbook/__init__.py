@@ -41,18 +41,7 @@ from .dynamics import (
     reprice,
     step,
 )
-from .errors import (
-    EmptyBook,
-    EmptyGrid,
-    InvalidConfig,
-    MatchbookError,
-    MissingOverride,
-    NoLiquidity,
-    NonPositiveAsk,
-    NotExecuted,
-    OutOfRange,
-    StepBeforeSchedule,
-)
+from .errors import InvalidConfig, NoLiquidity
 from .experiments import (
     ExperimentConfig,
     ExperimentReport,

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptyBook, NoLiquidity
+from .errors import NoLiquidity
 from .valuation import (
     CompensationRule,
     Money,
@@ -81,7 +81,8 @@ class BookMetrics(NamedTuple):
 
 
 #: The most rows a book holds, however it is built (generated, loaded or
-#: configured); a larger book is a ValueError.
+#: configured); a larger book is a ValueError, and a larger population an
+#: InvalidConfig before any array is allocated.
 MAX_ROWS = 1_000_000
 
 #: Status codes: the column value ``k`` stands for ``STATUSES[k]``.
@@ -249,7 +250,7 @@ class PreferenceBook:
         anchors the ask.
         """
         if self._v_uncond is None:
-            raise EmptyBook(f"book {self.owner_id!r} has no entries")
+            raise ValueError(f"book {self.owner_id!r} has no entries")
         return self._v_uncond
 
     def v_reach(self) -> Valuation:

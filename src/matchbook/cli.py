@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from .dynamics import records_to_csv
-from .errors import InvalidConfig, NoLiquidity, NonPositiveAsk, OutOfRange
+from .errors import InvalidConfig, NoLiquidity
 from .experiments import (
     RUNNERS,
     ExperimentConfig,
@@ -214,7 +214,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 #: What a domain check raises for an input outside its domain: exit 2.  Any
 #: exception that is neither one of these nor NoLiquidity (exit 3) is a bug
 #: and keeps its traceback.
-_CONFIG_ERRORS = (InvalidConfig, NonPositiveAsk, OutOfRange, ValueError, OverflowError)
+_CONFIG_ERRORS = (InvalidConfig, ValueError, OverflowError)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

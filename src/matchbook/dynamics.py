@@ -23,7 +23,6 @@ from operator import itemgetter
 from typing import Iterable, Union
 
 from .book import BookMetrics, csv_columns, write_csv
-from .errors import NotExecuted, StepBeforeSchedule
 from .valuation import Valuation, market_to_book
 
 
@@ -66,7 +65,7 @@ class TableSchedule:
     def at(self, t: int) -> float:
         i = bisect.bisect_right(self.points, t, key=itemgetter(0))
         if i == 0:
-            raise StepBeforeSchedule(f"t={t} is before the first tabulated step {self.points[0][0]}")
+            raise ValueError(f"t={t} is before the first tabulated step {self.points[0][0]}")
         return self.points[i - 1][1]
 
 
@@ -88,7 +87,7 @@ class DecaySchedule:
 
     def at(self, t: int) -> float:
         if t < 0:
-            raise StepBeforeSchedule(f"decay schedules start at t=0, got t={t}")
+            raise ValueError(f"decay schedules start at t=0, got t={t}")
         return max(self.floor, self.t0 * math.exp(-self.rate * t))
 
 
@@ -202,11 +201,11 @@ def apply_shock(commit: DecisionRecord, new_v_uncond: Valuation, v_partner: Valu
     downward repricing lifts theta back (upward shocks can only deepen it).
 
     ``commit`` is the agent's EXECUTE record; any other record raises
-    NotExecuted.  The new ask must be finite and > 0, and the partner's value
+    ValueError.  The new ask must be finite and > 0, and the partner's value
     finite and >= 0.
     """
     if commit.decision is not Decision.EXECUTE:
-        raise NotExecuted("shocks apply to executed agents only")
+        raise ValueError("shocks apply to executed agents only")
     if not (math.isfinite(new_v_uncond) and new_v_uncond > 0):
         raise ValueError(f"the repriced ask must be finite and > 0, got {new_v_uncond}")
     if not (math.isfinite(v_partner) and v_partner >= 0):

@@ -36,7 +36,7 @@ from .dynamics import (
     reprice,
     step,
 )
-from .errors import EmptyGrid, InvalidConfig, MissingOverride
+from .errors import InvalidConfig
 from .population import PopulationConfig, generate
 from .valuation import CompensationRule, effective_utility, market_to_book
 
@@ -208,7 +208,7 @@ def _need(cfg: ExperimentConfig, *keys: str) -> dict[str, float]:
     """The overrides ``keys`` in the order given: a runner's constants echo."""
     missing = [k for k in keys if k not in cfg.overrides]
     if missing:
-        raise MissingOverride(f"{cfg.experiment} needs overrides: {', '.join(missing)}")
+        raise InvalidConfig(f"{cfg.experiment} needs overrides: {', '.join(missing)}")
     return {k: cfg.overrides[k] for k in keys}
 
 
@@ -466,7 +466,7 @@ def run_appendix_a(cfg: ExperimentConfig) -> ExperimentReport:
     k = _need(cfg, "T", "elasticity", "cap")
     rule = _rule(cfg)
     if cfg.book is None:
-        raise MissingOverride("appendix_a needs a book (five-row fixture)")
+        raise InvalidConfig("appendix_a needs a book (five-row fixture)")
     book = cfg.book
     v_uncond = book.v_uncond()
     v_reach = book.v_reach()  # a drought raises here: exit 3
@@ -495,7 +495,7 @@ def run_appendix_a(cfg: ExperimentConfig) -> ExperimentReport:
 
 def _grid_points(grid: dict[str, list[float]]) -> tuple[list[str], list[tuple[float, ...]]]:
     if not grid or any(len(v) == 0 for v in grid.values()):
-        raise EmptyGrid("sweep needs a non-empty grid")
+        raise InvalidConfig("sweep needs a non-empty grid")
     unknown = [k for k in grid if k not in SWEEP_PARAMS]
     if unknown:
         raise InvalidConfig(
@@ -532,7 +532,7 @@ def _sweep_schedule(cfg: ExperimentConfig, t0: float | None, rate: float | None)
     if t0 is None:
         t0 = base.t0 if base is not None else cfg.overrides.get("T0", cfg.overrides.get("T"))
         if t0 is None:
-            raise MissingOverride("sweep needs a schedule, or T0/T in overrides")
+            raise InvalidConfig("sweep needs a schedule, or T0/T in overrides")
     floor = base.floor if base is not None else cfg.overrides["floor"]
     if rate == 0.0:
         return _constant_schedule(t0)
@@ -546,7 +546,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict[str, Any]]:
     fields stay empty unless the point carries a shock factor and executed.
     """
     if cfg.grid is None:
-        raise EmptyGrid("sweep needs a grid")
+        raise InvalidConfig("sweep needs a grid")
     params, points = _grid_points(cfg.grid)
     if "reach_slope" in params and (cfg.population is None or cfg.book is not None):
         raise InvalidConfig("a reach_slope grid needs a population and no book")

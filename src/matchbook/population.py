@@ -25,12 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .book import MAX_ROWS, STATUSES, LiquidityStatus, PreferenceBook
-from .errors import InvalidConfig, OutOfRange
-
-
-#: The largest population the generator draws, the row cap of every book; a
-#: larger ``n_candidates`` is a config error before any array is allocated.
-MAX_CANDIDATES = MAX_ROWS
+from .errors import InvalidConfig
 
 
 @dataclass(frozen=True)
@@ -60,8 +55,8 @@ class PopulationConfig:
         for name in ("beta_alpha", "beta_beta", "reach_slope", "comp_low", "comp_high", "comp_scale"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidConfig(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not 1 <= self.n_candidates <= MAX_CANDIDATES:
-            raise InvalidConfig(f"n_candidates must lie in [1, {MAX_CANDIDATES}], got {self.n_candidates}")
+        if not 1 <= self.n_candidates <= MAX_ROWS:
+            raise InvalidConfig(f"n_candidates must lie in [1, {MAX_ROWS}], got {self.n_candidates}")
         if self.beta_alpha <= 0 or self.beta_beta <= 0:
             raise InvalidConfig("beta shape parameters must be > 0")
         if not 0 <= self.reach_slope <= 1:
@@ -97,7 +92,7 @@ def _ids(n: int) -> list[str]:
     rows = np.empty((n, width + 2), dtype=np.uint8)
     rows[:, 0] = ord("c")
     rows[:, -1] = ord(" ")
-    rest = np.arange(n, dtype=np.uint32)  # n <= MAX_CANDIDATES
+    rest = np.arange(n, dtype=np.uint32)  # n <= MAX_ROWS
     for k in range(width, 0, -1):
         rest, digit = np.divmod(rest, 10)
         np.add(digit, ord("0"), out=rows[:, k], casting="unsafe")
@@ -139,7 +134,7 @@ def classify_bucket(v: float) -> Bucket:
     """Map a value to its tier; intervals are half-open on the left,
     [0,50), [50,70), [70,85), [85,95), [95,100]."""
     if not 0 <= v <= 100:
-        raise OutOfRange(f"value must lie in [0, 100], got {v}")
+        raise ValueError(f"value must lie in [0, 100], got {v}")
     for bucket, edge in zip(Bucket, _BUCKET_EDGES):
         if v < edge:
             return bucket
@@ -222,7 +217,7 @@ def cone_volume(profile: DensityProfile, h0: float) -> float:
     over higher-order schemes because profiles may be tabulated.
     """
     if not 0 <= h0 <= 1:
-        raise OutOfRange(f"h0 must lie in [0, 1], got {h0}")
+        raise ValueError(f"h0 must lie in [0, 1], got {h0}")
     if h0 == 1.0:
         return 0.0
     ts = np.linspace(h0, 1.0, _CONE_STEPS + 1)

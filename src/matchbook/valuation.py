@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NonPositiveAsk
 
 Valuation = float
 Money = float
@@ -62,13 +61,13 @@ def spread(v_uncond: Valuation, v_reach: Valuation) -> float:
 def market_to_book(v_reach: Valuation, v_uncond: Valuation) -> float:
     """Ratio of the best bid to the internal ask.
 
-    Raises NonPositiveAsk when the ask is not strictly positive (or is NaN),
+    Raises ValueError when the ask is not strictly positive (or is NaN),
     which signals an ill-formed book rather than a tight market, and
     OverflowError when the ratio is not finite: an infinite theta would pass
     every threshold.
     """
     if not v_uncond > 0:  # NaN fails too
-        raise NonPositiveAsk(f"internal ask must be > 0, got {v_uncond}")
+        raise ValueError(f"internal ask must be > 0, got {v_uncond}")
     theta = v_reach / v_uncond
     if not math.isfinite(theta):
         raise OverflowError(f"theta = {v_reach!r} / {v_uncond!r} is not finite")

@@ -15,10 +15,31 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import matchbook
-from matchbook import DensityProfile, cli, cone_volume
+from matchbook import DensityProfile, cli, cone_volume, errors
 from matchbook.cli import main
 from matchbook.experiments import CONFIG_KEYS, MAX_GRID_POINTS, MAX_HORIZON, RUNNERS, load_fixture
-from matchbook.population import MAX_CANDIDATES
+from matchbook.book import MAX_ROWS
+
+#: Every value draws as 0.0, so a book generated from it has no positive ask.
+ZERO_ASK_POPULATION = {"n_candidates": 50, "beta_alpha": 1e-300, "beta_beta": 1.0,
+                       "reach_slope": 0.0, "seed": 1}
+
+#: (argv, config passed with --config or None, exit code, the exact stderr):
+#: ValueError and InvalidConfig refusals exit 2, a drought exits 3.
+REFUSALS = [
+    (["cone", "--h0", "1.5"], None, 2, "config error: h0 must lie in [0, 1], got 1.5\n"),
+    (["cone", "--h0", "nan"], None, 2, "config error: h0 must lie in [0, 1], got nan\n"),
+    (["sweep"], {"population": ZERO_ASK_POPULATION, "overrides": {"T0": 0.5}, "grid": {"cap": [0.0]}},
+     2, "config error: internal ask must be > 0, got 0.0\n"),
+    (["sweep"], {"grid": {"cap": []}}, 2, "config error: sweep needs a non-empty grid\n"),
+    (["sweep"], {"grid": {"cap": [1.0]}}, 2, "config error: sweep needs a schedule, or T0/T in overrides\n"),
+    (["appendix-a"], {"book": [{"id": "H", "v_intrinsic": 95, "c_offer": 0, "status": "hypothetical"}]},
+     3, "liquidity drought: book 'F' has no liquid entry\n"),
+]
+REFUSAL_IDS = ["h0-above-1", "h0-nan", "zero-ask", "empty-grid", "no-schedule", "no-liquid-row"]
+
+REMOVED_ERRORS = ["MatchbookError", "NonPositiveAsk", "OutOfRange", "EmptyBook",
+                  "StepBeforeSchedule", "NotExecuted", "MissingOverride", "EmptyGrid"]
 
 ALL_COMMANDS = [
     ["exp1"], ["exp2"], ["exp3"], ["exp4"], ["exp5"], ["appendix-a"],
@@ -125,6 +146,26 @@ class TestExitCodes:
             encoding="utf-8",
         )
         assert main(["appendix-a", "--config", str(cfg)]) == 3
+
+    @pytest.mark.parametrize("argv, config, code, stderr", REFUSALS, ids=REFUSAL_IDS)
+    def test_refusal_stderr_and_exit(self, argv, config, code, stderr, tmp_path):
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config), encoding="utf-8")
+            argv = [*argv, "--config", str(cfg)]
+        assert run_cli([*argv, "--out", str(tmp_path / "out")]) == (code, "", stderr)
+
+    @pytest.mark.parametrize("name", REMOVED_ERRORS)
+    def test_removed_error_classes_are_gone(self, name):
+        # A refused argument raises ValueError, a refused config InvalidConfig.
+        assert not hasattr(matchbook, name)
+        assert not hasattr(errors, name)
+
+    def test_two_exceptions_one_exit_table(self):
+        defined = {name for name, value in vars(errors).items() if isinstance(value, type)}
+        assert defined == {"InvalidConfig", "NoLiquidity"}
+        assert errors.InvalidConfig.__bases__ == errors.NoLiquidity.__bases__ == (Exception,)
+        assert cli._CONFIG_ERRORS == (errors.InvalidConfig, ValueError, OverflowError)
 
 
 SCENARIOS = ["exp1", "exp2", "exp3", "exp4", "exp5", "appendix-a", "sweep"]
@@ -291,12 +332,9 @@ class TestOverrideContract:
         assert "'selected_id': 'A', 'selected_v': 85.0, 'utility': 105.0" in out
 
     def test_population_without_an_ask_is_config_error(self, tmp_path, capsys):
-        # Every value draws as 0.0, so the generated book has no positive ask.
-        # gen writes such a book; only a run that steps on it fails.
-        population = {"n_candidates": 50, "beta_alpha": 1e-300, "beta_beta": 1.0,
-                      "reach_slope": 0.0, "seed": 1}
+        # gen writes a book with no positive ask; only a run that steps on it fails.
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"population": population, "overrides": {"T0": 0.5},
+        cfg.write_text(json.dumps({"population": ZERO_ASK_POPULATION, "overrides": {"T0": 0.5},
                                    "grid": {"cap": [0.0]}}), encoding="utf-8")
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "rows.csv")]) == 2
         assert "config error" in capsys.readouterr().err
@@ -453,7 +491,7 @@ class TestSizeCaps:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"population": {"n_candidates": 10**15}}), encoding="utf-8")
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-        assert f"[1, {MAX_CANDIDATES}]" in capsys.readouterr().err
+        assert f"[1, {MAX_ROWS}]" in capsys.readouterr().err
 
     #: Sizes under the cap stay small so that no example runs for long; sizes
     #: of 10**15 and up are more than any machine can allocate.
@@ -463,7 +501,7 @@ class TestSizeCaps:
         cfg = tmp_path_factory.getbasetemp() / "size.json"
         cfg.write_text(json.dumps({"population": {"n_candidates": n}}), encoding="utf-8")
         code = exit_status(["gen", "--config", str(cfg), "--out", str(cfg.with_suffix(".csv"))])
-        assert code == (0 if 1 <= n <= MAX_CANDIDATES else 2)
+        assert code == (0 if 1 <= n <= MAX_ROWS else 2)
 
     def test_grid_over_the_cap_is_config_error(self, tmp_path, capsys, monkeypatch):
         # Five lists of 1000 values: 10**15 points.  Building any of them

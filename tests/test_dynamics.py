@@ -9,10 +9,8 @@ from matchbook import (
     DecaySchedule,
     Decision,
     DecisionRecord,
-    NotExecuted,
     PreferenceBook,
     SETTLING_TABLE,
-    StepBeforeSchedule,
     TableSchedule,
     apply_shock,
     decide,
@@ -49,7 +47,7 @@ class TestThresholdAt:
         assert table.at(100) == 0.5
 
     def test_before_schedule(self):
-        with pytest.raises(StepBeforeSchedule):
+        with pytest.raises(ValueError, match="t=0 is before the first tabulated step 1"):
             SETTLING_TABLE.at(0)
 
     def test_no_decay(self):
@@ -64,7 +62,7 @@ class TestThresholdAt:
         assert sched.at(20) > 0.95 * math.exp(-0.1 * 20)
 
     def test_decay_before_zero(self):
-        with pytest.raises(StepBeforeSchedule):
+        with pytest.raises(ValueError, match="decay schedules start at t=0, got t=-1"):
             DecaySchedule(t0=0.9, rate=0.1).at(-1)
 
     def test_table_validation(self):
@@ -93,7 +91,7 @@ class TestThresholdAt:
             if reached:
                 assert table.at(t) == reached[-1]
             else:
-                with pytest.raises(StepBeforeSchedule):
+                with pytest.raises(ValueError, match=f"t={t} is before the first tabulated step {steps[0]}"):
                     table.at(t)
 
     @given(
@@ -277,7 +275,7 @@ class TestApplyShock:
         hold = DecisionRecord(1, 75 / 90, 0.90, 15.0, 15.0, Decision.HOLD)
         drought = DecisionRecord(1, None, 0.90, None, None, Decision.HOLD)
         for record in (hold, drought):
-            with pytest.raises(NotExecuted):
+            with pytest.raises(ValueError, match="shocks apply to executed agents only"):
                 apply_shock(record, reprice(90.0, 1.1), 75.0)
 
     def test_post_shock_record(self):

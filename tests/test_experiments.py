@@ -4,10 +4,8 @@ import pytest
 
 from matchbook import (
     Decision,
-    EmptyGrid,
     ExperimentReport,
     InvalidConfig,
-    MissingOverride,
     PreferenceBook,
     apply_shock,
     reprice,
@@ -77,7 +75,7 @@ class TestExp1:
     def test_missing_override(self):
         data = load_fixture("exp1")
         del data["overrides"]["bid"]
-        with pytest.raises(MissingOverride):
+        with pytest.raises(InvalidConfig, match="exp1 needs overrides: bid"):
             run_exp1(config_from_mapping("exp1", data))
 
 
@@ -251,7 +249,7 @@ class TestAppendixA:
         assert report.summary["decision"] == "hold"
 
     def test_needs_a_book(self):
-        with pytest.raises(MissingOverride):
+        with pytest.raises(InvalidConfig, match=r"appendix_a needs a book \(five-row fixture\)"):
             run_appendix_a(config_from_mapping("appendix_a", {"overrides": {"T": 0.8}}))
 
 
@@ -463,9 +461,9 @@ class TestSweep:
         assert rows[0]["theta"] is None
 
     def test_empty_grid_rejected(self):
-        with pytest.raises(EmptyGrid):
+        with pytest.raises(InvalidConfig, match="sweep needs a grid"):
             run_sweep(config_from_mapping("sweep", {"overrides": {"v_uncond": 90}}))
-        with pytest.raises(EmptyGrid):
+        with pytest.raises(InvalidConfig, match="sweep needs a non-empty grid"):
             run_sweep(config_from_mapping("sweep", {"grid": {"T0": []}}))
 
     def test_unknown_parameter_rejected(self):

@@ -11,14 +11,14 @@ from matchbook import (
     DensityProfile,
     InvalidConfig,
     LiquidityStatus,
-    OutOfRange,
     PopulationConfig,
     book_to_csv,
     classify_bucket,
     cone_volume,
     generate,
 )
-from matchbook.population import MAX_CANDIDATES, population_metadata
+from matchbook.book import MAX_ROWS
+from matchbook.population import population_metadata
 
 
 def values_and_liquidity(book):
@@ -116,8 +116,8 @@ class TestGenerate:
             PopulationConfig(**bad)
 
     def test_size_cap(self):
-        assert PopulationConfig(n_candidates=MAX_CANDIDATES).n_candidates == MAX_CANDIDATES
-        for n in (MAX_CANDIDATES + 1, 10**15):
+        assert PopulationConfig(n_candidates=MAX_ROWS).n_candidates == MAX_ROWS
+        for n in (MAX_ROWS + 1, 10**15):
             with pytest.raises(InvalidConfig, match="n_candidates"):
                 PopulationConfig(n_candidates=n)
 
@@ -154,9 +154,9 @@ class TestClassifyBucket:
         assert classify_bucket(100) is Bucket.IDOL
 
     def test_out_of_range(self):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(ValueError, match=r"value must lie in \[0, 100\], got -0\.1"):
             classify_bucket(-0.1)
-        with pytest.raises(OutOfRange):
+        with pytest.raises(ValueError, match=r"value must lie in \[0, 100\], got 100\.1"):
             classify_bucket(100.1)
 
     def test_total_and_monotone(self):
@@ -218,7 +218,7 @@ class TestConeVolume:
         assert cone_volume(profile, 0.5) == pytest.approx(math.pi / 8, abs=1e-6)
 
     def test_domain_checks(self):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(ValueError, match=r"h0 must lie in \[0, 1\], got -0\.1"):
             cone_volume(DensityProfile.uniform(), -0.1)
         with pytest.raises(InvalidConfig):
             DensityProfile.beta(0.0, 8)
