@@ -101,6 +101,27 @@ def _status_codes(tokens: Iterable[object]) -> np.ndarray:
         raise ValueError(f"a status is one of {', '.join(_STATUS_VALUES)}, got {exc}") from exc
 
 
+def _id(i: int, n: int) -> str:
+    """The name of row i of a numbered book of n rows: ``c`` and i,
+    zero-padded to the digit count of n - 1."""
+    return "c" + str(i).zfill(len(str(n - 1)))
+
+
+def _ids(n: int) -> list[str]:
+    """``[_id(i, n) for i in range(n)]``: one ASCII buffer holds every row
+    as ``c``, the digits and a space, and is decoded and split once instead
+    of formatted row by row."""
+    width = len(str(n - 1))
+    rows = np.empty((n, width + 2), dtype=np.uint8)
+    rows[:, 0] = ord("c")
+    rows[:, -1] = ord(" ")
+    rest = np.arange(n, dtype=np.uint32)  # n <= MAX_ROWS
+    for k in range(width, 0, -1):
+        rest, digit = np.divmod(rest, 10)
+        np.add(digit, ord("0"), out=rows[:, k], casting="unsafe")
+    return rows.tobytes().decode("ascii").split()
+
+
 class _Rows(Sequence):
     """A book's rows as CandidateEntry values, built on access."""
 
@@ -110,7 +131,7 @@ class _Rows(Sequence):
         self._book = book
 
     def __len__(self) -> int:
-        return len(self._book.ids)
+        return self._book.v_intrinsic.size
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -130,10 +151,11 @@ class PreferenceBook:
     STATUSES) hold one value per row; the arrays are read-only and the book
     is immutable, so the ask and the intrinsic best bid are computed once,
     here.  Entry ids must be unique; entry order is meaningful (ties in
-    best_bid break toward the earliest entry).
+    best_bid break toward the earliest entry).  A generated book is
+    numbered: its ids are ``_ids(n)``, built on the first read of ``ids``.
     """
 
-    __slots__ = ("owner_id", "ids", "v_intrinsic", "c_offer", "status_codes",
+    __slots__ = ("owner_id", "_names", "v_intrinsic", "c_offer", "status_codes",
                  "_liquid", "_v_liquid", "_c_liquid", "_v_uncond", "_v_reach")
 
     def __init__(self, entries: Iterable[CandidateEntry], owner_id: str = "agent") -> None:
@@ -158,8 +180,19 @@ class PreferenceBook:
         book._set_columns(ids, (v_intrinsic, c_offer), codes.astype(np.int8), owner_id)
         return book
 
+    @classmethod
+    def _numbered(cls, v_intrinsic: np.ndarray, c_offer: np.ndarray, status_codes: np.ndarray,
+                  owner_id: str) -> PreferenceBook:
+        """A book whose row i is named ``_id(i, n)``.  The names are unique by
+        construction, so unchecked, and built on the first read of ``ids``;
+        ``status_codes`` must be valid int8 codes."""
+        book = cls.__new__(cls)
+        book._set_columns(len(v_intrinsic), (v_intrinsic, c_offer), status_codes, owner_id)
+        return book
+
     def _set_columns(self, ids, values, codes: np.ndarray, owner_id: str) -> None:
-        """``values`` is the pair (v_intrinsic, c_offer); ``codes`` are valid.
+        """``ids`` are the row names, or the row count of a numbered book;
+        ``values`` is the pair (v_intrinsic, c_offer); ``codes`` are valid.
 
         A value column must be one numpy holds as integers or floats:
         strings, booleans and objects (an int past 64 bits, say) are a
@@ -167,8 +200,8 @@ class PreferenceBook:
         column to a float, so that one passes; CSV and JSON input reject
         booleans before they get here.
         """
-        ids = tuple(ids)
-        n = len(ids)
+        names = None if isinstance(ids, int) else tuple(ids)
+        n = ids if names is None else len(names)
         if n > MAX_ROWS:
             raise ValueError(f"a book holds at most {MAX_ROWS} rows, got {n}")
         columns = [np.asarray(column) for column in values]
@@ -185,7 +218,7 @@ class PreferenceBook:
                              f"got {float(vc[column, row])}")
         vc.flags.writeable = False
         codes.flags.writeable = False
-        if len(set(ids)) != n:
+        if names is not None and len(set(names)) != n:
             raise ValueError(f"duplicate entry ids in book {owner_id!r}")
         v, c = vc
         liquid = np.flatnonzero(codes == _LIQUID)
@@ -195,7 +228,7 @@ class PreferenceBook:
         for derived in (liquid, v_liquid, c_liquid):
             derived.flags.writeable = False
         state = {
-            "owner_id": owner_id, "ids": ids, "v_intrinsic": v, "c_offer": c,
+            "owner_id": owner_id, "_names": names, "v_intrinsic": v, "c_offer": c,
             "status_codes": codes, "_liquid": liquid, "_v_liquid": v_liquid,
             "_c_liquid": c_liquid,
             # Indexing at argmax keeps max()'s first maximum (and its sign of zero).
@@ -227,10 +260,17 @@ class PreferenceBook:
         return hash((self.owner_id, self.ids))
 
     def __repr__(self) -> str:
-        return (f"PreferenceBook(owner_id={self.owner_id!r}, rows={len(self.ids)}, "
+        return (f"PreferenceBook(owner_id={self.owner_id!r}, rows={self.v_intrinsic.size}, "
                 f"liquid={self._liquid.size})")
 
     # -- rows ---------------------------------------------------------------
+
+    @property
+    def ids(self) -> tuple[str, ...]:
+        """The row names, one per row; a numbered book builds them on first read."""
+        if self._names is None:
+            object.__setattr__(self, "_names", tuple(_ids(self.v_intrinsic.size)))
+        return self._names
 
     @property
     def entries(self) -> Sequence[CandidateEntry]:
@@ -238,8 +278,11 @@ class PreferenceBook:
         return _Rows(self)
 
     def _row(self, i: int) -> CandidateEntry:
-        return CandidateEntry(self.ids[i], float(self.v_intrinsic[i]), float(self.c_offer[i]),
-                              STATUSES[self.status_codes[i]])
+        # The columns raise IndexError past either end; a numbered book names
+        # only the row asked for, counting a negative i from the end.
+        n, names = self.v_intrinsic.size, self._names
+        v, c, code = float(self.v_intrinsic[i]), float(self.c_offer[i]), self.status_codes[i]
+        return CandidateEntry(_id(i % n, n) if names is None else names[i], v, c, STATUSES[code])
 
     # -- side derivations ---------------------------------------------------
 
@@ -382,7 +425,7 @@ _JSON_STATUS_TAILS = tuple(f',\n    "status": "{value}"\n  }}' for value in _STA
 def book_to_json(book: PreferenceBook) -> str:
     """The bytes of ``json.dumps(rows, indent=2)`` for the row objects,
     joined from the columns without building them."""
-    if not book.ids:
+    if not book.v_intrinsic.size:
         return "[]\n"
     tails = map(_JSON_STATUS_TAILS.__getitem__, book.status_codes.tolist())
     rows = map("".join, zip(map(encode_basestring_ascii, book.ids), repeat(',\n    "v_intrinsic": '),

@@ -180,7 +180,7 @@ def reprice(v_uncond: Valuation, factor: float) -> Valuation:
     99, not 99.00000000000001.
     """
     if not v_uncond > 0:  # NaN fails too
-        raise ValueError(f"current ask must be > 0, got {v_uncond}")
+        raise ValueError(f"internal ask must be > 0, got {v_uncond}")
     if not (math.isfinite(factor) and factor > 0):
         raise ValueError(f"a shock factor must be finite and > 0, got {factor}")
     ask = float(Decimal(repr(v_uncond)) * Decimal(repr(factor)))

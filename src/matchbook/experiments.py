@@ -50,27 +50,32 @@ MAX_HORIZON = 10_000
 #: lengths before any point is built.
 MAX_GRID_POINTS = 10_000
 
+#: The compensation rule's override keys and defaults, declared by each
+#: scenario whose bids carry a transfer.
+_RULE_DEFAULTS = {"elasticity": 0.05, "cap": 20.0}
+
 #: One row per scenario: the override keys with no default, the override
 #: defaults, and the config keys it reads beside experiment, format and
-#: overrides.  Every scenario also takes the compensation rule's elasticity
-#: and cap; gen takes no overrides.  The override keys are declared, not the
+#: overrides.  exp2's and exp5's bids carry no transfer, so they take no
+#: rule keys; gen takes no overrides.  The override keys are declared, not the
 #: keys a run reads: a sweep over a population never reads the fixture's bid.
 _SCENARIOS = (
-    ("exp1", ("v_uncond", "bid", "c", "T"), {}, ()),
+    ("exp1", ("v_uncond", "bid", "c", "T"), _RULE_DEFAULTS, ()),
     ("exp2", ("v_uncond", "v_reach"), {}, ("schedule",)),
-    ("exp3", ("v_uncond", "bid", "c", "T"), {}, ()),
-    ("exp4", ("v_uncond", "T", "v_a", "effort_a", "v_b", "effort_b", "base_high", "base_low"), {}, ()),
+    ("exp3", ("v_uncond", "bid", "c", "T"), _RULE_DEFAULTS, ()),
+    ("exp4", ("v_uncond", "T", "v_a", "effort_a", "v_b", "effort_b", "base_high", "base_low"),
+     _RULE_DEFAULTS, ()),
     ("exp5", ("partner", "ask", "commit_threshold", "shock_factor"), {}, ()),
-    ("appendix_a", ("T",), {}, ("book", "owner_id")),
+    ("appendix_a", ("T",), _RULE_DEFAULTS, ("book", "owner_id")),
     ("sweep", ("v_uncond", "bid", "c", "T", "T0", "horizon", "shock_factor"),
-     {"lambda": 0.0, "floor": 0.0}, ("schedule", "book", "owner_id", "population", "seed", "grid")),
+     {**_RULE_DEFAULTS, "lambda": 0.0, "floor": 0.0},
+     ("schedule", "book", "owner_id", "population", "seed", "grid")),
 )
 
 #: Each command's override keys, each with its default (None: a run that
 #: reads the key needs it given); any other key is a config error.
 OVERRIDE_KEYS: dict[str, dict[str, float | None]] = {
-    name: {**dict.fromkeys(keys), "elasticity": 0.05, "cap": 20.0, **defaults}
-    for name, keys, defaults, _ in _SCENARIOS
+    name: {**dict.fromkeys(keys), **defaults} for name, keys, defaults, _ in _SCENARIOS
 } | {"gen": {}}
 
 #: Each command's top-level config keys, the CLI's --seed included; any other is a config error.
@@ -161,7 +166,7 @@ def config_from_mapping(experiment: str, data: dict, seed: int | None = None) ->
         book = None
         if "book" in data:
             book = book_from_mappings(data["book"], owner_id=str(data.get("owner_id", "F")))
-            if not book.ids or not book.v_uncond() > 0:
+            if not book.v_intrinsic.size or not book.v_uncond() > 0:
                 raise InvalidConfig("a configured book needs an entry with v_intrinsic > 0")
         population = None
         if "population" in data:
@@ -216,6 +221,11 @@ def _rule(cfg: ExperimentConfig) -> CompensationRule:
     return CompensationRule(elasticity=cfg.overrides["elasticity"], cap=cfg.overrides["cap"])
 
 
+#: The rule of exp2 and exp5: their bids offer c = 0, which every rule
+#: turns into a utility of exactly 0.0.
+_NO_TRANSFER = CompensationRule(elasticity=0.0, cap=0.0)
+
+
 def _constant_schedule(T: float) -> TableSchedule:
     return TableSchedule(points=((1, T),))
 
@@ -224,8 +234,9 @@ def _bid_book(v_uncond: float, *bids: tuple[str, float, float], owner: str = "F"
     """A hypothetical ideal at the internal ask ``v_uncond`` plus one liquid
     entry per ``(id, v, c)`` bid.  Price it at ``ask=v_uncond``: a bid above
     the ask would otherwise become the ask."""
-    if not v_uncond > 0:
-        raise InvalidConfig(f"the internal ask must be > 0, got {v_uncond}")
+    # The one ask check, made first so that a negative ask is refused in its
+    # words rather than as the ideal row's negative value.
+    market_to_book(0.0, v_uncond)
     entries = [CandidateEntry("ideal", v_uncond, 0.0, LiquidityStatus.HYPOTHETICAL)]
     entries += [CandidateEntry(i, v, c, LiquidityStatus.LIQUID) for i, v, c in bids]
     return PreferenceBook(entries, owner_id=owner)
@@ -386,7 +397,7 @@ def run_exp2(cfg: ExperimentConfig) -> ExperimentReport:
     k = _need(cfg, "v_uncond", "v_reach")
     schedule = cfg.schedule if cfg.schedule is not None else SETTLING_TABLE
     book = _bid_book(k["v_uncond"], ("bid", k["v_reach"], 0.0))
-    records = run_schedule(book.metrics(_rule(cfg), ask=k["v_uncond"]), schedule)
+    records = run_schedule(book.metrics(_NO_TRANSFER, ask=k["v_uncond"]), schedule)
     summary = {**_base_summary(records), "theta_convention": "effective"}
     return ExperimentReport("exp2", k, records, summary)
 
@@ -439,7 +450,8 @@ def run_exp5(cfg: ExperimentConfig) -> ExperimentReport:
     book = _bid_book(k["ask"], ("bid", k["partner"], 0.0))
     # The shock needs only the ask and the factor, so a bad factor fails even on a hold.
     new_ask = reprice(k["ask"], k["shock_factor"])
-    records = run_schedule(book.metrics(_rule(cfg), ask=k["ask"]), _constant_schedule(k["commit_threshold"]))
+    records = run_schedule(book.metrics(_NO_TRANSFER, ask=k["ask"]),
+                           _constant_schedule(k["commit_threshold"]))
     commit = records[-1]
     summary = {
         "commit_decision": commit.decision.value,

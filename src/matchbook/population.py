@@ -79,24 +79,10 @@ def generate(config: PopulationConfig) -> PreferenceBook:
     with np.errstate(over="ignore"):  # an offer that overflows to inf is rejected below
         offers = values * rng.uniform(config.comp_low, config.comp_high, size=n) * config.comp_scale
 
-    codes = np.where(liquid, STATUSES.index(LiquidityStatus.LIQUID),
-                     STATUSES.index(LiquidityStatus.HYPOTHETICAL))
-    return PreferenceBook.from_columns(_ids(n), values, offers, codes, owner_id="population")
-
-
-def _ids(n: int) -> list[str]:
-    """``"c" + str(i).zfill(width)`` for i in range(n), width the digit count
-    of n - 1: one ASCII buffer holds every row as ``c``, the digits and a
-    space, and is decoded and split once instead of formatted row by row."""
-    width = len(str(n - 1))
-    rows = np.empty((n, width + 2), dtype=np.uint8)
-    rows[:, 0] = ord("c")
-    rows[:, -1] = ord(" ")
-    rest = np.arange(n, dtype=np.uint32)  # n <= MAX_ROWS
-    for k in range(width, 0, -1):
-        rest, digit = np.divmod(rest, 10)
-        np.add(digit, ord("0"), out=rows[:, k], casting="unsafe")
-    return rows.tobytes().decode("ascii").split()
+    codes = np.where(liquid, np.int8(STATUSES.index(LiquidityStatus.LIQUID)),
+                     np.int8(STATUSES.index(LiquidityStatus.HYPOTHETICAL)))
+    # The book names its rows by number and builds the names when first read.
+    return PreferenceBook._numbered(values, offers, codes, owner_id="population")
 
 
 def population_metadata(config: PopulationConfig) -> str:

@@ -339,6 +339,22 @@ class TestOverrideContract:
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "rows.csv")]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ask", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["exp1", "exp2", "exp3", "exp4", "exp5"])
+    def test_non_positive_ask_has_one_refusal(self, command, ask, capsys):
+        # The words of the zero-ask population sweep in REFUSALS, a negative ask included.
+        key = "ask" if command == "exp5" else "v_uncond"
+        assert main([command, "--override", f"{key}={ask}"]) == 2
+        assert capsys.readouterr() == ("", f"config error: internal ask must be > 0, got {float(ask)}\n")
+
+    @pytest.mark.parametrize("key", ["elasticity", "cap"])
+    @pytest.mark.parametrize("command", ["exp2", "exp5"])
+    def test_transfer_free_scenarios_take_no_rule_keys(self, command, key, capsys):
+        # Their bids offer no transfer, so no rule could change a byte of the report.
+        assert main([command, "--override", f"{key}=0"]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: unknown override keys ['{key}'] for {command}; supported: ")
+
     @pytest.mark.parametrize(
         "command, error", [("exp1", RuntimeError), ("exp3", TypeError)], ids=["runtime", "type"]
     )

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,16 +10,23 @@ from scipy import stats
 from matchbook import (
     BUCKET_PRESSURE,
     Bucket,
+    CompensationRule,
     DensityProfile,
     InvalidConfig,
     LiquidityStatus,
     PopulationConfig,
+    book_from_csv,
+    book_from_json,
     book_to_csv,
+    book_to_json,
     classify_bucket,
     cone_volume,
+    effective_utility,
     generate,
 )
+from matchbook import book as book_module
 from matchbook.book import MAX_ROWS
+from matchbook.experiments import config_from_mapping, run_sweep
 from matchbook.population import population_metadata
 
 
@@ -29,6 +38,87 @@ def values_and_liquidity(book):
 
 def reference_ids(n):
     return tuple("c" + str(i).zfill(len(str(n - 1))) for i in range(n))
+
+
+RULE = CompensationRule(elasticity=0.05, cap=20.0)
+
+#: Each pair is the last size of one id width and the first of the next.
+WIDTH_BOUNDARIES = [1, 2, 10, 11, 100, 101, 1000, 1001]
+
+#: Round trips that must give back a book equal to a generated one.
+ROUND_TRIPS = {
+    "csv": lambda book: book_from_csv(book_to_csv(book), owner_id=book.owner_id),
+    "json": lambda book: book_from_json(book_to_json(book), owner_id=book.owner_id),
+    "pickle": lambda book: pickle.loads(pickle.dumps(book)),
+    "deepcopy": copy.deepcopy,
+}
+
+
+class TestGeneratedIds:
+    """A generated book names its rows by number and builds the names only
+    when they are read."""
+
+    @pytest.fixture
+    def formatted(self, monkeypatch):
+        """The row counts the name formatter was called with."""
+        calls = []
+        formatter = book_module._ids
+
+        def counting(n):
+            calls.append(n)
+            return formatter(n)
+
+        monkeypatch.setattr(book_module, "_ids", counting)
+        return calls
+
+    @pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
+    @pytest.mark.parametrize("n", WIDTH_BOUNDARIES)
+    def test_best_bid_names_its_row(self, n, read_first):
+        book = generate(PopulationConfig(n_candidates=n, reach_slope=0.0, seed=n))
+        if read_first:
+            assert book.ids == reference_ids(n)
+        best = book.best_bid(RULE)
+        utilities = [effective_utility(e.v_intrinsic, e.c_offer, RULE) for e in book.entries]
+        k = utilities.index(max(utilities))
+        assert best.entry == book.entries[k]
+        assert best.entry.id == book.ids[k] == reference_ids(n)[k]
+
+    @pytest.mark.parametrize("n", WIDTH_BOUNDARIES)
+    def test_rows_by_index_match_ids(self, n):
+        book = generate(PopulationConfig(n_candidates=n, seed=n))
+        names = [book.entries[i].id for i in (0, n - 1, -1, -n)]
+        assert names == [book.ids[i] for i in (0, n - 1, -1, -n)]
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                book.entries[i]
+
+    @pytest.mark.parametrize("trip", ROUND_TRIPS, ids=str)
+    def test_equal_and_hash_equal_to_a_round_trip(self, trip):
+        config = PopulationConfig(n_candidates=101, seed=3)
+        other = ROUND_TRIPS[trip](generate(config))
+        assert other.ids == reference_ids(101)
+        # Fresh books, so that each comparison meets names not yet built.
+        assert generate(config) == other and other == generate(config)
+        assert hash(generate(config)) == hash(other)
+
+    def test_queries_leave_the_names_unbuilt(self, formatted):
+        book = generate(PopulationConfig(n_candidates=1000, seed=5))
+        assert repr(book).startswith("PreferenceBook(owner_id='population', rows=1000, liquid=")
+        assert len(book.entries) == 1000
+        book.best_bid(RULE)
+        book.metrics(RULE)
+        book.metrics(RULE, ask=150.0)
+        assert formatted == []
+        assert book.ids == reference_ids(1000)
+        assert book.ids is book.ids
+        assert formatted == [1000]
+
+    def test_population_sweep_leaves_the_names_unbuilt(self, formatted):
+        data = {"population": {"n_candidates": 1000}, "overrides": {"T0": 0.5, "shock_factor": 1.1},
+                "grid": {"cap": [0.0, 50.0], "reach_slope": [0.2, 0.8]}}
+        rows = run_sweep(config_from_mapping("sweep", data))
+        assert len(rows) == 4
+        assert formatted == []
 
 
 class TestGenerate:
