@@ -234,9 +234,12 @@ def _bid_book(v_uncond: float, *bids: tuple[str, float, float], owner: str = "F"
     """A hypothetical ideal at the internal ask ``v_uncond`` plus one liquid
     entry per ``(id, v, c)`` bid.  Price it at ``ask=v_uncond``: a bid above
     the ask would otherwise become the ask."""
-    # The one ask check, made first so that a negative ask is refused in its
-    # words rather than as the ideal row's negative value.
+    # The one ask check, made first so that a bad ask is refused in its own
+    # words rather than as the ideal row's value.  market_to_book refuses 0,
+    # negatives and NaN, but prices an infinite ask at theta = 0.
     market_to_book(0.0, v_uncond)
+    if v_uncond == math.inf:
+        raise ValueError(f"internal ask must be finite, got {v_uncond}")
     entries = [CandidateEntry("ideal", v_uncond, 0.0, LiquidityStatus.HYPOTHETICAL)]
     entries += [CandidateEntry(i, v, c, LiquidityStatus.LIQUID) for i, v, c in bids]
     return PreferenceBook(entries, owner_id=owner)

@@ -16,8 +16,10 @@ shrinks the reachable pool much faster than linearly.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import math
+import threading
 from dataclasses import asdict, dataclass
 from enum import IntEnum
 from typing import Callable
@@ -160,8 +162,10 @@ class DensityProfile:
         # scipy.special._ufuncs._beta_pdf, and scipy.stats costs about 1 s and
         # 45 MB to import, so g calls the ufunc as beta_gen._pdf does and
         # masks as beta.pdf does: 0.0 outside [0, 1], NaN for NaN.
-        # tests/test_population.py::TestBetaDensity guards the name and
-        # checks g against stats.beta.pdf bit for bit.
+        # _in_halves computes the in-domain points in two halves on two
+        # threads, each value the ufunc's own.  tests/test_population.py::
+        # TestBetaDensity and TestBetaDensityHalves guard the name and check g
+        # against stats.beta.pdf and one serial _beta_pdf call bit for bit.
         try:
             from scipy.special._ufuncs import _beta_pdf
         except ImportError:  # a SciPy that does not export it
@@ -174,7 +178,7 @@ class DensityProfile:
             inside = (0.0 <= x) & (x <= 1.0)
             out = np.where(np.isnan(x), np.nan, 0.0)
             with np.errstate(over="ignore"):
-                out[inside] = _beta_pdf(x[inside], alpha, beta)
+                out[inside] = _in_halves(_beta_pdf, x[inside], alpha, beta)
             return out[()] if out.ndim == 0 else out
 
         return cls(name, g)
@@ -190,6 +194,39 @@ class DensityProfile:
         if not np.all((densities >= 0) & (densities < np.inf)):  # NaN fails both
             raise InvalidConfig("densities must be finite and >= 0")
         return cls("tabulated", lambda h: np.interp(np.asarray(h, dtype=float), heights, densities))
+
+
+def _in_halves(ufunc: np.ufunc, x: np.ndarray, *args: float) -> np.ndarray:
+    """``ufunc(x, *args)`` for a 1-d ``x``, its first half computed on a helper
+    thread while the calling thread computes the second.
+
+    SciPy's Beta density is native code that releases the interpreter lock,
+    so the halves overlap where two cores are free.  Both write into one buffer allocated
+    here, so every value is the ufunc's own and no copy is made.  The helper
+    runs in a copy of the caller's context, which carries numpy's errstate,
+    and is joined before this returns or raises.  An exception from either
+    half is raised here; when both raise, the first half's wins, as it would
+    in one serial call.
+    """
+    out = np.empty_like(x)
+    mid = x.size // 2
+    errors: list[BaseException] = []
+
+    def first_half() -> None:
+        try:
+            ufunc(x[:mid], *args, out=out[:mid])
+        except BaseException as exc:  # re-raised in the calling thread
+            errors.append(exc)
+
+    helper = threading.Thread(target=contextvars.copy_context().run, args=(first_half,))
+    helper.start()
+    try:
+        ufunc(x[mid:], *args, out=out[mid:])
+    finally:
+        helper.join()
+        if errors:
+            raise errors[0]
+    return out
 
 
 #: Trapezoid intervals of the cone integral.

@@ -347,6 +347,14 @@ class TestOverrideContract:
         assert main([command, "--override", f"{key}={ask}"]) == 2
         assert capsys.readouterr() == ("", f"config error: internal ask must be > 0, got {float(ask)}\n")
 
+    @pytest.mark.parametrize("ask", ["inf", "1e309"])
+    @pytest.mark.parametrize("command", ["exp1", "exp2", "exp3", "exp4", "exp5"])
+    def test_infinite_ask_is_refused_in_its_words(self, command, ask, capsys):
+        # Not as the ideal row's v_intrinsic, a book column the user never typed.
+        key = "ask" if command == "exp5" else "v_uncond"
+        assert main([command, "--override", f"{key}={ask}"]) == 2
+        assert capsys.readouterr() == ("", "config error: internal ask must be finite, got inf\n")
+
     @pytest.mark.parametrize("key", ["elasticity", "cap"])
     @pytest.mark.parametrize("command", ["exp2", "exp5"])
     def test_transfer_free_scenarios_take_no_rule_keys(self, command, key, capsys):

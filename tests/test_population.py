@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from matchbook import (
 from matchbook import book as book_module
 from matchbook.book import MAX_ROWS
 from matchbook.experiments import config_from_mapping, run_sweep
-from matchbook.population import population_metadata
+from matchbook.population import _in_halves, population_metadata
 
 
 def values_and_liquidity(book):
@@ -387,3 +388,84 @@ class TestBetaDensity:
         monkeypatch.setattr(stats.beta, "pdf", lambda *args: calls.append(args) or pdf(*args))
         assert density_outcome(profile.g, BETA_POINTS) == expected
         assert len(calls) == 1
+
+
+def serial_density(a, b, x):
+    """g's values from one serial _beta_pdf call, masked as g masks: the
+    reference that the two-thread split must equal bit for bit."""
+    from scipy.special._ufuncs import _beta_pdf
+
+    x = np.asarray(x, dtype=float)
+    inside = (0.0 <= x) & (x <= 1.0)
+    out = np.where(np.isnan(x), np.nan, 0.0)
+    with np.errstate(over="ignore"):
+        out[inside] = _beta_pdf(x[inside], a, b)
+    return out
+
+
+#: NaN, both zeros, both ends, interior points and points outside [0, 1]: its
+#: prefixes, read forwards and backwards, are odd and even arrays of every
+#: size from 0 up, with odd and even counts of in-domain points.
+MIXED_POINTS = np.array([math.nan, -0.0, 0.0, 1.0, 0.25, -0.5, 0.5, 1.5, 1 - 2**-53, math.nan, 0.75])
+
+
+class TestBetaDensityHalves:
+    """g computes its in-domain points in two halves, the first on a helper
+    thread, and must equal one serial _beta_pdf call bit for bit."""
+
+    @pytest.mark.parametrize("shapes", [(2.0, 8.0), (0.5, 2.0)], ids=repr)
+    def test_cone_grid_equals_one_serial_call(self, shapes):
+        ts = np.linspace(0.0, 1.0, 100_001)
+        got = DensityProfile.beta(*shapes).g(ts)
+        assert np.array_equal(got.view(np.uint64), serial_density(*shapes, ts).view(np.uint64))
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forwards", "backwards"])
+    @pytest.mark.parametrize("size", range(len(MIXED_POINTS) + 1))
+    @pytest.mark.parametrize("shapes", [(2.0, 8.0), (0.5, 0.5)], ids=repr)
+    def test_mixed_points_equal_one_serial_call(self, shapes, size, reverse):
+        x = MIXED_POINTS[:size][::-1] if reverse else MIXED_POINTS[:size]
+        got = DensityProfile.beta(*shapes).g(x)
+        assert got.shape == x.shape
+        assert np.array_equal(got.view(np.uint64), serial_density(*shapes, x).view(np.uint64))
+
+    def test_overflow_in_the_calling_threads_half(self):
+        # The descending grid puts h = 5e-324, where SciPy overflows, last.
+        profile = DensityProfile.beta(5e-324, 1.7976931348623157e308)
+        ts = np.linspace(1.0, 5e-324, 100_001)
+        serial_density(5e-324, 1.7976931348623157e308, ts[: ts.size // 2])  # the helper's half is clean
+        with pytest.raises(OverflowError):
+            profile.g(ts)
+
+    def test_no_thread_outlives_a_call(self):
+        before = threading.active_count()
+        DensityProfile.beta(2.0, 8.0).g(np.linspace(0.0, 1.0, 1001))
+        assert threading.active_count() == before
+        for ts in (np.linspace(5e-324, 1.0, 1001), np.linspace(1.0, 5e-324, 1001)):
+            with pytest.raises(OverflowError):
+                DensityProfile.beta(5e-324, 1.7976931348623157e308).g(ts)
+            assert threading.active_count() == before
+
+    def test_first_halfs_exception_wins(self):
+        class First(Exception):
+            pass
+
+        class Second(Exception):
+            pass
+
+        def fails(x, out):
+            # 0 raises First, 1 raises Second, anything else is computed.
+            if x[0] in (0.0, 1.0):
+                raise First if x[0] == 0 else Second
+            out[:] = x
+
+        # Both halves raise (in either order), then only the caller's, then only the helper's.
+        for x, error in [([0.0, 1.0], First), ([1.0, 0.0], Second), ([2.0, 0.0], First), ([1.0, 2.0], Second)]:
+            with pytest.raises(error):
+                _in_halves(fails, np.array(x))
+
+    def test_helper_keeps_the_callers_errstate(self):
+        # exp(1000) overflows in the helper's half only.
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            _in_halves(np.exp, np.array([1000.0, 0.0]))
+        with np.errstate(over="ignore"):
+            assert _in_halves(np.exp, np.array([1000.0, 0.0])).tolist() == [math.inf, 1.0]
