@@ -19,6 +19,7 @@ errors, 3 when a run ends in a liquidity drought or produces no result.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -193,7 +194,14 @@ COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], int], tuple[str, .
 }
 
 
+@functools.cache
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of ``command`` alone, or of every command for None.
+
+    Each is built once per process and shared by every later call, so a
+    caller must not mutate it: add no argument and set no default.  Parsing
+    leaves a parser as it was, so ``main`` may be called again and again.
+    """
     parser = argparse.ArgumentParser(
         prog="matchbook",
         description="Deterministic matching-market order-book simulations.",

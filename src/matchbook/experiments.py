@@ -189,13 +189,21 @@ def config_from_mapping(experiment: str, data: dict, seed: int | None = None) ->
         raise InvalidConfig(f"bad config for {experiment}: {exc}") from exc
 
 
+@functools.cache
+def _fixture_text(experiment: str) -> str | None:
+    """A fixture file's text, read once per process; None when none ships."""
+    root = resources.files("matchbook") / "configs" / f"{experiment}.json"
+    return root.read_text(encoding="utf-8") if root.is_file() else None
+
+
 def load_fixture(experiment: str) -> dict:
-    """Checked-in scenario constants for a runner; {} when none ships."""
-    name = f"{experiment}.json"
-    root = resources.files("matchbook") / "configs" / name
-    if not root.is_file():
-        return {}
-    return json.loads(root.read_text(encoding="utf-8"))
+    """Checked-in scenario constants for a runner; {} when none ships.
+
+    Each call parses the file's cached text again, so it returns a fresh
+    dict that the caller may mutate without changing any later call.
+    """
+    text = _fixture_text(experiment)
+    return {} if text is None else json.loads(text)
 
 
 def merge_config(base: dict, user: dict) -> dict:

@@ -156,6 +156,15 @@ class DensityProfile:
     def beta(cls, alpha: float, beta: float) -> "DensityProfile":
         if not (0 < alpha < math.inf and 0 < beta < math.inf):  # NaN fails both
             raise InvalidConfig(f"beta profile shapes must be finite and > 0, got {alpha}, {beta}")
+        # Beside a shape of 1, Boost computes B(alpha, beta) as the other
+        # shape's reciprocal at h = 1 (beta == 1) or h = 0 (alpha == 1), and
+        # where that overflows it throws a C++ exception SciPy does not catch:
+        # the process aborts.  Every grid of cone_volume holds h = 1.
+        if (beta == 1 and 1 / alpha == math.inf) or (alpha == 1 and 1 / beta == math.inf):
+            raise InvalidConfig(
+                f"beta profile shapes {alpha}, {beta}: beside a shape of 1 the other must be at "
+                "least 1/DBL_MAX (about 5.6e-309), or SciPy's Beta density aborts"
+            )
         name = f"beta:{alpha:g},{beta:g}"
         # SciPy's only user, imported here so importing matchbook stays
         # scipy-free.  stats.beta.pdf ends in the private Boost ufunc

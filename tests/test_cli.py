@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import matchbook
-from matchbook import DensityProfile, cli, cone_volume, errors
+from matchbook import DensityProfile, cli, cone_volume, errors, experiments
 from matchbook.cli import main
 from matchbook.experiments import CONFIG_KEYS, MAX_GRID_POINTS, MAX_HORIZON, RUNNERS, load_fixture
 from matchbook.book import MAX_ROWS
@@ -776,6 +777,93 @@ class TestParserPerCommand:
         assert json.loads(out.read_text())["summary"]["t_star"] == 1
 
 
+def run_with_outputs(argv):
+    """``run_cli`` of ``argv`` plus ``--out out`` in a fresh working
+    directory: its exit code, stdout and stderr, and the bytes of every file
+    it wrote there."""
+    with tempfile.TemporaryDirectory() as cwd, pytest.MonkeyPatch.context() as patch:
+        patch.chdir(cwd)
+        result = run_cli([*argv, "--out", "out"])
+        return result, {path.name: path.read_bytes() for path in sorted(Path(cwd).iterdir())}
+
+
+def empty_caches():
+    """Make the next call of each command a process's first one again."""
+    cli.build_parser.cache_clear()
+    experiments._fixture_text.cache_clear()
+
+
+#: Every command with its default inputs, an override, a config error, a
+#: usage error and help from both kinds of parser: a warm-up that builds every
+#: parser and reads every fixture.
+WARM_UP = [
+    *ALL_COMMANDS,
+    ["exp1", "--override", "bid=80", "--override", "c=0"],
+    ["exp2", "--override", "v_uncond=abc"],
+    ["exp1", "--bogus"],
+    ["--help"],
+    ["exp1", "--help"],
+]
+
+
+class TestWarmCalls:
+    """Each parser is built once per process and each fixture read once; a
+    call after any other gives what the process's first call gives."""
+
+    @pytest.mark.parametrize("command", [*cli.COMMANDS, None])
+    def test_each_parser_is_built_once(self, command):
+        assert cli.build_parser(command) is cli.build_parser(command)
+
+    def test_a_warm_call_builds_no_parser_and_reads_no_fixture(self, monkeypatch):
+        for argv in WARM_UP:
+            run_in_empty_dir(argv)
+        built, read = [], []
+        configs = Path(experiments.__file__).parent / "configs"
+        init, opener = argparse.ArgumentParser.__init__, io.open
+
+        def counted_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        def counted_open(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and Path(file).parent == configs:
+                read.append(Path(file).name)
+            return opener(file, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+        monkeypatch.setattr(io, "open", counted_open)
+        for argv in WARM_UP:
+            run_in_empty_dir(argv)
+        assert (built, read) == ([], [])
+        # The counters see the work a cold call does.
+        empty_caches()
+        assert run_in_empty_dir(["exp1"])[0] == 0
+        assert (built, read) == (["matchbook", "matchbook exp1"], ["exp1.json"])
+
+    @pytest.mark.parametrize("argv", ALL_COMMANDS, ids=lambda a: a[0])
+    def test_a_warm_run_is_a_cold_run(self, argv):
+        empty_caches()
+        cold = run_with_outputs(argv)
+        for other in WARM_UP:
+            run_with_outputs(other)
+        assert run_with_outputs(argv) == cold
+        assert cold[0][0] == 0
+
+    def test_overrides_never_reach_the_next_call(self):
+        plain = run_with_outputs(["exp1"])
+        assert run_with_outputs(["exp1", "--override", "bid=80", "--override", "c=0"]) != plain
+        assert run_with_outputs(["exp1"]) == plain
+        assert cli.build_parser("exp1").parse_args(["exp1"]).override == []
+
+    def test_a_mutated_fixture_changes_no_later_run(self):
+        plain = run_with_outputs(["exp1"])
+        data = load_fixture("exp1")
+        data["overrides"]["bid"] = 80
+        data["format"] = "csv"
+        assert load_fixture("exp1") != data
+        assert run_with_outputs(["exp1"]) == plain
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("argv", ALL_COMMANDS, ids=lambda a: a[0])
     def test_rerun_is_byte_identical(self, argv, tmp_path):
@@ -897,11 +985,15 @@ class TestModuleEntryPoint:
         assert json.loads(out.read_text())["summary"]["t_star"] == 1
 
     @staticmethod
-    def run_fresh(code):
-        """Run ``code`` in a fresh interpreter that imports this matchbook; its stdout."""
+    def fresh(*args):
+        """A fresh interpreter that imports this matchbook, run with ``args``."""
         src = str(Path(matchbook.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+    def run_fresh(self, code):
+        """Run ``code`` in a fresh interpreter; its stdout."""
+        proc = self.fresh("-c", code)
         assert proc.returncode == 0, proc.stderr
         return proc.stdout
 
@@ -916,6 +1008,17 @@ class TestModuleEntryPoint:
                 "status = cli.main(['cone', '--profile', 'beta:2,8', '--h0', '0.5']); "
                 "print(status, 'scipy.stats' in sys.modules)")
         assert self.run_fresh(code) == "0.06135923153751499\n0 False\n"
+
+    @pytest.mark.parametrize("h0", ["0", "0.5"])
+    @pytest.mark.parametrize(
+        "profile", ["beta:5e-324,1", "beta:5.562684646268003e-309,1", "beta:1,5e-324", "beta:1,1e-320"]
+    )
+    def test_tiny_shape_beside_one_is_config_error(self, profile, h0):
+        # SciPy's Beta density used to abort the process here (exit 134), so
+        # each case runs in its own interpreter.
+        proc = self.fresh("-m", "matchbook", "cone", "--profile", profile, "--h0", h0)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("config error: beta profile shapes ")
 
     def test_usage_error_is_exit_2(self):
         proc = subprocess.run(

@@ -323,6 +323,20 @@ class TestConeVolume:
         with pytest.raises(InvalidConfig, match="finite and > 0"):
             DensityProfile.beta(*shapes)
 
+    @pytest.mark.parametrize("tiny", [5e-324, 1e-320, 2.0**-1024], ids=repr)
+    def test_tiny_shape_beside_one_is_refused(self, tiny):
+        # 1/tiny overflows, and Boost's Beta density would abort the process
+        # at h = 1 (beta == 1) or h = 0 (alpha == 1).
+        for shapes in ((tiny, 1.0), (1.0, tiny)):
+            with pytest.raises(InvalidConfig, match="beside a shape of 1"):
+                DensityProfile.beta(*shapes)
+
+    def test_least_shape_beside_one_is_its_density(self):
+        # The next float above 2**-1024 has a finite reciprocal.
+        least = math.nextafter(2.0**-1024, 1.0)
+        assert DensityProfile.beta(least, 1.0).g(1.0) == DensityProfile.beta(1.0, least).g(0.0) == least
+        assert DensityProfile.beta(1e-320, math.nextafter(1.0, 2.0)).g(1.0) == 0.0
+
     def test_density_overflow_raises_overflow_error(self):
         # SciPy raises OverflowError evaluating this density near h = 0.
         profile = DensityProfile.beta(5e-324, 1.7976931348623157e308)
