@@ -8,8 +8,7 @@ and the cone-volume calculator:
     matchbook cone --profile beta:2,8 --h0 0.5
 
 Each also takes --out and --format.  ``COMMANDS`` lists the flags each
-subcommand reads, and any other flag is a usage error (exit 2).  A call builds
-only its command's parser, whose usage and errors match the full one's.
+subcommand reads, and any other flag is a usage error (exit 2).
 Scenario constants default to the checked-in fixtures, so each experiment runs
 with no arguments at all.  Exit codes: 0 on success, 2 on configuration
 errors, 3 when a run ends in a liquidity drought or produces no result.
@@ -195,23 +194,20 @@ COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], int], tuple[str, .
 
 
 @functools.cache
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of ``command`` alone, or of every command for None.
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command.
 
-    Each is built once per process and shared by every later call, so a
+    It is built once per process and shared by every later call, so a
     caller must not mutate it: add no argument and set no default.  Parsing
-    leaves a parser as it was, so ``main`` may be called again and again.
+    leaves it as it was, so ``main`` may be called again and again.
     """
     parser = argparse.ArgumentParser(
         prog="matchbook",
         description="Deterministic matching-market order-book simulations.",
     )
-    # Given a prog, argparse need not format a usage line to derive it.  With
-    # only ``command``, the metavar keeps the usage line naming every command.
-    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog, metavar=metavar)
-    for name in COMMANDS if command is None else (command,):
-        help_line, handler, flags = COMMANDS[name]
+    # Given a prog, argparse need not format a usage line to derive it.
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
+    for name, (help_line, handler, flags) in COMMANDS.items():
         subparser = sub.add_parser(name, help=help_line)
         subparser.set_defaults(handler=handler)
         for flag in flags:
@@ -226,9 +222,7 @@ _CONFIG_ERRORS = (InvalidConfig, ValueError, OverflowError)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # Help, a missing or unknown command and a leading option need the full parser.
-    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except _CONFIG_ERRORS as exc:

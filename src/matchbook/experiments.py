@@ -239,18 +239,15 @@ def _constant_schedule(T: float) -> TableSchedule:
 
 
 def _bid_book(v_uncond: float, *bids: tuple[str, float, float], owner: str = "F") -> PreferenceBook:
-    """A hypothetical ideal at the internal ask ``v_uncond`` plus one liquid
-    entry per ``(id, v, c)`` bid.  Price it at ``ask=v_uncond``: a bid above
-    the ask would otherwise become the ask."""
-    # The one ask check, made first so that a bad ask is refused in its own
-    # words rather than as the ideal row's value.  market_to_book refuses 0,
-    # negatives and NaN, but prices an infinite ask at theta = 0.
+    """One liquid entry per ``(id, v, c)`` bid, once the internal ask
+    ``v_uncond`` is checked; price the book at ``ask=v_uncond``."""
+    # The one ask check, since no row holds the ask.  market_to_book refuses
+    # 0, negatives and NaN, but prices an infinite ask at theta = 0.
     market_to_book(0.0, v_uncond)
     if v_uncond == math.inf:
         raise ValueError(f"internal ask must be finite, got {v_uncond}")
-    entries = [CandidateEntry("ideal", v_uncond, 0.0, LiquidityStatus.HYPOTHETICAL)]
-    entries += [CandidateEntry(i, v, c, LiquidityStatus.LIQUID) for i, v, c in bids]
-    return PreferenceBook(entries, owner_id=owner)
+    return PreferenceBook([CandidateEntry(i, v, c, LiquidityStatus.LIQUID) for i, v, c in bids],
+                          owner_id=owner)
 
 
 # -- reports -----------------------------------------------------------------------
@@ -549,7 +546,7 @@ def _sweep_book(cfg: ExperimentConfig, reach_slope: float | None) -> tuple[Prefe
 def _sweep_schedule(cfg: ExperimentConfig, t0: float | None, rate: float | None) -> ThresholdSchedule:
     if t0 is None and rate is None and cfg.schedule is not None:
         return cfg.schedule
-    base = cfg.schedule if isinstance(cfg.schedule, DecaySchedule) else None
+    base = cfg.schedule  # a decay schedule or None: run_sweep refuses a table here
     if rate is None:
         rate = base.rate if base is not None else cfg.overrides["lambda"]
     if t0 is None:
@@ -571,8 +568,15 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict[str, Any]]:
     if cfg.grid is None:
         raise InvalidConfig("sweep needs a grid")
     params, points = _grid_points(cfg.grid)
-    if "reach_slope" in params and (cfg.population is None or cfg.book is not None):
-        raise InvalidConfig("a reach_slope grid needs a population and no book")
+    # Each refusal names a key the sweep would otherwise drop in silence.
+    if cfg.book is not None and cfg.population is not None:
+        raise InvalidConfig("a sweep takes a book or a population, not both")
+    if "reach_slope" in params and cfg.population is None:
+        raise InvalidConfig("a reach_slope grid needs a population")
+    if isinstance(cfg.schedule, TableSchedule):
+        for param in ("T0", "lambda"):
+            if param in params:
+                raise InvalidConfig(f"a {param} grid needs a decay schedule or none, not a table schedule")
     horizon = _check_horizon(cfg.overrides["horizon"]) if "horizon" in cfg.overrides else None
     # generate is a pure function of its config: one book per reach_slope.
     book_for = functools.cache(functools.partial(_sweep_book, cfg))

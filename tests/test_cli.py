@@ -34,10 +34,22 @@ REFUSALS = [
      2, "config error: internal ask must be > 0, got 0.0\n"),
     (["sweep"], {"grid": {"cap": []}}, 2, "config error: sweep needs a non-empty grid\n"),
     (["sweep"], {"grid": {"cap": [1.0]}}, 2, "config error: sweep needs a schedule, or T0/T in overrides\n"),
+    (["sweep"], {"book": [{"id": "A", "v_intrinsic": 90, "c_offer": 0, "status": "liquid"}],
+                 "population": {"n_candidates": 50}},
+     2, "config error: a sweep takes a book or a population, not both\n"),
+    (["sweep"], {"schedule": {"mode": "table", "points": [[1, 0.9]]}, "grid": {"T0": [0.8]}},
+     2, "config error: a T0 grid needs a decay schedule or none, not a table schedule\n"),
+    (["sweep"], {"schedule": {"mode": "table", "points": [[1, 0.9]]}, "grid": {"lambda": [0.1]}},
+     2, "config error: a lambda grid needs a decay schedule or none, not a table schedule\n"),
+    (["sweep"], {"schedule": {"mode": "table", "points": [[1, 0.9]]}, "overrides": {"T": 0.8},
+                 "grid": {"lambda": [0.1]}},
+     2, "config error: a lambda grid needs a decay schedule or none, not a table schedule\n"),
     (["appendix-a"], {"book": [{"id": "H", "v_intrinsic": 95, "c_offer": 0, "status": "hypothetical"}]},
      3, "liquidity drought: book 'F' has no liquid entry\n"),
 ]
-REFUSAL_IDS = ["h0-above-1", "h0-nan", "zero-ask", "empty-grid", "no-schedule", "no-liquid-row"]
+REFUSAL_IDS = ["h0-above-1", "h0-nan", "zero-ask", "empty-grid", "no-schedule", "book-and-population",
+               "table-schedule-T0-grid", "table-schedule-lambda-grid",
+               "table-schedule-lambda-grid-beside-T", "no-liquid-row"]
 
 REMOVED_ERRORS = ["MatchbookError", "NonPositiveAsk", "OutOfRange", "EmptyBook",
                   "StepBeforeSchedule", "NotExecuted", "MissingOverride", "EmptyGrid"]
@@ -554,8 +566,17 @@ CONFIG_KEY_VALUES = {
     "owner_id": "F",
     "population": {"n_candidates": 50},
     "seed": 7,
-    "grid": {"T0": [0.8]},
+    "grid": {"cap": [0.0, 20.0]},
 }
+
+#: Each command with top-level config keys that one config reads in full.  A
+#: sweep prices a book or a population, never both, so it takes two configs.
+READ_KEYS = [
+    *(pytest.param(name, keys, id=name.replace("_", "-")) for name, keys in CONFIG_KEYS.items()
+      if name != "sweep"),
+    pytest.param("sweep", CONFIG_KEYS["sweep"] - {"population", "seed"}, id="sweep-book"),
+    pytest.param("sweep", CONFIG_KEYS["sweep"] - {"book", "owner_id"}, id="sweep-population"),
+]
 
 
 class TestConfigKeys:
@@ -575,12 +596,12 @@ class TestConfigKeys:
         assert f"unknown config keys ['{key}']" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", [name.replace("_", "-") for name in CONFIG_KEYS])
-    def test_every_key_in_the_command_table_is_read(self, command, tmp_path):
-        keys = CONFIG_KEYS[command.replace("-", "_")] - {"experiment"}
+    @pytest.mark.parametrize("command, keys", READ_KEYS)
+    def test_every_key_in_the_command_table_is_read(self, command, keys, tmp_path):
+        command = command.replace("_", "-")
+        data = {k: CONFIG_KEY_VALUES[k] for k in keys - {"experiment"}}
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"experiment": command, **{k: CONFIG_KEY_VALUES[k] for k in keys}}),
-                       encoding="utf-8")
+        cfg.write_text(json.dumps({"experiment": command, **data}), encoding="utf-8")
         assert exit_status([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
     @pytest.mark.parametrize("named", ["exp1", 5, None])
@@ -713,39 +734,32 @@ class TestCommandFlags:
         assert not out.exists()
 
 
-def run_in_empty_dir(argv, full_parser=False):
+def run_in_empty_dir(argv):
     """``run_cli(argv)`` from a fresh working directory, so that an ``--out``
-    file one run writes is no ``--config`` file for the next.  With
-    ``full_parser``, ``main`` gets the parser of every command."""
-    build = cli.build_parser
+    file one run writes is no ``--config`` file for the next."""
     with tempfile.TemporaryDirectory() as cwd, pytest.MonkeyPatch.context() as patch:
         patch.chdir(cwd)
-        if full_parser:
-            patch.setattr(cli, "build_parser", lambda command=None: build())
         return run_cli(argv)
 
 
-#: Tokens an argv is drawn from: command names, flag names, flag values and
-#: junk.  No value names a Beta profile, which would make an example slow.
-ARGV_TOKENS = st.sampled_from([
-    *cli.COMMANDS, "bogus", *cli._FLAGS, "--steps", "--se", "-h", "-", "--", "extra",
-    "0.5", "7", "-1", "x", "T0=0.5", "csv", "json", "xml", "uniform", "beta:a,b",
-])
-
-
 class TestParserPerCommand:
-    """A call builds only its command's parser; exit code, stdout and stderr
-    are those of a run through the parser of every command."""
+    """The one parser that serves every command: its usage errors, the argv
+    it reads by default, and parses that leave it as it was."""
 
     @pytest.mark.parametrize(
         "argv",
         [[], ["-h"], ["bogus"], ["--seed", "1", "exp1"], ["exp1", "--bogus"], ["exp1", "extra"],
          ["exp1", "--seed"], ["cone", "--config", "x"], ["gen", "--override", "a=1"],
+         ["exp1", "--override", "bid=80"], ["sweep", "--override", "T0=0.5", "--seed", "7"],
          *([name, "-h"] for name in cli.COMMANDS)],
         ids=" ".join,
     )
-    def test_argv_runs_as_with_the_full_parser(self, argv):
-        assert run_in_empty_dir(argv) == run_in_empty_dir(argv, full_parser=True)
+    def test_a_parse_mutates_nothing(self, argv):
+        # The parser is shared, so a default that one call changed would reach the next.
+        parser = cli.build_parser()
+        plain = [parser.parse_args([name]) for name in cli.COMMANDS]
+        run_in_empty_dir(argv)
+        assert [parser.parse_args([name]) for name in cli.COMMANDS] == plain
 
     @pytest.mark.parametrize(
         "argv, error",
@@ -756,24 +770,13 @@ class TestParserPerCommand:
         ids=["missing", "unknown", "extra"],
     )
     def test_usage_error_text(self, argv, error):
-        # The one-command parser raises the last; the full parser the others.
         usage = "usage: matchbook [-h] {" + ",".join(cli.COMMANDS) + "} ...\n"
         assert run_cli(argv) == (2, "", f"{usage}matchbook: error: {error}\n")
-
-    @given(argv=st.lists(ARGV_TOKENS, max_size=6))
-    @settings(max_examples=200, deadline=None)
-    def test_any_argv_runs_as_with_the_full_parser(self, argv):
-        assert run_in_empty_dir(argv) == run_in_empty_dir(argv, full_parser=True)
 
     def test_argv_defaults_to_sys_argv(self, tmp_path, monkeypatch):
         out = tmp_path / "exp3.json"
         monkeypatch.setattr(sys, "argv", ["matchbook", "exp3", "--out", str(out)])
-        built, build = [], cli.build_parser
-        monkeypatch.setattr(
-            cli, "build_parser", lambda command=None: built.append(command) or build(command)
-        )
         assert main() == 0
-        assert built == ["exp3"]
         assert json.loads(out.read_text())["summary"]["t_star"] == 1
 
 
@@ -794,8 +797,8 @@ def empty_caches():
 
 
 #: Every command with its default inputs, an override, a config error, a
-#: usage error and help from both kinds of parser: a warm-up that builds every
-#: parser and reads every fixture.
+#: usage error and help from the parser and a subparser: a warm-up that builds
+#: the parser and reads every fixture.
 WARM_UP = [
     *ALL_COMMANDS,
     ["exp1", "--override", "bid=80", "--override", "c=0"],
@@ -806,39 +809,59 @@ WARM_UP = [
 ]
 
 
+#: The progs of the parser and of each subparser that build_parser makes.
+PARSER_PROGS = ["matchbook", *(f"matchbook {name}" for name in cli.COMMANDS)]
+
+
+def count_work(monkeypatch):
+    """Lists that record each ArgumentParser built, by prog, and each
+    fixture file opened, by name, from now on."""
+    built, read = [], []
+    configs = Path(experiments.__file__).parent / "configs"
+    init, opener = argparse.ArgumentParser.__init__, io.open
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    def counted_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and Path(file).parent == configs:
+            read.append(Path(file).name)
+        return opener(file, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    monkeypatch.setattr(io, "open", counted_open)
+    return built, read
+
+
 class TestWarmCalls:
-    """Each parser is built once per process and each fixture read once; a
+    """The parser is built once per process and each fixture read once; a
     call after any other gives what the process's first call gives."""
 
     @pytest.mark.parametrize("command", [*cli.COMMANDS, None])
-    def test_each_parser_is_built_once(self, command):
-        assert cli.build_parser(command) is cli.build_parser(command)
+    def test_each_parser_is_built_once(self, command, monkeypatch):
+        # Whatever a process's first call names, the parser it builds serves every command.
+        argv = ["--help"] if command is None else [command, "--help"]
+        empty_caches()
+        built, _ = count_work(monkeypatch)
+        assert run_in_empty_dir(argv)[0] == 0
+        assert built == PARSER_PROGS
+        for other in ([], *([name, "--help"] for name in cli.COMMANDS)):
+            run_in_empty_dir(other)
+        assert built == PARSER_PROGS
+        assert cli.build_parser() is cli.build_parser()
 
     def test_a_warm_call_builds_no_parser_and_reads_no_fixture(self, monkeypatch):
         for argv in WARM_UP:
             run_in_empty_dir(argv)
-        built, read = [], []
-        configs = Path(experiments.__file__).parent / "configs"
-        init, opener = argparse.ArgumentParser.__init__, io.open
-
-        def counted_init(self, *args, **kwargs):
-            built.append(kwargs.get("prog"))
-            init(self, *args, **kwargs)
-
-        def counted_open(file, *args, **kwargs):
-            if isinstance(file, (str, os.PathLike)) and Path(file).parent == configs:
-                read.append(Path(file).name)
-            return opener(file, *args, **kwargs)
-
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
-        monkeypatch.setattr(io, "open", counted_open)
+        built, read = count_work(monkeypatch)
         for argv in WARM_UP:
             run_in_empty_dir(argv)
         assert (built, read) == ([], [])
         # The counters see the work a cold call does.
         empty_caches()
         assert run_in_empty_dir(["exp1"])[0] == 0
-        assert (built, read) == (["matchbook", "matchbook exp1"], ["exp1.json"])
+        assert (built, read) == (PARSER_PROGS, ["exp1.json"])
 
     @pytest.mark.parametrize("argv", ALL_COMMANDS, ids=lambda a: a[0])
     def test_a_warm_run_is_a_cold_run(self, argv):
@@ -853,7 +876,7 @@ class TestWarmCalls:
         plain = run_with_outputs(["exp1"])
         assert run_with_outputs(["exp1", "--override", "bid=80", "--override", "c=0"]) != plain
         assert run_with_outputs(["exp1"]) == plain
-        assert cli.build_parser("exp1").parse_args(["exp1"]).override == []
+        assert cli.build_parser().parse_args(["exp1"]).override == []
 
     def test_a_mutated_fixture_changes_no_later_run(self):
         plain = run_with_outputs(["exp1"])

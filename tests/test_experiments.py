@@ -438,9 +438,8 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "source",
-        [{}, {"book": [{"id": "H", "v_intrinsic": 90, "c_offer": 0, "status": "liquid"}],
-              "population": {"n_candidates": 400}}],
-        ids=["fixture-bid", "book-over-population"],
+        [{}, {"book": [{"id": "H", "v_intrinsic": 90, "c_offer": 0, "status": "liquid"}]}],
+        ids=["fixture-bid", "book"],
     )
     def test_reach_slope_grid_needs_a_population(self, source):
         # Without a generated population the slope has no book to reshape,
@@ -449,6 +448,13 @@ class TestSweep:
         data = merge_config(load_fixture("sweep"), {**source, "grid": grid})
         with pytest.raises(InvalidConfig, match="reach_slope grid needs a population"):
             run_sweep(config_from_mapping("sweep", data))
+
+    @pytest.mark.parametrize("grid", [{"T0": [0.9, 0.8]}, {"lambda": [0.1, 0.5]}], ids=["T0", "lambda"])
+    def test_decay_schedule_takes_its_grid(self, grid):
+        # The fixture bid's theta is 70 / 90; T(t) = 0.9 exp(-0.1 t) first meets it at t = 2.
+        schedule = {"mode": "decay", "t0": 0.9, "rate": 0.1}
+        data = merge_config(load_fixture("sweep"), {"schedule": schedule, "grid": grid})
+        assert [row["t_star"] for row in run_sweep(config_from_mapping("sweep", data))] == [2, 1]
 
     def test_drought_book_reports_drought(self):
         data = {

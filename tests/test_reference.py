@@ -1,4 +1,4 @@
-"""A reference model of exp1, exp2, exp3 and exp5, written from the paper.
+"""A reference model of exp1-exp5 and the fixture-bid sweep, written from the paper.
 
 Each model restates the paper's equations for one scenario in plain Python,
 in the paper's order of operations, and shares no code with the engine:
@@ -10,17 +10,20 @@ in the paper's order of operations, and shares no code with the engine:
     t* = the first step with theta >= T(t); execution is absorbing
     theta' = v / (V_uncond * f)    a shock reprices the ask by f, in decimal
     regret = theta' < T_commit     the committed threshold
+    best bid = argmax U over the liquid bids; the earlier bid wins a tie
 
-Hypothesis draws in-domain overrides, and every summary field a runner
-reports must equal the model's exactly.
+Hypothesis draws in-domain overrides and sweep grids, and every summary
+field a runner reports, and every field of every sweep row, must equal the
+model's exactly.
 """
 
+import itertools
 import math
 from decimal import Decimal
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from matchbook.experiments import RUNNERS, config_from_mapping
+from matchbook.experiments import RUNNERS, config_from_mapping, load_fixture, run_sweep
 
 # -- the model ------------------------------------------------------------------
 
@@ -33,10 +36,16 @@ def first_execution(theta, thresholds):
     """The decision and t* of an agent that meets ``thresholds``, (t, T(t))
     pairs in step order, with a fixed theta: it executes at the first t
     with theta >= T(t) and stops there."""
+    decision, t_star, _ = commitment(theta, thresholds)
+    return decision, t_star
+
+
+def commitment(theta, thresholds):
+    """first_execution plus the threshold committed at, None for a hold."""
     for t, T in thresholds:
         if theta >= T:
-            return "execute", t
-    return "hold", None
+            return "execute", t, T
+    return "hold", None, None
 
 
 def priced_bid(v_uncond, bid, c, e, cap, thresholds):
@@ -55,9 +64,14 @@ def table_thresholds(points):
             for t in range(points[0][0], points[-1][0] + 1)]
 
 
-def decay_thresholds(t0, rate, floor):
-    """T(t) = max(floor, t0 * exp(-rate * t)) over the default horizon, steps 0 to 50."""
-    return [(t, max(floor, t0 * math.exp(-rate * t))) for t in range(0, 51)]
+def decay_thresholds(t0, rate, floor, horizon=50):
+    """T(t) = max(floor, t0 * exp(-rate * t)) from step 0 to the horizon, by default 50."""
+    return [(t, max(floor, t0 * math.exp(-rate * t))) for t in range(0, horizon + 1)]
+
+
+def shocked_ask(ask, factor):
+    """The ask repriced by a shock factor, in decimal."""
+    return float(Decimal(repr(ask)) * Decimal(repr(factor)))
 
 
 def model_exp1(k):
@@ -82,11 +96,56 @@ def model_exp5(k):
     summary = {"commit_decision": commit["decision"], "t_star": commit["t_star"],
                "pre_theta": commit["theta"]}
     if commit["decision"] == "execute":
-        new_ask = float(Decimal(repr(ask)) * Decimal(repr(k["shock_factor"])))
+        new_ask = shocked_ask(ask, k["shock_factor"])
         post_theta = partner / new_ask
         summary.update(post_theta=post_theta, post_shock_ask=new_ask, regret=post_theta < T,
                        regret_gap_jump=(new_ask - partner) - commit["delta_v"])
     return {**summary, "theta_convention": "intrinsic (post-execution)"}
+
+
+def model_exp4(k):
+    """Two markets price the same two bids, each offering its market's base
+    transfer plus its own effort; the ranking must not depend on the base."""
+    markets = []
+    for label, base in (("high_norm", k["base_high"]), ("low_norm", k["base_low"])):
+        bids = [("A", k["v_a"], base + k["effort_a"]), ("B", k["v_b"], base + k["effort_b"])]
+        utilities = [effective_utility(v, c, k["elasticity"], k["cap"]) for _, v, c in bids]
+        best = 0 if utilities[0] >= utilities[1] else 1
+        theta = utilities[best] / k["v_uncond"]
+        decision, _ = first_execution(theta, [(1, k["T"])])
+        markets.append({"market": label, "base": base, "selected_id": bids[best][0],
+                        "selected_v": bids[best][1], "utility": utilities[best],
+                        "theta": theta, "decision": decision})
+    return {"markets": markets,
+            "ranking_invariant": markets[0]["selected_id"] == markets[1]["selected_id"],
+            "theta_convention": "effective"}
+
+
+def model_sweep(k, grid):
+    """One row per grid point, in grid order: the fixture bid priced at the
+    configured ask under the point's rule, against a constant threshold
+    (lambda = 0) or a decaying one, then shocked if it executed."""
+    v_uncond, bid, c = k["v_uncond"], k["bid"], k["c"]
+    rows = []
+    for index, values in enumerate(itertools.product(*grid.values())):
+        point = dict(zip(grid, values))
+        setting = {**k, **point}
+        U = effective_utility(bid, c, setting["eps"], setting["cap"])
+        theta = U / v_uncond
+        if setting["lambda"] == 0:
+            thresholds = [(t, setting["T0"]) for t in range(1, k.get("horizon", 1) + 1)]
+        else:
+            thresholds = decay_thresholds(setting["T0"], setting["lambda"], k["floor"],
+                                          k.get("horizon", 50))
+        decision, t_star, committed = commitment(theta, thresholds)
+        post_theta = regret = None
+        if decision == "execute" and "shock_factor" in setting:
+            post_theta = bid / shocked_ask(v_uncond, setting["shock_factor"])
+            regret = post_theta < committed
+        rows.append({"grid_index": index, **point, "decision": decision, "t_star": t_star,
+                     "theta": theta, "delta_v": v_uncond - bid, "slippage": v_uncond - U,
+                     "post_theta": post_theta, "regret": regret})
+    return rows
 
 
 # -- the draws ------------------------------------------------------------------
@@ -96,10 +155,10 @@ VALUES = st.one_of(st.integers(0, 150).map(float), st.floats(0, 150))
 ASKS = st.one_of(st.integers(1, 100).map(float), st.floats(0.01, 100))
 THRESHOLDS = st.one_of(st.sampled_from([0.5, 0.7, 0.75, 0.8, 0.9, 0.95, 1.0]),
                        st.floats(0, 1, exclude_min=True))
+ELASTICITIES = st.one_of(st.sampled_from([0.0, 0.02, 0.05]), st.floats(0, 1))
+CAPS = st.one_of(st.sampled_from([0.0, 20.0, math.inf]), st.floats(0, 50))
 RULES = st.fixed_dictionaries({
-    "c": st.one_of(st.just(0.0), st.floats(0, 1000)),
-    "elasticity": st.one_of(st.sampled_from([0.0, 0.02, 0.05]), st.floats(0, 1)),
-    "cap": st.one_of(st.sampled_from([0.0, 20.0, math.inf]), st.floats(0, 50)),
+    "c": st.one_of(st.just(0.0), st.floats(0, 1000)), "elasticity": ELASTICITIES, "cap": CAPS,
 })
 
 
@@ -108,6 +167,23 @@ def tables(draw):
     steps = sorted(draw(st.lists(st.integers(0, 12), min_size=1, max_size=6, unique=True)))
     values = sorted(draw(st.lists(THRESHOLDS, min_size=len(steps), max_size=len(steps))), reverse=True)
     return list(zip(steps, values))
+
+
+#: The sweep's grid parameters over the fixture bid, each with its values' range.
+SWEEP_GRIDS = {
+    "T0": THRESHOLDS,
+    "lambda": st.one_of(st.just(0.0), st.floats(0, 1)),
+    "eps": ELASTICITIES,
+    "cap": CAPS,
+    "shock_factor": st.one_of(st.sampled_from([0.9, 1.1, 2.0]), st.floats(0.01, 10)),
+}
+
+
+@st.composite
+def sweep_grids(draw):
+    """A non-empty subset of SWEEP_GRIDS in a drawn order, one to three values each."""
+    names = draw(st.permutations(list(SWEEP_GRIDS)))[:draw(st.integers(1, len(SWEEP_GRIDS)))]
+    return {name: draw(st.lists(SWEEP_GRIDS[name], min_size=1, max_size=3)) for name in names}
 
 
 def run(experiment, overrides, **config):
@@ -150,3 +226,33 @@ class TestAgainstTheModel:
         k = {"partner": partner, "ask": ask, "commit_threshold": commit_threshold,
              "shock_factor": shock_factor}
         assert run("exp5", k) == model_exp5(k)
+
+    @given(
+        v_uncond=ASKS, T=THRESHOLDS, v_a=VALUES, v_b=VALUES,
+        effort_a=st.floats(0, 100), effort_b=st.floats(0, 100),
+        base_high=st.floats(0, 300), base_low=st.floats(0, 300),
+        elasticity=ELASTICITIES, cap=CAPS,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_exp4(self, **k):
+        assert run("exp4", k) == model_exp4(k)
+
+    @given(
+        v_uncond=ASKS, bid=VALUES, rule=RULES, T0=THRESHOLDS, floor=st.floats(0, 1),
+        extra=st.fixed_dictionaries({}, optional={
+            "lambda": SWEEP_GRIDS["lambda"], "shock_factor": SWEEP_GRIDS["shock_factor"],
+            "horizon": st.integers(1, 60),
+        }),
+        grid=sweep_grids(),
+    )
+    # A shock that lands exactly on the committed threshold, 90 / 112.5 == 0.8, is no regret.
+    @example(v_uncond=90.0, bid=90.0, rule={"c": 0.0, "elasticity": 0.05, "cap": 20.0}, T0=0.8,
+             floor=0.0, extra={}, grid={"shock_factor": [1.25]})
+    @settings(max_examples=100, deadline=None)
+    def test_fixture_bid_sweep(self, v_uncond, bid, rule, T0, floor, extra, grid):
+        overrides = {"v_uncond": v_uncond, "bid": bid, "T0": T0, "floor": floor, **rule, **extra}
+        config = {**load_fixture("sweep"), "grid": grid}
+        config["overrides"] = {**config["overrides"], **overrides}
+        rows = run_sweep(config_from_mapping("sweep", config))
+        k = {"lambda": 0.0, **overrides, "eps": overrides["elasticity"]}
+        assert rows == model_sweep(k, grid)
