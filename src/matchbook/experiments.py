@@ -59,6 +59,7 @@ _RULE_DEFAULTS = {"elasticity": 0.05, "cap": 20.0}
 #: overrides.  exp2's and exp5's bids carry no transfer, so they take no
 #: rule keys; gen takes no overrides.  The override keys are declared, not the
 #: keys a run reads: a sweep over a population never reads the fixture's bid.
+#: A sweep's threshold is its ``schedule`` or its T0, lambda and floor, never both.
 _SCENARIOS = (
     ("exp1", ("v_uncond", "bid", "c", "T"), _RULE_DEFAULTS, ()),
     ("exp2", ("v_uncond", "v_reach"), {}, ("schedule",)),
@@ -67,21 +68,21 @@ _SCENARIOS = (
      _RULE_DEFAULTS, ()),
     ("exp5", ("partner", "ask", "commit_threshold", "shock_factor"), {}, ()),
     ("appendix_a", ("T",), _RULE_DEFAULTS, ("book", "owner_id")),
-    ("sweep", ("v_uncond", "bid", "c", "T", "T0", "horizon", "shock_factor"),
-     {**_RULE_DEFAULTS, "lambda": 0.0, "floor": 0.0},
-     ("schedule", "book", "owner_id", "population", "seed", "grid")),
+    ("sweep", ("v_uncond", "bid", "c", "T0", "lambda", "floor", "horizon", "shock_factor"),
+     _RULE_DEFAULTS, ("schedule", "book", "population", "grid")),
 )
 
-#: Each command's override keys, each with its default (None: a run that
-#: reads the key needs it given); any other key is a config error.
+#: Each command's override keys with their defaults (None: none; a sweep with no
+#: lambda holds T0, with no floor decays to 0); any other key is a config error.
 OVERRIDE_KEYS: dict[str, dict[str, float | None]] = {
     name: {**dict.fromkeys(keys), **defaults} for name, keys, defaults, _ in _SCENARIOS
 } | {"gen": {}}
 
-#: Each command's top-level config keys, the CLI's --seed included; any other is a config error.
+#: Each command's top-level config keys; any other is a config error.  A
+#: command takes the CLI's --seed exactly when it takes a population.
 CONFIG_KEYS: dict[str, frozenset[str]] = {
     name: frozenset(("experiment", "format", "overrides", *keys)) for name, _, _, keys in _SCENARIOS
-} | {"gen": frozenset(("experiment", "format", "population", "seed"))}
+} | {"gen": frozenset(("experiment", "format", "population"))}
 
 
 # -- configuration ---------------------------------------------------------------
@@ -148,19 +149,19 @@ def _schedule_from_mapping(d: dict) -> ThresholdSchedule:
 
 
 def config_from_mapping(experiment: str, data: dict, seed: int | None = None) -> ExperimentConfig:
-    """Build a config from a parsed JSON object; ``seed`` (CLI) wins if given."""
+    """Build a config from a parsed JSON object; ``seed`` (CLI) replaces the population's."""
     if experiment not in CONFIG_KEYS:
         raise InvalidConfig(f"unknown experiment {experiment!r}")
     accepted = CONFIG_KEYS[experiment]
-    unknown = sorted(set(data).union(() if seed is None else ("seed",)) - accepted)
+    unread_seed = seed is not None and "population" not in accepted
+    unknown = sorted(set(data).union(("seed",) if unread_seed else ()) - accepted)
     if unknown:
         raise InvalidConfig(f"unknown config keys {unknown} for {experiment}; supported: {sorted(accepted)}")
     named = data.get("experiment", experiment)
     if not isinstance(named, str) or named.replace("-", "_") != experiment:
         raise InvalidConfig(f"a config for {experiment} names the experiment {named!r}")
-    run_seed = seed if seed is not None else data.get("seed", 42)
-    if isinstance(run_seed, bool) or not isinstance(run_seed, int) or run_seed < 0:
-        raise InvalidConfig(f"seed must be an unsigned integer, got {run_seed!r}")
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int) or seed < 0):
+        raise InvalidConfig(f"seed must be an unsigned integer, got {seed!r}")
     try:
         schedule = _schedule_from_mapping(data["schedule"]) if "schedule" in data else None
         book = None
@@ -170,8 +171,7 @@ def config_from_mapping(experiment: str, data: dict, seed: int | None = None) ->
                 raise InvalidConfig("a configured book needs an entry with v_intrinsic > 0")
         population = None
         if "population" in data:
-            # The population's own seed beats a config's, and the CLI's beats both.
-            pop = {"seed": run_seed, **dict(data["population"])}
+            pop = dict(data["population"])
             if seed is not None:
                 pop["seed"] = seed
             population = PopulationConfig(**pop)
@@ -543,20 +543,15 @@ def _sweep_book(cfg: ExperimentConfig, reach_slope: float | None) -> tuple[Prefe
     return _bid_book(k["v_uncond"], ("bid", k["bid"], k["c"])), k["v_uncond"]
 
 
-def _sweep_schedule(cfg: ExperimentConfig, t0: float | None, rate: float | None) -> ThresholdSchedule:
-    if t0 is None and rate is None and cfg.schedule is not None:
-        return cfg.schedule
-    base = cfg.schedule  # a decay schedule or None: run_sweep refuses a table here
-    if rate is None:
-        rate = base.rate if base is not None else cfg.overrides["lambda"]
-    if t0 is None:
-        t0 = base.t0 if base is not None else cfg.overrides.get("T0", cfg.overrides.get("T"))
-        if t0 is None:
-            raise InvalidConfig("sweep needs a schedule, or T0/T in overrides")
-    floor = base.floor if base is not None else cfg.overrides["floor"]
+def _sweep_schedule(setting: dict[str, float]) -> ThresholdSchedule:
+    """T(t) of a point with no configured schedule, from its merged ``setting``:
+    constant at T0 with no lambda or lambda 0, else T0 exp(-lambda t) above the floor."""
+    if "T0" not in setting:
+        raise InvalidConfig("sweep needs a schedule, or T0 in overrides")
+    rate = setting.get("lambda", 0.0)
     if rate == 0.0:
-        return _constant_schedule(t0)
-    return DecaySchedule(t0=t0, rate=rate, floor=floor)
+        return _constant_schedule(setting["T0"])
+    return DecaySchedule(t0=setting["T0"], rate=rate, floor=setting.get("floor", 0.0))
 
 
 def run_sweep(cfg: ExperimentConfig) -> list[dict[str, Any]]:
@@ -573,24 +568,24 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict[str, Any]]:
         raise InvalidConfig("a sweep takes a book or a population, not both")
     if "reach_slope" in params and cfg.population is None:
         raise InvalidConfig("a reach_slope grid needs a population")
-    if isinstance(cfg.schedule, TableSchedule):
-        for param in ("T0", "lambda"):
-            if param in params:
-                raise InvalidConfig(f"a {param} grid needs a decay schedule or none, not a table schedule")
+    if cfg.schedule is not None:
+        clash = sorted({"T0", "lambda", "floor"} & (cfg.overrides.keys() | set(params)))
+        if clash:
+            raise InvalidConfig(f"a sweep takes a schedule or T0, lambda and floor, not both; "
+                                f"got a schedule and {clash}")
     horizon = _check_horizon(cfg.overrides["horizon"]) if "horizon" in cfg.overrides else None
     # generate is a pure function of its config: one book per reach_slope.
     book_for = functools.cache(functools.partial(_sweep_book, cfg))
     rows: list[dict[str, Any]] = []
     for index, values in enumerate(points):
         point = dict(zip(params, values))
-        rule = CompensationRule(
-            point.get("eps", cfg.overrides["elasticity"]), point.get("cap", cfg.overrides["cap"])
-        )
+        setting = {**cfg.overrides, **point}
+        rule = CompensationRule(setting.get("eps", setting["elasticity"]), setting["cap"])
         book, ask = book_for(point.get("reach_slope"))
-        factor = point.get("shock_factor", cfg.overrides.get("shock_factor"))
+        factor = setting.get("shock_factor")
         # As in run_exp5, the factor is checked whether or not the point executes.
         new_ask = None if factor is None else reprice(ask, factor)
-        schedule = _sweep_schedule(cfg, point.get("T0"), point.get("lambda"))
+        schedule = cfg.schedule if cfg.schedule is not None else _sweep_schedule(setting)
         metrics = book.metrics(rule, ask=ask)  # None in a drought: every step holds
         records = run_schedule(metrics, schedule, horizon=horizon)
         post = _shock(records, new_ask, None if metrics is None else metrics.bid.entry.v_intrinsic)

@@ -25,6 +25,11 @@ from matchbook.book import MAX_ROWS
 ZERO_ASK_POPULATION = {"n_candidates": 50, "beta_alpha": 1e-300, "beta_beta": 1.0,
                        "reach_slope": 0.0, "seed": 1}
 
+#: A sweep's schedule is used whole; its refusal beside a T0, lambda or floor.
+SCHEDULE_CLASH = "config error: a sweep takes a schedule or T0, lambda and floor, not both; got a schedule and "
+DECAY = {"mode": "decay", "t0": 0.9, "rate": 0.1}
+SWEEP_OVERRIDES = "T0, bid, c, cap, elasticity, floor, horizon, lambda, shock_factor, v_uncond"
+
 #: (argv, config passed with --config or None, exit code, the exact stderr):
 #: ValueError and InvalidConfig refusals exit 2, a drought exits 3.
 REFUSALS = [
@@ -33,23 +38,30 @@ REFUSALS = [
     (["sweep"], {"population": ZERO_ASK_POPULATION, "overrides": {"T0": 0.5}, "grid": {"cap": [0.0]}},
      2, "config error: internal ask must be > 0, got 0.0\n"),
     (["sweep"], {"grid": {"cap": []}}, 2, "config error: sweep needs a non-empty grid\n"),
-    (["sweep"], {"grid": {"cap": [1.0]}}, 2, "config error: sweep needs a schedule, or T0/T in overrides\n"),
+    (["sweep"], {"grid": {"cap": [1.0]}}, 2, "config error: sweep needs a schedule, or T0 in overrides\n"),
     (["sweep"], {"book": [{"id": "A", "v_intrinsic": 90, "c_offer": 0, "status": "liquid"}],
                  "population": {"n_candidates": 50}},
      2, "config error: a sweep takes a book or a population, not both\n"),
     (["sweep"], {"schedule": {"mode": "table", "points": [[1, 0.9]]}, "grid": {"T0": [0.8]}},
-     2, "config error: a T0 grid needs a decay schedule or none, not a table schedule\n"),
+     2, f"{SCHEDULE_CLASH}['T0']\n"),
     (["sweep"], {"schedule": {"mode": "table", "points": [[1, 0.9]]}, "grid": {"lambda": [0.1]}},
-     2, "config error: a lambda grid needs a decay schedule or none, not a table schedule\n"),
-    (["sweep"], {"schedule": {"mode": "table", "points": [[1, 0.9]]}, "overrides": {"T": 0.8},
+     2, f"{SCHEDULE_CLASH}['lambda']\n"),
+    (["sweep"], {"schedule": {"mode": "table", "points": [[1, 0.9]]}, "overrides": {"T0": 0.8},
                  "grid": {"lambda": [0.1]}},
-     2, "config error: a lambda grid needs a decay schedule or none, not a table schedule\n"),
+     2, f"{SCHEDULE_CLASH}['T0', 'lambda']\n"),
+    (["sweep", "--override", "lambda=0.5"], {"schedule": DECAY, "grid": {"cap": [20]}},
+     2, f"{SCHEDULE_CLASH}['lambda']\n"),
+    (["sweep", "--override", "floor=0.5"], {"schedule": DECAY, "grid": {"cap": [20]}},
+     2, f"{SCHEDULE_CLASH}['floor']\n"),
+    (["sweep", "--override", "T=0.8"], None,
+     2, f"config error: unknown override keys ['T'] for sweep; supported: {SWEEP_OVERRIDES}\n"),
     (["appendix-a"], {"book": [{"id": "H", "v_intrinsic": 95, "c_offer": 0, "status": "hypothetical"}]},
      3, "liquidity drought: book 'F' has no liquid entry\n"),
 ]
 REFUSAL_IDS = ["h0-above-1", "h0-nan", "zero-ask", "empty-grid", "no-schedule", "book-and-population",
                "table-schedule-T0-grid", "table-schedule-lambda-grid",
-               "table-schedule-lambda-grid-beside-T", "no-liquid-row"]
+               "table-schedule-lambda-grid-beside-T", "decay-schedule-beside-lambda",
+               "decay-schedule-beside-floor", "sweep-T-override", "no-liquid-row"]
 
 REMOVED_ERRORS = ["MatchbookError", "NonPositiveAsk", "OutOfRange", "EmptyBook",
                   "StepBeforeSchedule", "NotExecuted", "MissingOverride", "EmptyGrid"]
@@ -557,7 +569,8 @@ class TestSizeCaps:
 
 #: A value in its key's domain for each top-level config key but
 #: ``experiment``, which every command takes, so that a command that read the
-#: key would run.
+#: key would run; and for ``seed``, which no command takes: a population's
+#: seed is its own.
 CONFIG_KEY_VALUES = {
     "format": "csv",
     "overrides": {},
@@ -574,8 +587,8 @@ CONFIG_KEY_VALUES = {
 READ_KEYS = [
     *(pytest.param(name, keys, id=name.replace("_", "-")) for name, keys in CONFIG_KEYS.items()
       if name != "sweep"),
-    pytest.param("sweep", CONFIG_KEYS["sweep"] - {"population", "seed"}, id="sweep-book"),
-    pytest.param("sweep", CONFIG_KEYS["sweep"] - {"book", "owner_id"}, id="sweep-population"),
+    pytest.param("sweep", CONFIG_KEYS["sweep"] - {"population"}, id="sweep-book"),
+    pytest.param("sweep", CONFIG_KEYS["sweep"] - {"book"}, id="sweep-population"),
 ]
 
 
@@ -586,7 +599,7 @@ class TestConfigKeys:
     @pytest.mark.parametrize(
         "command, key",
         [pytest.param(name.replace("_", "-"), key, id=f"{name}-{key}")
-         for name, keys in CONFIG_KEYS.items() for key in sorted(set().union(*CONFIG_KEYS.values()) - keys)],
+         for name, keys in CONFIG_KEYS.items() for key in sorted(set().union(*CONFIG_KEYS.values(), CONFIG_KEY_VALUES) - keys)],
     )
     def test_key_outside_the_command_table_is_config_error(self, command, key, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -622,6 +635,87 @@ class TestConfigKeys:
         assert main(["appendix-a", "--out", str(plain)]) == 0
         assert main(["appendix-a", "--config", str(cfg), "--out", str(configured)]) == 0
         assert configured.read_bytes() == plain.read_bytes()
+
+
+#: A population with no seed of its own, and a book whose best liquid bid is B.
+SMALL_POPULATION = {"n_candidates": 200}
+PRICED_BOOK = [{"id": "A", "v_intrinsic": 90, "c_offer": 0, "status": "lockup"},
+               {"id": "B", "v_intrinsic": 70, "c_offer": 100, "status": "liquid"}]
+
+#: Each input that had two spellings, as (command, flags, the removed form,
+#: the key its refusal names, the one spelling left, the sha256 of the CSV
+#: rows the removed form wrote while it still ran).  Where a schedule met
+#: overrides, the removed form's rows came from the schedule alone, and where
+#: it met a grid, from the grid's T0 or lambda and the schedule's other fields.
+ONE_SPELLING = {
+    "decay-schedule-T0-grid": (
+        "sweep", [], {"schedule": DECAY, "grid": {"T0": [0.9, 0.8]}}, "['T0']",
+        {"overrides": {"lambda": 0.1}, "grid": {"T0": [0.9, 0.8]}},
+        "0cc5094882857b6ad7cb3decb79a930681c9130f4b8e92d8bfa2351d9fabe3c0"),
+    "decay-schedule-floor-T0-grid": (
+        "sweep", [], {"schedule": {**DECAY, "rate": 0.5, "floor": 0.8}, "grid": {"T0": [0.95, 0.7]}},
+        "['T0']", {"overrides": {"lambda": 0.5, "floor": 0.8}, "grid": {"T0": [0.95, 0.7]}},
+        "5b1430b98aa0b0e9f22735c39e16038c9381d3267c9452d20a39723ca439306f"),
+    "decay-schedule-lambda-grid": (
+        "sweep", [], {"schedule": {**DECAY, "floor": 0.8}, "grid": {"lambda": [0.0, 0.1, 0.5]}},
+        "['lambda']", {"overrides": {"T0": 0.9, "floor": 0.8}, "grid": {"lambda": [0.0, 0.1, 0.5]}},
+        "a958d8a7130b08018db15760ec40f2763b5778c72d98475adb856458dc428435"),
+    "decay-schedule-both-grids": (
+        "sweep", [], {"schedule": {**DECAY, "floor": 0.8}, "grid": {"T0": [0.95, 0.75], "lambda": [0.0, 0.2]}},
+        "['T0', 'lambda']", {"overrides": {"floor": 0.8}, "grid": {"T0": [0.95, 0.75], "lambda": [0.0, 0.2]}},
+        "64ff6a3a9affa48dcf96a25a9c6184e28d67ab11ec2a9d722a56bd27daffc243"),
+    "decay-schedule-beside-overrides": (
+        "sweep", ["--override", "lambda=0.5", "--override", "floor=0.8"],
+        {"schedule": DECAY, "grid": {"cap": [20]}}, "['floor', 'lambda']",
+        {"schedule": DECAY, "grid": {"cap": [20]}},
+        "2a20a68b2a9e1ba0504abf71f4ee1311fb05fcb11c952fd14683d76f69abdf77"),
+    "table-schedule-beside-T0": (
+        "sweep", ["--override", "T0=0.5"], {"schedule": {"mode": "table", "points": [[1, 0.95], [3, 0.75]]},
+                                           "grid": {"cap": [0, 20]}}, "['T0']",
+        {"schedule": {"mode": "table", "points": [[1, 0.95], [3, 0.75]]}, "grid": {"cap": [0, 20]}},
+        "37b5ad8b13fed6762be3c21abff91d1a90190a063d9eadd41807ea3d4a104870"),
+    "T-override": (
+        "sweep", ["--override", "T=0.75"], {"grid": {"cap": [0, 20]}}, "['T']",
+        {"overrides": {"T0": 0.75}, "grid": {"cap": [0, 20]}},
+        "b219d37d02e2f0a74c1463f9cca9347d3831b723fcc5044ed3d9df1abcf1f905"),
+    "T-beside-T0-grid": (
+        "sweep", ["--override", "T=0.8"], {}, "['T']", {},
+        "a594b6d9e1775e27b8476dd312670d25a6b137c5f4c40852a0bff1b46992a4cd"),
+    "owner-id-beside-book": (
+        "sweep", [], {"book": PRICED_BOOK, "owner_id": "Z", "overrides": {"T0": 0.8}, "grid": {"eps": [0.05, 0.2]}},
+        "['owner_id']", {"book": PRICED_BOOK, "overrides": {"T0": 0.8}, "grid": {"eps": [0.05, 0.2]}},
+        "cac169e17dccbfa7eff5c1bc82561d3ef35e74ec640a46c4a32031d5e9130cde"),
+    "owner-id": (
+        "sweep", [], {"owner_id": "Z"}, "['owner_id']", {},
+        "a594b6d9e1775e27b8476dd312670d25a6b137c5f4c40852a0bff1b46992a4cd"),
+    "sweep-seed": (
+        "sweep", [], {"seed": 7, "population": SMALL_POPULATION, "overrides": {"T0": 0.5}, "grid": {"cap": [0, 20]}},
+        "['seed']", {"population": {**SMALL_POPULATION, "seed": 7}, "overrides": {"T0": 0.5}, "grid": {"cap": [0, 20]}},
+        "83017ee424b0ae14e128568e36063715be991f17fc4e5440207e1869ce4eeb61"),
+    "gen-seed": (
+        "gen", [], {"seed": 7, "population": {"n_candidates": 50}}, "['seed']",
+        {"population": {"n_candidates": 50, "seed": 7}},
+        "319c407a9de5baf8a7ca206787a629edf07c2b1012a749da7c83da6260e0ee02"),
+    "gen-seed-beside-population-seed": (
+        "gen", [], {"seed": 7}, "['seed']", {},
+        "29d930e206e9e6ce119e5ef31ce91df95344285e8bb7a119f7e0cc11dc4a71fc"),
+}
+
+
+class TestOneSpelling:
+    """Each refused merged form has a spelling left that writes its old rows."""
+
+    @pytest.mark.parametrize("name", ONE_SPELLING)
+    def test_removed_form_is_refused_and_its_spelling_keeps_the_rows(self, name, tmp_path):
+        command, flags, removed, named, spelled, digest_before = ONE_SPELLING[name]
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        cfg.write_text(json.dumps(removed), encoding="utf-8")
+        code, _, err = run_cli([command, "--config", str(cfg), *flags, "--format", "csv", "--out", str(out)])
+        assert (code, err.startswith("config error: "), named in err) == (2, True, True), err
+        assert not out.exists()
+        cfg.write_text(json.dumps(spelled), encoding="utf-8")
+        assert main([command, "--config", str(cfg), "--format", "csv", "--out", str(out)]) == 0
+        assert digest(out) == digest_before
 
 
 #: Each command's help line, as ``matchbook --help`` lists it.
@@ -693,7 +787,7 @@ class TestCommandFlags:
 
     def test_seed_flag_matches_config_keys(self):
         seeded = {name for name, (_, _, flags) in cli.COMMANDS.items() if "--seed" in flags}
-        assert seeded == {name.replace("_", "-") for name, keys in CONFIG_KEYS.items() if "seed" in keys}
+        assert seeded == {name.replace("_", "-") for name, keys in CONFIG_KEYS.items() if "population" in keys}
         assert seeded == {"sweep", "gen"}
 
     @pytest.mark.parametrize(

@@ -306,7 +306,7 @@ class TestSweep:
         # points, so no cap on this grid reaches 0.90 * 95 = 85.5.
         caps = [0, 5, 10, 15, 20, 25, 30, 35, 40]
         data = {
-            "overrides": {"v_uncond": 95, "bid": 60, "c": 500, "elasticity": 0.05, "T": 0.9},
+            "overrides": {"v_uncond": 95, "bid": 60, "c": 500, "elasticity": 0.05, "T0": 0.9},
             "grid": {"cap": caps},
         }
         rows = run_sweep(config_from_mapping("sweep", data))
@@ -319,7 +319,7 @@ class TestSweep:
         # the first executing cap is then 30 (60 + cap >= 85.5).
         caps = [0, 5, 10, 15, 20, 25, 30, 35, 40]
         data = {
-            "overrides": {"v_uncond": 95, "bid": 60, "c": 1000, "elasticity": 0.05, "T": 0.9},
+            "overrides": {"v_uncond": 95, "bid": 60, "c": 1000, "elasticity": 0.05, "T0": 0.9},
             "grid": {"cap": caps},
         }
         rows = run_sweep(config_from_mapping("sweep", data))
@@ -449,12 +449,20 @@ class TestSweep:
         with pytest.raises(InvalidConfig, match="reach_slope grid needs a population"):
             run_sweep(config_from_mapping("sweep", data))
 
-    @pytest.mark.parametrize("grid", [{"T0": [0.9, 0.8]}, {"lambda": [0.1, 0.5]}], ids=["T0", "lambda"])
-    def test_decay_schedule_takes_its_grid(self, grid):
+    @pytest.mark.parametrize(
+        "grid, overrides",
+        [({"T0": [0.9, 0.8]}, {"lambda": 0.1}), ({"lambda": [0.1, 0.5]}, {"T0": 0.9})],
+        ids=["T0", "lambda"],
+    )
+    def test_decay_schedule_takes_its_grid(self, grid, overrides):
         # The fixture bid's theta is 70 / 90; T(t) = 0.9 exp(-0.1 t) first meets it at t = 2.
+        # A schedule is used whole, so the decay beside a grid is spelled in overrides.
+        data = merge_config(load_fixture("sweep"), {"overrides": overrides, "grid": grid})
+        assert [row["t_star"] for row in run_sweep(config_from_mapping("sweep", data))] == [2, 1]
         schedule = {"mode": "decay", "t0": 0.9, "rate": 0.1}
         data = merge_config(load_fixture("sweep"), {"schedule": schedule, "grid": grid})
-        assert [row["t_star"] for row in run_sweep(config_from_mapping("sweep", data))] == [2, 1]
+        with pytest.raises(InvalidConfig, match=rf"got a schedule and \['{next(iter(grid))}'\]"):
+            run_sweep(config_from_mapping("sweep", data))
 
     def test_drought_book_reports_drought(self):
         data = {

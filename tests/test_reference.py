@@ -1,4 +1,5 @@
-"""A reference model of exp1-exp5 and the fixture-bid sweep, written from the paper.
+"""A reference model of exp1-exp5, appendix-a, the fixture-bid sweep and the
+triple coincidence, written from the paper.
 
 Each model restates the paper's equations for one scenario in plain Python,
 in the paper's order of operations, and shares no code with the engine:
@@ -11,18 +12,29 @@ in the paper's order of operations, and shares no code with the engine:
     theta' = v / (V_uncond * f)    a shock reprices the ask by f, in decimal
     regret = theta' < T_commit     the committed threshold
     best bid = argmax U over the liquid bids; the earlier bid wins a tie
+    V_uncond = max v over a book's rows, V_reach = max v over its liquid rows
+    a match clears when theta_F >= T_F, theta_M >= T_M and c <= c_max, checked
+    in that order; the first clause to fail names the outcome
 
 Hypothesis draws in-domain overrides and sweep grids, and every summary
 field a runner reports, and every field of every sweep row, must equal the
 model's exactly.
 """
 
+import contextlib
+import functools
+import io
 import itertools
+import json
 import math
 from decimal import Decimal
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from matchbook import CompensationRule, Counterparty, triple_coincidence
+from matchbook.book import book_from_mappings
+from matchbook.cli import main
 from matchbook.experiments import RUNNERS, config_from_mapping, load_fixture, run_sweep
 
 # -- the model ------------------------------------------------------------------
@@ -148,6 +160,64 @@ def model_sweep(k, grid):
     return rows
 
 
+def model_appendix_a(rows, k):
+    """The worked-book replay on any book: the exit code, and the summary of
+    a run that exits 0.  The ask is the book's own V_uncond, and theta is
+    the intrinsic ratio V_reach / V_uncond, while the best bid is still
+    chosen, and priced, by effective utility: a bid whose U / V_uncond is
+    past the float range is refused (exit 2)."""
+    v_uncond = max(row["v_intrinsic"] for row in rows)
+    if not v_uncond > 0:
+        return 2, None
+    liquid = [row for row in rows if row["status"] == "liquid"]
+    if not liquid:
+        return 3, None
+    utilities = {row["id"]: effective_utility(row["v_intrinsic"], row["c_offer"], k["elasticity"], k["cap"])
+                 for row in liquid}
+    best = liquid[0]
+    for row in liquid[1:]:
+        if utilities[row["id"]] > utilities[best["id"]]:
+            best = row
+    U = utilities[best["id"]]
+    if U / v_uncond == math.inf:
+        return 2, None
+    v_reach = max(row["v_intrinsic"] for row in liquid)
+    theta = v_reach / v_uncond
+    decision, t_star = first_execution(theta, [(1, k["T"])])
+    return 0, {"decision": decision, "t_star": t_star, "theta": theta,
+               "delta_v": v_uncond - best["v_intrinsic"], "slippage": v_uncond - U,
+               "v_uncond": v_uncond, "v_reach": v_reach, "effective_bids": utilities,
+               "best_id": best["id"], "best_utility": U, "theta_convention": "intrinsic"}
+
+
+def book_theta(rows, e, cap):
+    """A side's theta, its best effective utility over its own V_uncond; None
+    in a drought, inf past the float range."""
+    liquid = [row for row in rows if row["status"] == "liquid"]
+    if not liquid:
+        return None
+    U = max(effective_utility(row["v_intrinsic"], row["c_offer"], e, cap) for row in liquid)
+    return U / max(row["v_intrinsic"] for row in rows)
+
+
+def model_triple_coincidence(f_rows, f_threshold, m_rows, m_threshold, c_required, c_max, e, cap):
+    """The verdict, both thetas and both drought flags of a prospective match;
+    None where a side's theta is past the float range, which refuses the pair."""
+    f_theta, m_theta = book_theta(f_rows, e, cap), book_theta(m_rows, e, cap)
+    if math.inf in (f_theta, m_theta):
+        return None
+    if f_theta is None or f_theta < f_threshold:
+        result = "f_side_hold"
+    elif m_theta is None or m_theta < m_threshold:
+        result = "m_side_hold"
+    elif c_required > c_max:
+        result = "circuit_breaker"
+    else:
+        result = "matched"
+    return {"result": result, "f_theta": f_theta, "m_theta": m_theta, "c_required": c_required,
+            "c_max": c_max, "f_drought": f_theta is None, "m_drought": m_theta is None}
+
+
 # -- the draws ------------------------------------------------------------------
 
 #: Whole values make exact ties such as 72 / 90 == 0.8 likely; fractions reach the rest.
@@ -184,6 +254,20 @@ def sweep_grids(draw):
     """A non-empty subset of SWEEP_GRIDS in a drawn order, one to three values each."""
     names = draw(st.permutations(list(SWEEP_GRIDS)))[:draw(st.integers(1, len(SWEEP_GRIDS)))]
     return {name: draw(st.lists(SWEEP_GRIDS[name], min_size=1, max_size=3)) for name in names}
+
+
+#: Offers of the worked book and any other; equal offers make equal utilities likely.
+OFFERS = st.one_of(st.sampled_from([0.0, 100.0, 200.0, 300.0]), st.floats(0, 1000))
+MONEY = st.one_of(st.sampled_from([0.0, 10.0, 50.0, math.inf]), st.floats(0, 100))
+
+
+@st.composite
+def books(draw, min_size):
+    """min_size to 6 rows with unique ids, each of any status; whole values
+    and equal offers make ties in value and in utility likely."""
+    ids = draw(st.permutations("ABCDEF"))[:draw(st.integers(min_size, 6))]
+    return [{"id": i, "v_intrinsic": draw(VALUES), "c_offer": draw(OFFERS),
+             "status": draw(st.sampled_from(["liquid", "lockup", "hypothetical"]))} for i in ids]
 
 
 def run(experiment, overrides, **config):
@@ -256,3 +340,61 @@ class TestAgainstTheModel:
         rows = run_sweep(config_from_mapping("sweep", config))
         k = {"lambda": 0.0, **overrides, "eps": overrides["elasticity"]}
         assert rows == model_sweep(k, grid)
+
+    @given(rows=books(min_size=2), T=THRESHOLDS, elasticity=ELASTICITIES, cap=CAPS)
+    # The worked book itself, and a book whose only liquid rows tie in utility.
+    @example(rows=load_fixture("appendix_a")["book"], T=0.8, elasticity=0.02, cap=math.inf)
+    @example(rows=[{"id": "A", "v_intrinsic": 90.0, "c_offer": 0.0, "status": "hypothetical"},
+                   {"id": "B", "v_intrinsic": 60.0, "c_offer": 200.0, "status": "liquid"},
+                   {"id": "C", "v_intrinsic": 70.0, "c_offer": 0.0, "status": "liquid"}],
+             T=0.8, elasticity=0.05, cap=20.0)
+    # A tiny ask: the best bid's U / V_uncond is past the float range.
+    @example(rows=[{"id": "A", "v_intrinsic": 5e-324, "c_offer": 100.0, "status": "liquid"},
+                   {"id": "B", "v_intrinsic": 0.0, "c_offer": 0.0, "status": "lockup"}],
+             T=0.8, elasticity=0.02, cap=20.0)
+    @settings(max_examples=200, deadline=None)
+    def test_appendix_a(self, rows, T, elasticity, cap, tmp_path_factory):
+        k = {"T": T, "elasticity": elasticity, "cap": cap}
+        code, summary = model_appendix_a(rows, k)
+        if code == 0:
+            assert run("appendix_a", k, book=rows) == summary
+            return
+        # No row with a value above 0 is a config error; no liquid row is a drought.
+        cfg = tmp_path_factory.getbasetemp() / "appendix-a.json"
+        cfg.write_text(json.dumps({"book": rows, "overrides": k}), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["appendix-a", "--config", str(cfg)]) == code
+
+    @given(
+        f_rows=books(min_size=1), m_rows=books(min_size=1), f_threshold=THRESHOLDS,
+        m_threshold=THRESHOLDS, c_max=MONEY, c_required=st.one_of(MONEY, st.none()),
+        elasticity=ELASTICITIES, cap=CAPS,
+    )
+    # Every clause passes on a tie: theta_F = 72 / 90 = T_F, theta_M = T_M = 1 and c = c_max.
+    @example(f_rows=[{"id": "A", "v_intrinsic": 90.0, "c_offer": 0.0, "status": "lockup"},
+                     {"id": "B", "v_intrinsic": 72.0, "c_offer": 0.0, "status": "liquid"}],
+             m_rows=[{"id": "C", "v_intrinsic": 60.0, "c_offer": 0.0, "status": "liquid"}],
+             f_threshold=0.8, m_threshold=1.0, c_max=50.0, c_required=None, elasticity=0.0, cap=20.0)
+    # The M side's ask is so small that its theta is past the float range.
+    @example(f_rows=[{"id": "A", "v_intrinsic": 1.0, "c_offer": 0.0, "status": "liquid"}],
+             m_rows=[{"id": "A", "v_intrinsic": 5e-324, "c_offer": 100.0, "status": "liquid"}],
+             f_threshold=0.5, m_threshold=0.5, c_max=0.0, c_required=None, elasticity=0.02, cap=20.0)
+    @settings(max_examples=300, deadline=None)
+    def test_triple_coincidence(self, f_rows, m_rows, f_threshold, m_threshold, c_max, c_required,
+                                elasticity, cap):
+        # A side's book needs a row with a value above 0 to have an ask at all.
+        if not (max(r["v_intrinsic"] for r in f_rows) > 0 and max(r["v_intrinsic"] for r in m_rows) > 0):
+            return
+        c_required = c_max if c_required is None else c_required  # None: exactly at the ceiling
+        m = Counterparty(id="M", book=book_from_mappings(m_rows, owner_id="M"), threshold=m_threshold,
+                         c_max=c_max)
+        match = functools.partial(triple_coincidence, book_from_mappings(f_rows, owner_id="F"), f_threshold,
+                                  m, c_required, CompensationRule(elasticity, cap))
+        expected = model_triple_coincidence(f_rows, f_threshold, m_rows, m_threshold, c_required, c_max,
+                                            elasticity, cap)
+        if expected is None:
+            with pytest.raises(OverflowError):
+                match()
+            return
+        outcome = match()
+        assert {**vars(outcome), "result": outcome.result.value} == expected
