@@ -3,10 +3,11 @@
 Every scenario constant lives in a checked-in JSON fixture under
 ``matchbook/configs/`` or, as a default, in ``OVERRIDE_KEYS``, so each
 numbered experiment is reproducible from its config alone; user configs and
-``--override`` flags merge on top.  Runners
-emit an :class:`ExperimentReport`, which checks its summary against its own
-decision records when it is built (``verify``), so a report can never
-disagree with its record stream.
+``--override`` flags merge on top.  Runners emit an :class:`ExperimentReport`,
+which checks its summary against its own decision records when it is built
+(``verify``), so a report can never disagree with its record stream.  Each
+sweep row is one such report's summary, run and shocked by ``_run_point`` as
+exp5 is.
 
 Theta conventions differ by scenario: most runners use the effective-utility
 ratio (compensation included); the worked five-row book replay checks the
@@ -266,48 +267,40 @@ class ExperimentReport:
         self.verify()
 
     def verify(self) -> None:
-        """Cross-check every summary field that is derivable from the records."""
+        """Cross-check every summary field that is derivable from the records.
+
+        The commitment is the first EXECUTE record, or the last record if
+        none executed, and a record after it is the post-shock record.
+        """
 
         def fail(what: str) -> None:
             raise RuntimeError(f"{self.experiment} report inconsistent: {what}")
 
-        last = self.records[-1] if self.records else None
-        if "decision" in self.summary and last is not None:
-            expected = "drought" if last.drought else last.decision.value
-            if self.summary["decision"] != expected:
-                fail(f"decision {self.summary['decision']!r} != {expected!r}")
-        if "t_star" in self.summary:
-            executed = [r.t for r in self.records if r.decision is Decision.EXECUTE]
-            t_star = executed[0] if executed else None
-            if self.summary["t_star"] != t_star:
-                fail(f"t_star {self.summary['t_star']!r} != {t_star!r}")
-        if last is not None:
-            for key, value in (
-                ("theta", last.theta), ("delta_v", last.delta_v), ("slippage", last.slippage),
-            ):
-                if key in self.summary and self.summary[key] != value:
-                    fail(f"{key} {self.summary[key]!r} != {value!r}")
-        if "regret" in self.summary and last is not None and last.theta is not None:
-            if self.summary["regret"] != (last.theta < last.threshold):
-                fail("regret flag disagrees with final record")
-        if "regret_gap_jump" in self.summary and len(self.records) >= 2:
-            jump = self.records[-1].delta_v - self.records[0].delta_v
-            if self.summary["regret_gap_jump"] != jump:
-                fail(f"regret_gap_jump {self.summary['regret_gap_jump']!r} != {jump!r}")
-        if (
-            "best_utility" in self.summary
-            and "v_uncond" in self.constants
-            and last is not None
-            and last.slippage is not None
-        ):
+        records, summary = self.records, self.summary
+        first = next((i for i, r in enumerate(records) if r.decision is Decision.EXECUTE), None)
+        derived: dict[str, Any] = {"t_star": None if first is None else records[first].t}
+        at = len(records) - 1 if first is None else first
+        if at >= 0:
+            commit = records[at]
+            post = records[at + 1] if at + 1 < len(records) else None
+            derived.update(
+                decision="drought" if commit.drought else commit.decision.value, theta=commit.theta,
+                pre_theta=commit.theta, delta_v=commit.delta_v, slippage=commit.slippage,
+                # With no post-shock record, every post-shock field is None.
+                post_theta=post and post.theta, regret=post and post.theta < post.threshold,
+                regret_gap_jump=post and post.delta_v - commit.delta_v,
+            )
+        for key, value in derived.items():
+            if key in summary and summary[key] != value:
+                fail(f"{key} {summary[key]!r} != {value!r}")
+        if "best_utility" in summary and "v_uncond" in self.constants and derived.get("slippage") is not None:
             # In slippage's own form: ask - (ask - utility) may not round to utility.
-            derived = float(self.constants["v_uncond"]) - self.summary["best_utility"]
-            if last.slippage != derived:
-                fail(f"slippage {last.slippage!r} != v_uncond - best_utility {derived!r}")
-        if "markets" in self.summary:
-            for i, market in enumerate(self.summary["markets"]):
-                if market["theta"] != self.records[i].theta:
-                    fail(f"market {i} theta mismatch")
+            expected = float(self.constants["v_uncond"]) - summary["best_utility"]
+            if derived["slippage"] != expected:
+                fail(f"slippage {derived['slippage']!r} != v_uncond - best_utility {expected!r}")
+        for i, market in enumerate(summary.get("markets", ())):
+            if market["theta"] != records[i].theta:
+                fail(f"market {i} theta mismatch")
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -369,14 +362,15 @@ def _base_summary(records: list[DecisionRecord]) -> dict[str, Any]:
     }
 
 
-def _shock(
-    records: list[DecisionRecord], new_ask: float | None, partner: float | None
-) -> DecisionRecord | None:
-    """The post-shock record of a run that executed, at the repriced ask
-    ``new_ask``; None for a hold or where no shock lands."""
+def _run_point(metrics: BookMetrics | None, schedule: ThresholdSchedule, horizon: int | None = None,
+               new_ask: float | None = None) -> tuple[list[DecisionRecord], DecisionRecord | None]:
+    """The records of one run and, when it executed and ``new_ask`` is
+    given, its commitment shocked to that ask against the intrinsic value of
+    the bid ``metrics`` was priced from; None for a hold or where no shock lands."""
+    records = run_schedule(metrics, schedule, horizon)
     if new_ask is None or records[-1].decision is not Decision.EXECUTE:
-        return None
-    return apply_shock(records[-1], new_ask, partner)
+        return records, None
+    return records, apply_shock(records[-1], new_ask, metrics.bid.entry.v_intrinsic)
 
 
 # -- the numbered runners ------------------------------------------------------------
@@ -421,7 +415,8 @@ def run_exp3(cfg: ExperimentConfig) -> ExperimentReport:
 
 def run_exp4(cfg: ExperimentConfig) -> ExperimentReport:
     """Two markets with different base transfer norms rank the same pool
-    identically: a uniform intercept cannot reorder the book."""
+    identically while no cap binds (``cap = inf``); a finite cap may clip one
+    market's transfers and not the other's, and so reorder the book."""
     k = _need(cfg, "v_uncond", "T", "v_a", "effort_a", "v_b", "effort_b", "base_high", "base_low",
               "elasticity", "cap")
     rule = _rule(cfg)
@@ -458,8 +453,8 @@ def run_exp5(cfg: ExperimentConfig) -> ExperimentReport:
     book = _bid_book(k["ask"], ("bid", k["partner"], 0.0))
     # The shock needs only the ask and the factor, so a bad factor fails even on a hold.
     new_ask = reprice(k["ask"], k["shock_factor"])
-    records = run_schedule(book.metrics(_NO_TRANSFER, ask=k["ask"]),
-                           _constant_schedule(k["commit_threshold"]))
+    records, post = _run_point(book.metrics(_NO_TRANSFER, ask=k["ask"]),
+                               _constant_schedule(k["commit_threshold"]), new_ask=new_ask)
     commit = records[-1]
     summary = {
         "commit_decision": commit.decision.value,
@@ -467,14 +462,13 @@ def run_exp5(cfg: ExperimentConfig) -> ExperimentReport:
         "pre_theta": commit.theta,
     }
     # Only a commitment can be shocked; a hold's summary reports the failed premise.
-    post = _shock(records, new_ask, k["partner"])
     if post is not None:
         records.append(post)
         summary.update({
             "post_theta": post.theta,
             "post_shock_ask": new_ask,
             "regret": post.theta < post.threshold,
-            "regret_gap_jump": post.delta_v - records[0].delta_v,
+            "regret_gap_jump": post.delta_v - commit.delta_v,
         })
     summary["theta_convention"] = "intrinsic (post-execution)"
     return ExperimentReport("exp5", k, records, summary)
@@ -573,9 +567,13 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict[str, Any]]:
         if clash:
             raise InvalidConfig(f"a sweep takes a schedule or T0, lambda and floor, not both; "
                                 f"got a schedule and {clash}")
+    elif "floor" in cfg.overrides:  # checked in the decay's words, though only a lambda reads it
+        DecaySchedule(t0=1.0, rate=0.0, floor=cfg.overrides["floor"])
     horizon = _check_horizon(cfg.overrides["horizon"]) if "horizon" in cfg.overrides else None
     # generate is a pure function of its config: one book per reach_slope.
     book_for = functools.cache(functools.partial(_sweep_book, cfg))
+    # One query per book and rule, keyed on reprs: 0.0 == -0.0, but theta keeps the sign.
+    priced: dict[tuple, BookMetrics | None] = {}
     rows: list[dict[str, Any]] = []
     for index, values in enumerate(points):
         point = dict(zip(params, values))
@@ -586,14 +584,14 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict[str, Any]]:
         # As in run_exp5, the factor is checked whether or not the point executes.
         new_ask = None if factor is None else reprice(ask, factor)
         schedule = cfg.schedule if cfg.schedule is not None else _sweep_schedule(setting)
-        metrics = book.metrics(rule, ask=ask)  # None in a drought: every step holds
-        records = run_schedule(metrics, schedule, horizon=horizon)
-        post = _shock(records, new_ask, None if metrics is None else metrics.bid.entry.v_intrinsic)
-        rows.append({
-            "grid_index": index, **point, **_base_summary(records),
-            "post_theta": None if post is None else post.theta,
-            "regret": None if post is None else post.theta < post.threshold,
-        })
+        key = (point.get("reach_slope"), repr(rule.elasticity), repr(rule.cap))
+        if key not in priced:
+            priced[key] = book.metrics(rule, ask=ask)  # None in a drought: every step holds
+        records, post = _run_point(priced[key], schedule, horizon, new_ask)
+        summary = {**_base_summary(records), "post_theta": post and post.theta,
+                   "regret": post and post.theta < post.threshold}
+        report = ExperimentReport("sweep", point, records if post is None else [*records, post], summary)
+        rows.append({"grid_index": index, **report.constants, **report.summary})
     return rows
 
 

@@ -192,18 +192,6 @@ class DensityProfile:
 
         return cls(name, g)
 
-    @classmethod
-    def tabulated(cls, heights: np.ndarray, densities: np.ndarray) -> "DensityProfile":
-        heights = np.asarray(heights, dtype=float)
-        densities = np.asarray(densities, dtype=float)
-        if heights.ndim != 1 or heights.shape != densities.shape or heights.size < 2:
-            raise InvalidConfig("tabulated profile needs matching 1-d grids of length >= 2")
-        if not (np.all(np.isfinite(heights)) and np.all(np.diff(heights) > 0)):
-            raise InvalidConfig("heights must be finite and strictly increasing")
-        if not np.all((densities >= 0) & (densities < np.inf)):  # NaN fails both
-            raise InvalidConfig("densities must be finite and >= 0")
-        return cls("tabulated", lambda h: np.interp(np.asarray(h, dtype=float), heights, densities))
-
 
 def _in_halves(ufunc: np.ufunc, x: np.ndarray, *args: float) -> np.ndarray:
     """``ufunc(x, *args)`` for a 1-d ``x``, its first half computed on a helper
@@ -245,8 +233,8 @@ _CONE_STEPS = 100_000
 def cone_volume(profile: DensityProfile, h0: float) -> float:
     """Candidate volume above height h0: pi * trapezoid of g on [h0, 1].
 
-    Composite trapezoid on a uniform grid of ``_CONE_STEPS`` intervals; chosen
-    over higher-order schemes because profiles may be tabulated.
+    Composite trapezoid on a uniform grid of ``_CONE_STEPS`` intervals: it
+    needs only samples of g, so one scheme serves every profile.
     """
     if not 0 <= h0 <= 1:
         raise ValueError(f"h0 must lie in [0, 1], got {h0}")

@@ -53,6 +53,8 @@ REFUSALS = [
      2, f"{SCHEDULE_CLASH}['lambda']\n"),
     (["sweep", "--override", "floor=0.5"], {"schedule": DECAY, "grid": {"cap": [20]}},
      2, f"{SCHEDULE_CLASH}['floor']\n"),
+    (["sweep", "--override", "floor=5"], None, 2, "config error: floor must lie in [0, 1], got 5.0\n"),
+    (["sweep", "--override", "floor=nan"], None, 2, "config error: floor must lie in [0, 1], got nan\n"),
     (["sweep", "--override", "T=0.8"], None,
      2, f"config error: unknown override keys ['T'] for sweep; supported: {SWEEP_OVERRIDES}\n"),
     (["appendix-a"], {"book": [{"id": "H", "v_intrinsic": 95, "c_offer": 0, "status": "hypothetical"}]},
@@ -61,7 +63,8 @@ REFUSALS = [
 REFUSAL_IDS = ["h0-above-1", "h0-nan", "zero-ask", "empty-grid", "no-schedule", "book-and-population",
                "table-schedule-T0-grid", "table-schedule-lambda-grid",
                "table-schedule-lambda-grid-beside-T", "decay-schedule-beside-lambda",
-               "decay-schedule-beside-floor", "sweep-T-override", "no-liquid-row"]
+               "decay-schedule-beside-floor", "floor-above-1", "floor-nan", "sweep-T-override",
+               "no-liquid-row"]
 
 REMOVED_ERRORS = ["MatchbookError", "NonPositiveAsk", "OutOfRange", "EmptyBook",
                   "StepBeforeSchedule", "NotExecuted", "MissingOverride", "EmptyGrid"]

@@ -1,6 +1,8 @@
+import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matchbook import (
     Decision,
@@ -269,6 +271,26 @@ class TestReportConsistency:
         with pytest.raises(RuntimeError):
             ExperimentReport("exp2", report.constants, report.records, {**report.summary, "t_star": 2})
 
+    @pytest.mark.parametrize("key", ["pre_theta", "post_theta"])
+    def test_verify_checks_exp5_thetas(self, key):
+        # pre_theta is the commitment's theta, post_theta the post-shock record's.
+        report = run_exp5(cfg_for("exp5"))
+        report.summary[key] += 0.125
+        with pytest.raises(RuntimeError, match=f"exp5 report inconsistent: {key}"):
+            report.verify()
+
+    def test_a_sweep_row_is_verified(self, monkeypatch, capsys):
+        # A row whose summary disagrees with its records is a bug, not a
+        # config error: it keeps its traceback through the CLI.
+        import matchbook.experiments as experiments
+
+        base_summary = experiments._base_summary
+        monkeypatch.setattr(experiments, "_base_summary", lambda records: {**base_summary(records), "t_star": 7})
+        with pytest.raises(RuntimeError, match="sweep report inconsistent: t_star 7 != None"):
+            run_sweep(cfg_for("sweep"))
+        with pytest.raises(RuntimeError, match="sweep report inconsistent"):
+            main(["sweep"])
+
     def test_json_round_trip_is_deterministic(self):
         a = run_exp1(cfg_for("exp1")).to_json()
         b = run_exp1(cfg_for("exp1")).to_json()
@@ -361,7 +383,8 @@ class TestSweep:
         assert rows[1]["post_theta"] == pytest.approx(75 / 99, abs=1e-12)
 
     def test_a_shocked_point_queries_its_book_once(self, best_bid_calls):
-        # The partner of the shock is the bid the point's snapshot was priced from.
+        # The partner of the shock is the bid the point's snapshot was priced
+        # from, and the three points share one book and rule: one query.
         data = {
             "overrides": {"v_uncond": 90, "bid": 75, "c": 0, "T0": 0.8},
             "grid": {"shock_factor": [1.0, 1.1, 1.2]},
@@ -369,7 +392,47 @@ class TestSweep:
         rows = run_sweep(config_from_mapping("sweep", data))
         assert all(row["decision"] == "execute" and row["post_theta"] is not None for row in rows)
         assert rows[2]["post_theta"] == 75 / reprice(90.0, 1.2)
-        assert len(best_bid_calls) == 3
+        assert len(best_bid_calls) == 1
+
+    def test_a_T0_cap_grid_queries_once_per_cap(self, best_bid_calls):
+        # T0 changes only the schedule, so each cap's snapshot serves every T0.
+        data = {
+            "overrides": {"v_uncond": 90, "bid": 60, "c": 500, "T0": 0.5},
+            "grid": {"T0": [0.9, 0.7, 0.5], "cap": [0.0, 20.0, 40.0]},
+        }
+        rows = run_sweep(config_from_mapping("sweep", data))
+        assert [row["theta"] for row in rows] == [60 / 90, 80 / 90, 85 / 90] * 3
+        assert [rule.cap for rule in best_bid_calls] == [0.0, 20.0, 40.0]
+
+    def test_signed_zero_rules_are_priced_apart(self, tmp_path):
+        # 0.0 == -0.0, yet a bid of -0.0 at eps -0.0 has theta -0.0: one
+        # query per rule must not merge the two.
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "overrides": {"v_uncond": 90, "bid": -0.0, "c": 0, "T0": 0.5},
+            "grid": {"eps": [0.0, -0.0]}, "format": "csv",
+        }), encoding="utf-8")
+        out = tmp_path / "rows.csv"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8").splitlines()[1:] == [
+            "0,0.0,hold,,0.0,90.0,90.0,,", "1,-0.0,hold,,-0.0,90.0,90.0,,",
+        ]
+
+    @given(partner=st.floats(0, 100), ask=st.floats(1, 100), commit_threshold=st.floats(0.01, 1),
+           shock_factor=st.floats(0.1, 10))
+    @settings(max_examples=100, deadline=None)
+    def test_exp5_is_a_one_point_shocked_sweep(self, partner, ask, commit_threshold, shock_factor):
+        # The fixture bid at c = 0 priced at its ask under a constant threshold,
+        # then shocked: exp5's scenario, reported as one sweep row.
+        k = {"partner": partner, "ask": ask, "commit_threshold": commit_threshold,
+             "shock_factor": shock_factor}
+        report = run_exp5(config_from_mapping("exp5", {"overrides": k}))
+        data = {"overrides": {"v_uncond": ask, "bid": partner, "c": 0, "T0": commit_threshold},
+                "grid": {"shock_factor": [shock_factor]}}
+        (row,) = run_sweep(config_from_mapping("sweep", data))
+        s = report.summary
+        assert (row["t_star"], row["theta"]) == (s["t_star"], s["pre_theta"])
+        assert (row["post_theta"], row["regret"]) == (s.get("post_theta"), s.get("regret"))
 
     def test_a_book_prices_its_ask_once(self, monkeypatch):
         # The ask is cached with its book, not recomputed per grid point.

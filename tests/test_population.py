@@ -301,20 +301,11 @@ class TestConeVolume:
             ratio = cone_volume(profile, h0) / full
             assert ratio == pytest.approx((1 - h0) ** 3, abs=1e-6)
 
-    def test_tabulated_profile(self):
-        heights = np.linspace(0, 1, 101)
-        profile = DensityProfile.tabulated(heights, 1.0 - heights)
-        # g(h) = 1 - h integrates to (1 - h0)^2 / 2.
-        assert cone_volume(profile, 0.0) == pytest.approx(math.pi / 2, abs=1e-6)
-        assert cone_volume(profile, 0.5) == pytest.approx(math.pi / 8, abs=1e-6)
-
     def test_domain_checks(self):
         with pytest.raises(ValueError, match=r"h0 must lie in \[0, 1\], got -0\.1"):
             cone_volume(DensityProfile.uniform(), -0.1)
         with pytest.raises(InvalidConfig):
             DensityProfile.beta(0.0, 8)
-        with pytest.raises(InvalidConfig):
-            DensityProfile.tabulated(np.array([0.0, 1.0]), np.array([1.0, -1.0]))
 
     @pytest.mark.parametrize(
         "shapes", [(math.nan, 2.0), (2.0, math.nan), (math.inf, 2.0), (2.0, math.inf)], ids=str
@@ -342,17 +333,6 @@ class TestConeVolume:
         profile = DensityProfile.beta(5e-324, 1.7976931348623157e308)
         with pytest.raises(OverflowError):
             cone_volume(profile, 5e-324)
-
-    @pytest.mark.parametrize(
-        "heights, densities",
-        [([0.0, math.nan, 1.0], [1.0, 1.0, 1.0]), ([0.0, 0.5, 1.0], [1.0, math.nan, 1.0]),
-         ([0.0, 0.5, 1.0], [1.0, math.inf, 1.0]), ([0.0, 1.0, math.inf], [1.0, 1.0, 1.0]),
-         ([1.0, 0.0], [1.0, 1.0]), ([0.0, 0.0, 1.0], [1.0, 1.0, 1.0])],
-        ids=["nan-height", "nan-density", "inf-density", "inf-height", "decreasing", "repeated"],
-    )
-    def test_tabulated_grid_must_be_finite_and_increasing(self, heights, densities):
-        with pytest.raises(InvalidConfig):
-            DensityProfile.tabulated(np.array(heights), np.array(densities))
 
 
 #: Beta shapes below, at and above 1, and at the ends of the float range.
