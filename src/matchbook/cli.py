@@ -21,6 +21,8 @@ import argparse
 import functools
 import json
 import math
+import os
+import stat
 import sys
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -87,12 +89,31 @@ def _effective_config(args: argparse.Namespace, experiment: str) -> ExperimentCo
 
 def _write_output(path: str | None, text: str) -> None:
     """Write ``text`` to ``path``, or to stdout when there is none; a path
-    that cannot be written is a config error, as a config that cannot be read."""
+    that cannot be written is a config error, as a config that cannot be read.
+
+    An existing file is rewritten in place and then cut to the bytes
+    written, which leaves what ``O_TRUNC`` would, after a full write or a
+    failed one.  It is not truncated first because ext4 flushes a file
+    truncated to zero and rewritten when it is closed: the costliest step of
+    a warm scenario command.
+    """
     if path is None:
         sys.stdout.write(text)
         return
+    data = text.encode("utf-8")
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        written = 0
+        try:
+            while written < len(data):
+                written += os.write(fd, data[written:])
+        finally:
+            try:
+                # A device or FIFO has no length to cut: ftruncate fails there.
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    os.ftruncate(fd, written)
+            finally:
+                os.close(fd)
     except OSError as exc:
         raise InvalidConfig(f"cannot write {path}: {exc}") from exc
 
@@ -138,7 +159,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         return EXIT_OK
     # The sidecar makes the dataset reproducible from its own directory.  It
     # goes first and is removed if the book cannot be written, so a gen that
-    # exits 2 leaves neither file, and a sidecar that fails leaves the book as it was.
+    # exits 2 leaves no sidecar.  A sidecar that fails, or a book that cannot
+    # be opened, leaves the book as it was; a book write that fails partway
+    # leaves the bytes written so far.
     sidecar = args.out + ".meta.json"
     _write_output(sidecar, population_metadata(cfg.population))
     try:

@@ -39,7 +39,7 @@ from .dynamics import (
 )
 from .errors import InvalidConfig
 from .population import PopulationConfig, generate
-from .valuation import CompensationRule, effective_utility, market_to_book
+from .valuation import CompensationRule, effective_utility, market_to_book, slippage, spread
 
 SWEEP_PARAMS = ("T0", "lambda", "eps", "cap", "reach_slope", "shock_factor")
 
@@ -484,7 +484,15 @@ def run_appendix_a(cfg: ExperimentConfig) -> ExperimentReport:
     book = cfg.book
     v_uncond = book.v_uncond()
     v_reach = book.v_reach()  # a drought raises here: exit 3
-    metrics = book.metrics(rule)._replace(theta=market_to_book(v_reach, v_uncond))
+    bid = book.best_bid(rule)
+    if not math.isfinite(bid.utility):
+        raise OverflowError(f"the best bid's effective utility {bid.utility!r} is not finite")
+    metrics = BookMetrics(
+        theta=market_to_book(v_reach, v_uncond),
+        delta_v=spread(v_uncond, bid.entry.v_intrinsic),
+        slippage=slippage(v_uncond, bid.utility),
+        bid=bid,
+    )
     records = run_schedule(metrics, _constant_schedule(k["T"]))
     k["v_uncond"] = v_uncond
     summary = _base_summary(records)

@@ -76,6 +76,10 @@ ALL_COMMANDS = [
 ]
 
 
+#: A book row whose ask is the smallest float and whose offer buys utility 2.0.
+TINY_ASK_ROW = {"id": "A", "v_intrinsic": 5e-324, "c_offer": 100, "status": "liquid"}
+
+
 def digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -358,6 +362,23 @@ class TestOverrideContract:
         out, err = capsys.readouterr()
         assert err == ""
         assert "'selected_id': 'A', 'selected_v': 85.0, 'utility': 105.0" in out
+
+    def test_tiny_ask_appendix_a_prices_the_intrinsic_theta(self, tmp_path):
+        # U / V_uncond = 2.0 / 5e-324 is past the float range; V_reach / V_uncond is 1.0.
+        cfg = tmp_path / "tiny.json"
+        cfg.write_text(json.dumps({"book": [TINY_ASK_ROW]}), encoding="utf-8")
+        out = tmp_path / "report.json"
+        assert main(["appendix-a", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads(out.read_text(encoding="utf-8"))["summary"]
+        assert (summary["theta"], summary["slippage"], summary["best_utility"]) == (1.0, -2.0, 2.0)
+
+    def test_appendix_a_refuses_a_utility_past_the_float_range(self, tmp_path, capsys):
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps({"book": [{**TINY_ASK_ROW, "v_intrinsic": 90, "c_offer": 1e308}]}),
+                       encoding="utf-8")
+        argv = ["appendix-a", "--config", str(cfg), "--override", "elasticity=10", "--override", "cap=inf"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "config error: the best bid's effective utility inf is not finite\n"
 
     def test_population_without_an_ask_is_config_error(self, tmp_path, capsys):
         # gen writes a book with no positive ask; only a run that steps on it fails.
@@ -1009,6 +1030,63 @@ class TestDeterminism:
         main(["gen", "--seed", "1", "--out", str(a)])
         main(["gen", "--seed", "2", "--out", str(b)])
         assert digest(a) != digest(b)
+
+
+class TestWriteInPlace:
+    """``--out`` rewrites an existing file in place and cuts it to the new bytes."""
+
+    @pytest.mark.parametrize("argv", ALL_COMMANDS, ids=lambda a: a[0])
+    def test_rewrite_over_a_longer_file_is_a_fresh_write(self, argv, tmp_path):
+        written = {}
+        for run in ("fresh", "reused"):
+            (tmp_path / run).mkdir()
+            out = tmp_path / run / "out"
+            if run == "reused":
+                out.write_bytes(b"#" * 65536)
+                if argv[0] == "gen":
+                    Path(f"{out}.meta.json").write_bytes(b"#" * 65536)
+            assert main([*argv, "--out", str(out)]) == 0
+            written[run] = {p.name: p.read_bytes() for p in (tmp_path / run).iterdir()}
+        assert written["reused"] == written["fresh"]
+
+    @pytest.mark.parametrize("argv", ALL_COMMANDS, ids=lambda a: a[0])
+    def test_out_to_dev_null_succeeds(self, argv, tmp_path):
+        # gen writes its sidecar beside the book, so the book is a link to
+        # the device in a directory of the test's own.
+        null = tmp_path / "null"
+        null.symlink_to(os.devnull)
+        assert main([*argv, "--out", str(null)]) == 0
+        assert null.is_symlink()
+
+    def test_links_reach_the_same_file(self, tmp_path):
+        target = tmp_path / "target"
+        target.write_bytes(b"#" * 65536)
+        (tmp_path / "soft").symlink_to(target)
+        os.link(target, tmp_path / "hard")
+        assert main(["exp1", "--out", str(tmp_path / "soft")]) == 0
+        assert (tmp_path / "soft").is_symlink()
+        assert (tmp_path / "hard").read_bytes() == target.read_bytes()
+        assert json.loads(target.read_text(encoding="utf-8"))["experiment"] == "exp1"
+
+    def test_a_write_that_fails_partway_leaves_a_prefix_of_the_new_bytes(self, tmp_path):
+        fresh = tmp_path / "fresh.csv"
+        assert main(["gen", "--out", str(fresh)]) == 0
+        book = tmp_path / "book.csv"
+        book.write_bytes(b"#" * 10_000)
+        # A file size limit of 4096 bytes, in the child alone, with SIGXFSZ
+        # ignored so that a write past it fails with EFBIG.
+        code = ("import resource, signal, sys; from matchbook import cli; "
+                "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]; "
+                "resource.setrlimit(resource.RLIMIT_FSIZE, (4096, hard)); "
+                "signal.signal(signal.SIGXFSZ, signal.SIG_IGN); "
+                "sys.exit(cli.main(sys.argv[1:]))")
+        proc = TestModuleEntryPoint.fresh("-c", code, "gen", "--out", str(book))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith(f"config error: cannot write {book}: ")
+        left = book.read_bytes()
+        assert 0 < len(left) < 10_000
+        assert fresh.read_bytes().startswith(left)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["book.csv", "fresh.csv", "fresh.csv.meta.json"]
 
 
 class TestOutputs:

@@ -164,8 +164,8 @@ def model_appendix_a(rows, k):
     """The worked-book replay on any book: the exit code, and the summary of
     a run that exits 0.  The ask is the book's own V_uncond, and theta is
     the intrinsic ratio V_reach / V_uncond, while the best bid is still
-    chosen, and priced, by effective utility: a bid whose U / V_uncond is
-    past the float range is refused (exit 2)."""
+    chosen, and priced, by effective utility: a bid whose U is past the
+    float range is refused (exit 2), and U / V_uncond is never formed."""
     v_uncond = max(row["v_intrinsic"] for row in rows)
     if not v_uncond > 0:
         return 2, None
@@ -179,7 +179,7 @@ def model_appendix_a(rows, k):
         if utilities[row["id"]] > utilities[best["id"]]:
             best = row
     U = utilities[best["id"]]
-    if U / v_uncond == math.inf:
+    if not math.isfinite(U):
         return 2, None
     v_reach = max(row["v_intrinsic"] for row in liquid)
     theta = v_reach / v_uncond
@@ -348,7 +348,12 @@ class TestAgainstTheModel:
                    {"id": "B", "v_intrinsic": 60.0, "c_offer": 200.0, "status": "liquid"},
                    {"id": "C", "v_intrinsic": 70.0, "c_offer": 0.0, "status": "liquid"}],
              T=0.8, elasticity=0.05, cap=20.0)
-    # A tiny ask: the best bid's U / V_uncond is past the float range.
+    # A utility past the float range is refused.
+    @example(rows=[{"id": "A", "v_intrinsic": 90.0, "c_offer": 1e308, "status": "liquid"},
+                   {"id": "B", "v_intrinsic": 60.0, "c_offer": 0.0, "status": "liquid"}],
+             T=0.8, elasticity=10.0, cap=math.inf)
+    # A tiny ask: the best bid's U / V_uncond is past the float range, but
+    # the report prices theta = V_reach / V_uncond = 1.0, so it exits 0.
     @example(rows=[{"id": "A", "v_intrinsic": 5e-324, "c_offer": 100.0, "status": "liquid"},
                    {"id": "B", "v_intrinsic": 0.0, "c_offer": 0.0, "status": "lockup"}],
              T=0.8, elasticity=0.02, cap=20.0)
