@@ -5,9 +5,9 @@ Every scenario constant lives in a checked-in JSON fixture under
 numbered experiment is reproducible from its config alone; user configs and
 ``--override`` flags merge on top.  Runners emit an :class:`ExperimentReport`,
 which checks its summary against its own decision records when it is built
-(``verify``), so a report can never disagree with its record stream.  Each
-sweep row is one such report's summary, run and shocked by ``_run_point`` as
-exp5 is.
+(``verify``), so a report can never disagree with its record stream.  Every
+runner, and each sweep row, runs, shocks and summarizes its point through
+``_run_point``.
 
 Theta conventions differ by scenario: most runners use the effective-utility
 ratio (compensation included); the worked five-row book replay checks the
@@ -227,12 +227,9 @@ def _need(cfg: ExperimentConfig, *keys: str) -> dict[str, float]:
 
 
 def _rule(cfg: ExperimentConfig) -> CompensationRule:
-    return CompensationRule(elasticity=cfg.overrides["elasticity"], cap=cfg.overrides["cap"])
-
-
-#: The rule of exp2 and exp5: their bids offer c = 0, which every rule
-#: turns into a utility of exactly 0.0.
-_NO_TRANSFER = CompensationRule(elasticity=0.0, cap=0.0)
+    """The configured rule; exp2 and exp5 declare no rule keys, and their
+    bids offer c = 0, which every rule turns into a utility of exactly 0.0."""
+    return CompensationRule(cfg.overrides.get("elasticity", 0.0), cfg.overrides.get("cap", 0.0))
 
 
 def _constant_schedule(T: float) -> TableSchedule:
@@ -276,16 +273,21 @@ class ExperimentReport:
         def fail(what: str) -> None:
             raise RuntimeError(f"{self.experiment} report inconsistent: {what}")
 
+        def decision_of(r: DecisionRecord) -> str:
+            return "drought" if r.drought else r.decision.value
+
         records, summary = self.records, self.summary
         first = next((i for i, r in enumerate(records) if r.decision is Decision.EXECUTE), None)
         derived: dict[str, Any] = {"t_star": None if first is None else records[first].t}
         at = len(records) - 1 if first is None else first
+        post = records[at + 1] if at + 1 < len(records) else None
         if at >= 0:
             commit = records[at]
-            post = records[at + 1] if at + 1 < len(records) else None
+            decided = decision_of(commit)
             derived.update(
-                decision="drought" if commit.drought else commit.decision.value, theta=commit.theta,
+                decision=decided, commit_decision=decided, theta=commit.theta,
                 pre_theta=commit.theta, delta_v=commit.delta_v, slippage=commit.slippage,
+                immediate_fill=records[0].decision is Decision.EXECUTE,
                 # With no post-shock record, every post-shock field is None.
                 post_theta=post and post.theta, regret=post and post.theta < post.threshold,
                 regret_gap_jump=post and post.delta_v - commit.delta_v,
@@ -298,9 +300,14 @@ class ExperimentReport:
             expected = float(self.constants["v_uncond"]) - summary["best_utility"]
             if derived["slippage"] != expected:
                 fail(f"slippage {derived['slippage']!r} != v_uncond - best_utility {expected!r}")
+        if "post_shock_ask" in summary and "partner" in self.constants:
+            # In apply_shock's own form: the post-shock gap is the new ask minus the partner.
+            gap = summary["post_shock_ask"] - self.constants["partner"]
+            if post is None or post.delta_v != gap:
+                fail(f"post_shock_ask {summary['post_shock_ask']!r} - partner != post-shock delta_v")
         for i, market in enumerate(summary.get("markets", ())):
-            if market["theta"] != records[i].theta:
-                fail(f"market {i} theta mismatch")
+            if (market["theta"], market["decision"]) != (records[i].theta, decision_of(records[i])):
+                fail(f"market {i} theta or decision mismatch")
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -351,44 +358,53 @@ def run_schedule(
     return records
 
 
-def _base_summary(records: list[DecisionRecord]) -> dict[str, Any]:
-    last = records[-1]
-    return {
-        "decision": "drought" if last.drought else last.decision.value,
-        "t_star": last.t if last.decision is Decision.EXECUTE else None,
-        "theta": last.theta,
-        "delta_v": last.delta_v,
-        "slippage": last.slippage,
-    }
+#: The summary fields of a run's commitment, in report order.
+_COMMIT_FIELDS = ("decision", "t_star", "theta", "delta_v", "slippage")
 
 
 def _run_point(metrics: BookMetrics | None, schedule: ThresholdSchedule, horizon: int | None = None,
-               new_ask: float | None = None) -> tuple[list[DecisionRecord], DecisionRecord | None]:
-    """The records of one run and, when it executed and ``new_ask`` is
-    given, its commitment shocked to that ask against the intrinsic value of
-    the bid ``metrics`` was priced from; None for a hold or where no shock lands."""
+               new_ask: float | None = None) -> tuple[list[DecisionRecord], dict[str, Any]]:
+    """One run's records and summary fields.  An executed run given ``new_ask`` is shocked to
+    that ask against the intrinsic value of the bid ``metrics`` was priced from, and the
+    post-shock record appended; each post-shock field is None where no shock lands."""
     records = run_schedule(metrics, schedule, horizon)
-    if new_ask is None or records[-1].decision is not Decision.EXECUTE:
-        return records, None
-    return records, apply_shock(records[-1], new_ask, metrics.bid.entry.v_intrinsic)
+    commit, post = records[-1], None
+    executed = commit.decision is Decision.EXECUTE
+    if new_ask is not None and executed:
+        post = apply_shock(commit, new_ask, metrics.bid.entry.v_intrinsic)
+        records.append(post)
+    return records, {
+        "decision": "drought" if commit.drought else commit.decision.value,
+        "t_star": commit.t if executed else None,
+        "theta": commit.theta, "delta_v": commit.delta_v, "slippage": commit.slippage,
+        "post_theta": post and post.theta, "post_shock_ask": post and new_ask,
+        "regret": post and post.theta < post.threshold,
+        "regret_gap_jump": post and post.delta_v - commit.delta_v,
+    }
 
 
 # -- the numbered runners ------------------------------------------------------------
 
 
-def _pinned_ask(cfg: ExperimentConfig, *echoed: str) -> tuple[dict[str, float], list[DecisionRecord]]:
-    """One bid against an ask pinned at ``v_uncond``, under a constant
-    threshold: the constants echo (``echoed`` appended) and the records."""
-    k = _need(cfg, "v_uncond", "bid", "c", "T", *echoed)
-    book = _bid_book(k["v_uncond"], ("bid", k["bid"], k["c"]))
-    return k, run_schedule(book.metrics(_rule(cfg), ask=k["v_uncond"]), _constant_schedule(k["T"]))
+def _one_bid(cfg: ExperimentConfig, ask: float, v: float, c: float, threshold: float | ThresholdSchedule,
+             factor: float | None = None) -> tuple[list[DecisionRecord], dict[str, Any]]:
+    """``_run_point`` of one bid ``(v, c)`` against an ask pinned at ``ask``, under a
+    constant ``threshold`` or a schedule, shocked to ``ask`` repriced by ``factor`` if given."""
+    book = _bid_book(ask, ("bid", v, c))
+    # The shock needs only the ask and the factor, so a bad factor fails even on a hold.
+    new_ask = None if factor is None else reprice(ask, factor)
+    metrics = book.metrics(_rule(cfg), ask=ask)
+    schedule = _constant_schedule(threshold) if isinstance(threshold, float) else threshold
+    return _run_point(metrics, schedule, new_ask=new_ask)
 
 
 def run_exp1(cfg: ExperimentConfig) -> ExperimentReport:
     """Deep out-of-the-money bid with an aggressive transfer: the clipped
     compensation rule leaves the spread open and the order is rejected."""
-    k, records = _pinned_ask(cfg, "elasticity", "cap")
-    summary = {**_base_summary(records), "best_utility": effective_utility(k["bid"], k["c"], _rule(cfg)),
+    k = _need(cfg, "v_uncond", "bid", "c", "T", "elasticity", "cap")
+    records, run = _one_bid(cfg, k["v_uncond"], k["bid"], k["c"], k["T"])
+    summary = {**{f: run[f] for f in _COMMIT_FIELDS},
+               "best_utility": effective_utility(k["bid"], k["c"], _rule(cfg)),
                "theta_convention": "effective"}
     return ExperimentReport("exp1", k, records, summary)
 
@@ -398,18 +414,18 @@ def run_exp2(cfg: ExperimentConfig) -> ExperimentReport:
     decays beneath it."""
     k = _need(cfg, "v_uncond", "v_reach")
     schedule = cfg.schedule if cfg.schedule is not None else SETTLING_TABLE
-    book = _bid_book(k["v_uncond"], ("bid", k["v_reach"], 0.0))
-    records = run_schedule(book.metrics(_NO_TRANSFER, ask=k["v_uncond"]), schedule)
-    summary = {**_base_summary(records), "theta_convention": "effective"}
+    records, run = _one_bid(cfg, k["v_uncond"], k["v_reach"], 0.0, schedule)
+    summary = {**{f: run[f] for f in _COMMIT_FIELDS}, "theta_convention": "effective"}
     return ExperimentReport("exp2", k, records, summary)
 
 
 def run_exp3(cfg: ExperimentConfig) -> ExperimentReport:
     """A bid above the internal ask is a marketable order: theta > 1 clears
     any rational threshold on the first evaluation."""
-    k, records = _pinned_ask(cfg)
-    summary = _base_summary(records)
-    summary.update(immediate_fill=summary["t_star"] == records[0].t, theta_convention="effective")
+    k = _need(cfg, "v_uncond", "bid", "c", "T")
+    records, run = _one_bid(cfg, k["v_uncond"], k["bid"], k["c"], k["T"])
+    summary = {**{f: run[f] for f in _COMMIT_FIELDS}, "immediate_fill": run["t_star"] == records[0].t,
+               "theta_convention": "effective"}
     return ExperimentReport("exp3", k, records, summary)
 
 
@@ -425,7 +441,7 @@ def run_exp4(cfg: ExperimentConfig) -> ExperimentReport:
     for label, base in (("high_norm", k["base_high"]), ("low_norm", k["base_low"])):
         bids = ("A", k["v_a"], base + k["effort_a"]), ("B", k["v_b"], base + k["effort_b"])
         metrics = _bid_book(k["v_uncond"], *bids, owner=f"F-{label}").metrics(rule, ask=k["v_uncond"])
-        market_records = run_schedule(metrics, _constant_schedule(k["T"]))
+        market_records, run = _run_point(metrics, _constant_schedule(k["T"]))
         records.extend(market_records)
         markets.append(
             {
@@ -434,8 +450,8 @@ def run_exp4(cfg: ExperimentConfig) -> ExperimentReport:
                 "selected_id": metrics.bid.entry.id,
                 "selected_v": metrics.bid.entry.v_intrinsic,
                 "utility": metrics.bid.utility,
-                "theta": market_records[-1].theta,
-                "decision": market_records[-1].decision.value,
+                "theta": run["theta"],
+                "decision": run["decision"],
             }
         )
     summary = {
@@ -450,26 +466,11 @@ def run_exp5(cfg: ExperimentConfig) -> ExperimentReport:
     """Post-execution repricing: a peer-comparison shock lifts the ask,
     theta falls through the committed threshold, and regret latches."""
     k = _need(cfg, "partner", "ask", "commit_threshold", "shock_factor")
-    book = _bid_book(k["ask"], ("bid", k["partner"], 0.0))
-    # The shock needs only the ask and the factor, so a bad factor fails even on a hold.
-    new_ask = reprice(k["ask"], k["shock_factor"])
-    records, post = _run_point(book.metrics(_NO_TRANSFER, ask=k["ask"]),
-                               _constant_schedule(k["commit_threshold"]), new_ask=new_ask)
-    commit = records[-1]
-    summary = {
-        "commit_decision": commit.decision.value,
-        "t_star": commit.t if commit.decision is Decision.EXECUTE else None,
-        "pre_theta": commit.theta,
-    }
+    records, run = _one_bid(cfg, k["ask"], k["partner"], 0.0, k["commit_threshold"], k["shock_factor"])
+    summary = {"commit_decision": run["decision"], "t_star": run["t_star"], "pre_theta": run["theta"]}
     # Only a commitment can be shocked; a hold's summary reports the failed premise.
-    if post is not None:
-        records.append(post)
-        summary.update({
-            "post_theta": post.theta,
-            "post_shock_ask": new_ask,
-            "regret": post.theta < post.threshold,
-            "regret_gap_jump": post.delta_v - commit.delta_v,
-        })
+    if run["post_theta"] is not None:
+        summary.update((f, run[f]) for f in ("post_theta", "post_shock_ask", "regret", "regret_gap_jump"))
     summary["theta_convention"] = "intrinsic (post-execution)"
     return ExperimentReport("exp5", k, records, summary)
 
@@ -493,22 +494,20 @@ def run_appendix_a(cfg: ExperimentConfig) -> ExperimentReport:
         slippage=slippage(v_uncond, bid.utility),
         bid=bid,
     )
-    records = run_schedule(metrics, _constant_schedule(k["T"]))
+    records, run = _run_point(metrics, _constant_schedule(k["T"]))
     k["v_uncond"] = v_uncond
-    summary = _base_summary(records)
-    summary.update(
-        {
-            "v_uncond": v_uncond,
-            "v_reach": v_reach,
-            "effective_bids": {
-                e.id: effective_utility(e.v_intrinsic, e.c_offer, rule)
-                for e in book.entries if e.status is LiquidityStatus.LIQUID
-            },
-            "best_id": metrics.bid.entry.id,
-            "best_utility": metrics.bid.utility,
-            "theta_convention": "intrinsic",
-        }
-    )
+    summary = {
+        **{f: run[f] for f in _COMMIT_FIELDS},
+        "v_uncond": v_uncond,
+        "v_reach": v_reach,
+        "effective_bids": {
+            e.id: effective_utility(e.v_intrinsic, e.c_offer, rule)
+            for e in book.entries if e.status is LiquidityStatus.LIQUID
+        },
+        "best_id": metrics.bid.entry.id,
+        "best_utility": metrics.bid.utility,
+        "theta_convention": "intrinsic",
+    }
     return ExperimentReport("appendix_a", k, records, summary)
 
 
@@ -582,6 +581,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict[str, Any]]:
     book_for = functools.cache(functools.partial(_sweep_book, cfg))
     # One query per book and rule, keyed on reprs: 0.0 == -0.0, but theta keeps the sign.
     priced: dict[tuple, BookMetrics | None] = {}
+    fields = (*_COMMIT_FIELDS, "post_theta", "regret")
     rows: list[dict[str, Any]] = []
     for index, values in enumerate(points):
         point = dict(zip(params, values))
@@ -595,10 +595,8 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict[str, Any]]:
         key = (point.get("reach_slope"), repr(rule.elasticity), repr(rule.cap))
         if key not in priced:
             priced[key] = book.metrics(rule, ask=ask)  # None in a drought: every step holds
-        records, post = _run_point(priced[key], schedule, horizon, new_ask)
-        summary = {**_base_summary(records), "post_theta": post and post.theta,
-                   "regret": post and post.theta < post.threshold}
-        report = ExperimentReport("sweep", point, records if post is None else [*records, post], summary)
+        records, run = _run_point(priced[key], schedule, horizon, new_ask)
+        report = ExperimentReport("sweep", point, records, {f: run[f] for f in fields})
         rows.append({"grid_index": index, **report.constants, **report.summary})
     return rows
 

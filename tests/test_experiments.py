@@ -279,13 +279,32 @@ class TestReportConsistency:
         with pytest.raises(RuntimeError, match=f"exp5 report inconsistent: {key}"):
             report.verify()
 
+    @pytest.mark.parametrize("name, tamper, what", [
+        ("exp5", lambda s: s.update(commit_decision="hold"), "commit_decision 'hold' != 'execute'"),
+        ("exp5", lambda s: s.update(post_shock_ask=s["post_shock_ask"] + 1), "post_shock_ask 100.0 - partner"),
+        ("exp3", lambda s: s.update(immediate_fill=False), "immediate_fill False != True"),
+        ("exp4", lambda s: s["markets"][1].update(decision="hold"), "market 1 theta or decision"),
+    ], ids=["exp5-commit_decision", "exp5-post_shock_ask", "exp3-immediate_fill", "exp4-market-decision"])
+    def test_verify_checks_every_derivable_field(self, name, tamper, what):
+        # Each field is derivable from the records and the constants: exp5's
+        # post-shock gap is post_shock_ask - partner, as apply_shock computes it.
+        report = RUNNERS[name](cfg_for(name))
+        tamper(report.summary)
+        with pytest.raises(RuntimeError, match=f"{name} report inconsistent: {what}"):
+            report.verify()
+
     def test_a_sweep_row_is_verified(self, monkeypatch, capsys):
         # A row whose summary disagrees with its records is a bug, not a
         # config error: it keeps its traceback through the CLI.
         import matchbook.experiments as experiments
 
-        base_summary = experiments._base_summary
-        monkeypatch.setattr(experiments, "_base_summary", lambda records: {**base_summary(records), "t_star": 7})
+        run_point = experiments._run_point
+
+        def tampered(*args):
+            records, summary = run_point(*args)
+            return records, {**summary, "t_star": 7}
+
+        monkeypatch.setattr(experiments, "_run_point", tampered)
         with pytest.raises(RuntimeError, match="sweep report inconsistent: t_star 7 != None"):
             run_sweep(cfg_for("sweep"))
         with pytest.raises(RuntimeError, match="sweep report inconsistent"):
@@ -418,21 +437,35 @@ class TestSweep:
             "0,0.0,hold,,0.0,90.0,90.0,,", "1,-0.0,hold,,-0.0,90.0,90.0,,",
         ]
 
-    @given(partner=st.floats(0, 100), ask=st.floats(1, 100), commit_threshold=st.floats(0.01, 1),
-           shock_factor=st.floats(0.1, 10))
-    @settings(max_examples=100, deadline=None)
-    def test_exp5_is_a_one_point_shocked_sweep(self, partner, ask, commit_threshold, shock_factor):
-        # The fixture bid at c = 0 priced at its ask under a constant threshold,
-        # then shocked: exp5's scenario, reported as one sweep row.
-        k = {"partner": partner, "ask": ask, "commit_threshold": commit_threshold,
-             "shock_factor": shock_factor}
-        report = run_exp5(config_from_mapping("exp5", {"overrides": k}))
-        data = {"overrides": {"v_uncond": ask, "bid": partner, "c": 0, "T0": commit_threshold},
-                "grid": {"shock_factor": [shock_factor]}}
-        (row,) = run_sweep(config_from_mapping("sweep", data))
-        s = report.summary
-        assert (row["t_star"], row["theta"]) == (s["t_star"], s["pre_theta"])
-        assert (row["post_theta"], row["regret"]) == (s.get("post_theta"), s.get("regret"))
+    @given(name=st.sampled_from(["exp1", "exp2", "exp3", "exp5"]), v=st.floats(0, 100),
+           ask=st.floats(1, 100), T=st.floats(0.01, 1), c=st.floats(0, 1000), eps=st.floats(0, 1),
+           cap=st.one_of(st.floats(0, 50), st.just(math.inf)), shock_factor=st.floats(0.1, 10))
+    @settings(max_examples=200, deadline=None)
+    def test_each_one_bid_scenario_is_a_one_point_sweep(self, name, v, ask, T, c, eps, cap, shock_factor):
+        # exp1, exp2, exp3 and exp5 each price one bid (v, c) against an ask
+        # pinned at its configured value: each is one row of a fixture-bid
+        # sweep.  exp1 and exp3 hold T and sweep their one eps; exp2 runs its
+        # table at c = 0; exp5 holds its threshold at c = 0 and is shocked.
+        top, grid = {}, {"eps": [eps]}
+        if name == "exp2":
+            k, sweep = {"v_uncond": ask, "v_reach": v}, {"v_uncond": ask, "bid": v, "c": 0}
+            top = {"schedule": load_fixture("exp2")["schedule"]}
+        elif name == "exp5":
+            k = {"partner": v, "ask": ask, "commit_threshold": T, "shock_factor": shock_factor}
+            sweep, grid = {"v_uncond": ask, "bid": v, "c": 0, "T0": T}, {"shock_factor": [shock_factor]}
+        else:
+            k = {"v_uncond": ask, "bid": v, "c": c, "T": T, "elasticity": eps, "cap": cap}
+            sweep = {"v_uncond": ask, "bid": v, "c": c, "T0": T, "cap": cap}
+        report = RUNNERS[name](config_from_mapping(name, {**top, "overrides": k}))
+        (row,) = run_sweep(config_from_mapping("sweep", {**top, "overrides": sweep, "grid": grid}))
+        s = dict(report.summary)
+        if name == "exp5":
+            commit = report.records[0]
+            s.update(decision=s["commit_decision"], theta=s["pre_theta"], delta_v=commit.delta_v,
+                     slippage=commit.slippage)
+            assert (row["post_theta"], row["regret"]) == (s.get("post_theta"), s.get("regret"))
+        keys = ("decision", "t_star", "theta", "delta_v", "slippage")
+        assert [row[key] for key in keys] == [s[key] for key in keys]
 
     def test_a_book_prices_its_ask_once(self, monkeypatch):
         # The ask is cached with its book, not recomputed per grid point.
