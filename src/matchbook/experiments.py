@@ -154,7 +154,7 @@ def config_from_mapping(experiment: str, data: dict, seed: int | None = None) ->
     if experiment not in CONFIG_KEYS:
         raise InvalidConfig(f"unknown experiment {experiment!r}")
     accepted = CONFIG_KEYS[experiment]
-    unread_seed = seed is not None and "population" not in accepted
+    unread_seed = seed is not None and "population" not in accepted & data.keys()
     unknown = sorted(set(data).union(("seed",) if unread_seed else ()) - accepted)
     if unknown:
         raise InvalidConfig(f"unknown config keys {unknown} for {experiment}; supported: {sorted(accepted)}")

@@ -137,7 +137,8 @@ class DensityProfile:
     """Population density g(h) over status height h in [0, 1].
 
     The solid-of-revolution radius is sqrt(g(h)), so cross-section area is
-    pi * g(h) and volumes reduce to integrals of g.
+    pi * g(h) and volumes reduce to integrals of g.  g must be pointwise, each
+    output a function of its own input only: cone_volume samples in pieces.
     """
 
     name: str
@@ -170,11 +171,9 @@ class DensityProfile:
         # scipy-free.  stats.beta.pdf ends in the private Boost ufunc
         # scipy.special._ufuncs._beta_pdf, and scipy.stats costs about 1 s and
         # 45 MB to import, so g calls the ufunc as beta_gen._pdf does and
-        # masks as beta.pdf does: 0.0 outside [0, 1], NaN for NaN.
-        # _in_halves computes the in-domain points in two halves on two
-        # threads, each value the ufunc's own.  tests/test_population.py::
-        # TestBetaDensity and TestBetaDensityHalves guard the name and check g
-        # against stats.beta.pdf and one serial _beta_pdf call bit for bit.
+        # masks as beta.pdf does, pointwise: 0.0 outside [0, 1], NaN for NaN.
+        # tests/test_population.py::TestBetaDensity guards the name and checks
+        # g against stats.beta.pdf bit for bit.
         try:
             from scipy.special._ufuncs import _beta_pdf
         except ImportError:  # a SciPy that does not export it
@@ -187,43 +186,34 @@ class DensityProfile:
             inside = (0.0 <= x) & (x <= 1.0)
             out = np.where(np.isnan(x), np.nan, 0.0)
             with np.errstate(over="ignore"):
-                out[inside] = _in_halves(_beta_pdf, x[inside], alpha, beta)
+                out[inside] = _beta_pdf(x[inside], alpha, beta)
             return out[()] if out.ndim == 0 else out
 
         return cls(name, g)
 
 
-def _in_halves(ufunc: np.ufunc, x: np.ndarray, *args: float) -> np.ndarray:
-    """``ufunc(x, *args)`` for a 1-d ``x``, its first half computed on a helper
-    thread while the calling thread computes the second.
-
-    SciPy's Beta density is native code that releases the interpreter lock,
-    so the halves overlap where two cores are free.  Both write into one buffer allocated
-    here, so every value is the ufunc's own and no copy is made.  The helper
-    runs in a copy of the caller's context, which carries numpy's errstate,
-    and is joined before this returns or raises.  An exception from either
-    half is raised here; when both raise, the first half's wins, as it would
-    in one serial call.
-    """
-    out = np.empty_like(x)
-    mid = x.size // 2
+def _in_halves(fill: Callable[[int, int], None], n: int) -> None:
+    """fill(0, n // 2) on a helper thread, in a copy of the caller's context
+    (numpy's errstate with it), while the calling thread runs fill(n // 2, n).
+    The helper is joined before this returns or raises; an exception from
+    either half is raised here, the first half's when both raise."""
+    mid = n // 2
     errors: list[BaseException] = []
 
     def first_half() -> None:
         try:
-            ufunc(x[:mid], *args, out=out[:mid])
+            fill(0, mid)
         except BaseException as exc:  # re-raised in the calling thread
             errors.append(exc)
 
     helper = threading.Thread(target=contextvars.copy_context().run, args=(first_half,))
     helper.start()
     try:
-        ufunc(x[mid:], *args, out=out[mid:])
+        fill(mid, n)
     finally:
         helper.join()
         if errors:
             raise errors[0]
-    return out
 
 
 #: Trapezoid intervals of the cone integral.
@@ -234,12 +224,22 @@ def cone_volume(profile: DensityProfile, h0: float) -> float:
     """Candidate volume above height h0: pi * trapezoid of g on [h0, 1].
 
     Composite trapezoid on a uniform grid of ``_CONE_STEPS`` intervals: it
-    needs only samples of g, so one scheme serves every profile.
+    needs only samples of g, so one scheme serves every profile.  Two threads,
+    whose loops release the interpreter lock, each fill half of np.trapezoid's
+    terms d * (y1 + y0) / 2.0; one pairwise sum adds them, bit for bit.
     """
     if not 0 <= h0 <= 1:
         raise ValueError(f"h0 must lie in [0, 1], got {h0}")
     if h0 == 1.0:
         return 0.0
-    ts = np.linspace(h0, 1.0, _CONE_STEPS + 1)
-    # SciPy's Beta density may raise OverflowError at extreme shapes.
-    return math.pi * float(np.trapezoid(profile.g(ts), ts))
+    ts, terms = np.linspace(h0, 1.0, _CONE_STEPS + 1), np.empty(_CONE_STEPS)
+
+    def fill(lo: int, hi: int) -> None:
+        x, out = ts[lo:hi + 1], terms[lo:hi]  # the halves share the midpoint
+        y = profile.g(x)  # SciPy's Beta density may raise OverflowError
+        np.add(y[1:], y[:-1], out=out)
+        out *= np.subtract(x[1:], x[:-1])
+        out /= 2.0
+
+    _in_halves(fill, _CONE_STEPS)
+    return math.pi * float(terms.sum())

@@ -792,9 +792,10 @@ class TestCommandFlags:
 
     @pytest.mark.parametrize("command", SCENARIOS)
     def test_scenarios_take_every_flag_they_read(self, command, tmp_path):
-        # Four flags for the six scenarios; sweep also takes --seed.
+        # Four flags for the six scenarios; sweep also takes --seed for its population.
         cfg = tmp_path / "cfg.json"
-        cfg.write_text("{}", encoding="utf-8")
+        population = {"population": SMALL_POPULATION} if command == "sweep" else {}
+        cfg.write_text(json.dumps(population), encoding="utf-8")
         key, value = next(iter(load_fixture(command.replace("-", "_"))["overrides"].items()))
         seed = ["--seed", "7"] if command == "sweep" else []
         out = tmp_path / "out.csv"
@@ -802,12 +803,23 @@ class TestCommandFlags:
                      f"{key}={json.dumps(value)}", "--format", "csv", "--out", str(out)]) == 0
         assert out.read_text().startswith(("t,", "grid_index,"))
 
-    @pytest.mark.parametrize("command", [name for name in SCENARIOS if name != "sweep"])
+    @pytest.mark.parametrize("command", SCENARIOS)
     def test_scenarios_reject_seed(self, command, tmp_path):
-        # Nothing in these runs is drawn, so a seed would change no byte.
+        # Nothing in these runs is drawn, so a seed would change no byte.  The
+        # sweep fixture holds no population, so its seed is refused too.
         out = tmp_path / "out.json"
         assert exit_status([command, "--seed", "7", "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_sweep_seed_needs_a_population_in_the_merged_config(self, tmp_path):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        argv = ["sweep", "--config", str(cfg), "--seed", "5", "--out", str(out)]
+        cfg.write_text(json.dumps({"overrides": {"T0": 0.5}}), encoding="utf-8")
+        code, _, err = run_cli(argv)
+        assert (code, err.startswith("config error: unknown config keys ['seed']")) == (2, True), err
+        assert not out.exists()
+        cfg.write_text(json.dumps({"population": SMALL_POPULATION, "overrides": {"T0": 0.5}}), encoding="utf-8")
+        assert main(argv) == 0
 
     def test_seed_flag_matches_config_keys(self):
         seeded = {name for name, (_, _, flags) in cli.COMMANDS.items() if "--seed" in flags}
@@ -1011,7 +1023,7 @@ class TestDeterminism:
         hashes = []
         for run in ("a", "b"):
             out = tmp_path / f"{run}.out"
-            seed = ["--seed", "42"] if argv[0] in ("sweep", "gen") else []
+            seed = ["--seed", "42"] if argv[0] == "gen" else []
             assert main([*argv, *seed, "--out", str(out)]) == 0
             hashes.append(digest(out))
         assert hashes[0] == hashes[1]

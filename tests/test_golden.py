@@ -2,8 +2,8 @@
 
 Every ``--out`` file the CLI writes at fixture defaults, in both formats,
 must hash to the value recorded here, and ``cone`` must print and write the
-volumes recorded here.  ``sweep`` and ``gen``, the commands that draw a
-population and so take ``--seed``, run with ``--seed 42``.  A refactor that
+volumes recorded here.  ``gen``, whose fixture draws a population and so
+reads ``--seed``, runs with ``--seed 42``.  A refactor that
 changes any byte of a report, record stream, sweep table or generated book
 fails this test; a deliberate format change re-records the table.
 """
@@ -41,8 +41,8 @@ COMMANDS = ["exp1", "exp2", "exp3", "exp4", "exp5", "appendix-a", "sweep", "gen"
 
 
 def seed(command):
-    """``--seed 42`` for the commands that take it."""
-    return ["--seed", "42"] if command in ("sweep", "gen") else []
+    """``--seed 42`` for the one fixture that holds a population."""
+    return ["--seed", "42"] if command == "gen" else []
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -5,7 +5,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from matchbook import (
@@ -27,8 +27,9 @@ from matchbook import (
 )
 from matchbook import book as book_module
 from matchbook.book import MAX_ROWS
+from matchbook.cli import _parse_profile
 from matchbook.experiments import config_from_mapping, run_sweep
-from matchbook.population import _in_halves, population_metadata
+from matchbook.population import _CONE_STEPS, _in_halves, population_metadata
 
 
 def values_and_liquidity(book):
@@ -345,6 +346,11 @@ BETA_POINTS = np.array(
      -0.5, 1.5, -1e300, math.inf, -math.inf, math.nan]
 )
 
+#: NaN, both zeros, both ends, interior points and points outside [0, 1]: its
+#: prefixes, read forwards and backwards, are odd and even arrays of every
+#: size from 0 up, with odd and even counts of in-domain points.
+MIXED_POINTS = np.array([math.nan, -0.0, 0.0, 1.0, 0.25, -0.5, 0.5, 1.5, 1 - 2**-53, math.nan, 0.75])
+
 
 def density_outcome(pdf, x):
     """What a density gives at x: its type and bit pattern, or the exception it raises."""
@@ -383,83 +389,143 @@ class TestBetaDensity:
         assert density_outcome(profile.g, BETA_POINTS) == expected
         assert len(calls) == 1
 
-
-def serial_density(a, b, x):
-    """g's values from one serial _beta_pdf call, masked as g masks: the
-    reference that the two-thread split must equal bit for bit."""
-    from scipy.special._ufuncs import _beta_pdf
-
-    x = np.asarray(x, dtype=float)
-    inside = (0.0 <= x) & (x <= 1.0)
-    out = np.where(np.isnan(x), np.nan, 0.0)
-    with np.errstate(over="ignore"):
-        out[inside] = _beta_pdf(x[inside], a, b)
-    return out
-
-
-#: NaN, both zeros, both ends, interior points and points outside [0, 1]: its
-#: prefixes, read forwards and backwards, are odd and even arrays of every
-#: size from 0 up, with odd and even counts of in-domain points.
-MIXED_POINTS = np.array([math.nan, -0.0, 0.0, 1.0, 0.25, -0.5, 0.5, 1.5, 1 - 2**-53, math.nan, 0.75])
-
-
-class TestBetaDensityHalves:
-    """g computes its in-domain points in two halves, the first on a helper
-    thread, and must equal one serial _beta_pdf call bit for bit."""
-
-    @pytest.mark.parametrize("shapes", [(2.0, 8.0), (0.5, 2.0)], ids=repr)
-    def test_cone_grid_equals_one_serial_call(self, shapes):
-        ts = np.linspace(0.0, 1.0, 100_001)
-        got = DensityProfile.beta(*shapes).g(ts)
-        assert np.array_equal(got.view(np.uint64), serial_density(*shapes, ts).view(np.uint64))
-
     @pytest.mark.parametrize("reverse", [False, True], ids=["forwards", "backwards"])
     @pytest.mark.parametrize("size", range(len(MIXED_POINTS) + 1))
     @pytest.mark.parametrize("shapes", [(2.0, 8.0), (0.5, 0.5)], ids=repr)
-    def test_mixed_points_equal_one_serial_call(self, shapes, size, reverse):
+    def test_mixed_points_match_scipy_stats(self, shapes, size, reverse):
         x = MIXED_POINTS[:size][::-1] if reverse else MIXED_POINTS[:size]
-        got = DensityProfile.beta(*shapes).g(x)
-        assert got.shape == x.shape
-        assert np.array_equal(got.view(np.uint64), serial_density(*shapes, x).view(np.uint64))
+        g, pdf = DensityProfile.beta(*shapes).g, stats.beta(*shapes).pdf
+        assert g(x).shape == x.shape
+        assert density_outcome(g, x) == density_outcome(pdf, x)
 
-    def test_overflow_in_the_calling_threads_half(self):
-        # The descending grid puts h = 5e-324, where SciPy overflows, last.
-        profile = DensityProfile.beta(5e-324, 1.7976931348623157e308)
-        ts = np.linspace(1.0, 5e-324, 100_001)
-        serial_density(5e-324, 1.7976931348623157e308, ts[: ts.size // 2])  # the helper's half is clean
-        with pytest.raises(OverflowError):
-            profile.g(ts)
 
-    def test_no_thread_outlives_a_call(self):
+def cone_outcome(volume, profile, h0):
+    """What a cone volume gives: the repr of its value, so that inf and NaN
+    compare, or the type of the exception it raises."""
+    try:
+        return repr(volume(profile, h0))
+    except (OverflowError, RuntimeWarning) as exc:  # RuntimeWarning: an error under pytest
+        return type(exc)
+
+
+def serial_cone(profile, h0):
+    """The cone volume as one serial np.trapezoid over cone_volume's grid:
+    the reference that the two-thread split must equal bit for bit."""
+    if h0 == 1.0:
+        return 0.0
+    ts = np.linspace(h0, 1.0, _CONE_STEPS + 1)
+    return math.pi * float(np.trapezoid(profile.g(ts), ts))
+
+
+#: Profiles, as ``cone --profile`` spells them, whose cone volume is checked
+#: against the serial reference.
+HALVES_PROFILES = ["uniform", "linear-cone", "beta:2,8", "beta:0.5,2", "beta:2,0.5", "beta:0.5,0.5"]
+
+
+class First(Exception):
+    pass
+
+
+class Second(Exception):
+    pass
+
+
+def raising_profile(first, second):
+    """A density that raises ``first`` on the grid's first half and ``second``
+    on its second (from h0 = 0, the second half starts at h = 0.5); None
+    computes instead."""
+
+    def g(h):
+        error = first if h[0] < 0.5 else second
+        if error is not None:
+            raise error
+        return np.ones_like(h)
+
+    return DensityProfile("t", g)
+
+
+class TestConeVolumeHalves:
+    """cone_volume fills its interval terms in two halves, the first on a
+    helper thread, and must equal one serial np.trapezoid bit for bit."""
+
+    @pytest.mark.parametrize("name", HALVES_PROFILES)
+    @given(h0=st.floats(0.0, 1.0))
+    @example(h0=0.0)
+    @example(h0=5e-324)
+    @example(h0=0.5)
+    @example(h0=1 - 2**-53)
+    @settings(max_examples=15, deadline=None)
+    def test_equals_serial_trapezoid(self, name, h0):
+        profile = _parse_profile(name)
+        assert cone_outcome(cone_volume, profile, h0) == cone_outcome(serial_cone, profile, h0)
+
+    @pytest.mark.parametrize("name", HALVES_PROFILES[2:])
+    def test_scipy_stats_fallback_equals_serial_trapezoid(self, name, monkeypatch):
+        # stats.beta.pdf, which g falls back to, runs on both threads at once.
+        import scipy.special._ufuncs
+
+        monkeypatch.delattr(scipy.special._ufuncs, "_beta_pdf")
+        profile = _parse_profile(name)
+        monkeypatch.undo()
+        calls, pdf = [], stats.beta.pdf
+        monkeypatch.setattr(stats.beta, "pdf", lambda *args: calls.append(args) or pdf(*args))
+        for h0 in (0.0, 5e-324, 0.1, 0.5, 0.9999, 1 - 2**-53):
+            assert cone_outcome(cone_volume, profile, h0) == cone_outcome(serial_cone, profile, h0), h0
+        assert calls
+
+    @pytest.mark.parametrize(
+        "first, second, error", [(First, Second, First), (None, Second, Second), (First, None, First)],
+        ids=["both", "calling-thread", "helper"],
+    )
+    def test_first_halfs_exception_wins_and_no_thread_outlives_it(self, first, second, error):
         before = threading.active_count()
-        DensityProfile.beta(2.0, 8.0).g(np.linspace(0.0, 1.0, 1001))
+        with pytest.raises(error):
+            cone_volume(raising_profile(first, second), 0.0)
         assert threading.active_count() == before
-        for ts in (np.linspace(5e-324, 1.0, 1001), np.linspace(1.0, 5e-324, 1001)):
-            with pytest.raises(OverflowError):
-                DensityProfile.beta(5e-324, 1.7976931348623157e308).g(ts)
-            assert threading.active_count() == before
+        assert cone_volume(raising_profile(None, None), 0.0) == math.pi
+        assert threading.active_count() == before
+
+    def test_helper_keeps_the_callers_errstate(self):
+        # exp(1000) overflows below h = 0.5 only: in the helper's half.
+        profile = DensityProfile("t", lambda h: np.exp(np.where(h < 0.5, 1000.0, 0.0)))
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            cone_volume(profile, 0.0)
+        with np.errstate(over="ignore"):
+            assert cone_volume(profile, 0.0) == math.inf
+
+
+class TestInHalves:
+    """_in_halves runs fill(0, n // 2) on a helper thread and fill(n // 2, n)
+    on the calling thread."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 100_000])
+    def test_fills_both_halves_once(self, n):
+        calls = []
+        _in_halves(lambda lo, hi: calls.append((lo, hi)), n)
+        assert sorted(calls) == [(0, n // 2), (n // 2, n)]
 
     def test_first_halfs_exception_wins(self):
-        class First(Exception):
-            pass
+        def fill_raising(first, second):
+            def fill(lo, hi):
+                error = first if lo == 0 else second
+                if error is not None:
+                    raise error
+            return fill
 
-        class Second(Exception):
-            pass
-
-        def fails(x, out):
-            # 0 raises First, 1 raises Second, anything else is computed.
-            if x[0] in (0.0, 1.0):
-                raise First if x[0] == 0 else Second
-            out[:] = x
-
-        # Both halves raise (in either order), then only the caller's, then only the helper's.
-        for x, error in [([0.0, 1.0], First), ([1.0, 0.0], Second), ([2.0, 0.0], First), ([1.0, 2.0], Second)]:
+        # Both halves raise, then only the caller's, then only the helper's.
+        for first, second, error in [(First, Second, First), (None, Second, Second), (First, None, First)]:
             with pytest.raises(error):
-                _in_halves(fails, np.array(x))
+                _in_halves(fill_raising(first, second), 2)
 
     def test_helper_keeps_the_callers_errstate(self):
         # exp(1000) overflows in the helper's half only.
+        x, out = np.array([1000.0, 0.0]), np.empty(2)
+
+        def fill(lo, hi):
+            np.exp(x[lo:hi], out=out[lo:hi])
+
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            _in_halves(np.exp, np.array([1000.0, 0.0]))
+            _in_halves(fill, 2)
         with np.errstate(over="ignore"):
-            assert _in_halves(np.exp, np.array([1000.0, 0.0])).tolist() == [math.inf, 1.0]
+            _in_halves(fill, 2)
+        assert out.tolist() == [math.inf, 1.0]
