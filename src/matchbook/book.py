@@ -80,6 +80,26 @@ class BookMetrics(NamedTuple):
     bid: BestBid
 
 
+def snapshot(best: BestBid, ask: Valuation) -> BookMetrics:
+    """The metrics of the best bid ``best`` priced against the internal ask ``ask``."""
+    return BookMetrics(
+        theta=market_to_book(best.utility, ask),
+        delta_v=spread(ask, best.entry.v_intrinsic),
+        slippage=slippage(ask, best.utility),
+        bid=best,
+    )
+
+
+#: A row's two values, in the order a book checks them: every row's value,
+#: then every row's offer.
+VALUE_COLUMNS = ("v_intrinsic", "c_offer")
+
+
+def bad_value(column: str, value: float) -> ValueError:
+    """The refusal of a value of ``column`` that is negative, infinite or NaN."""
+    return ValueError(f"{column} must be finite and >= 0, got {value}")
+
+
 #: The most rows a book holds, however it is built (generated, loaded or
 #: configured); a larger book is a ValueError, and a larger population an
 #: InvalidConfig before any array is allocated.
@@ -205,7 +225,7 @@ class PreferenceBook:
         if n > MAX_ROWS:
             raise ValueError(f"a book holds at most {MAX_ROWS} rows, got {n}")
         columns = [np.asarray(column) for column in values]
-        for name, column in zip(("v_intrinsic", "c_offer"), columns):
+        for name, column in zip(VALUE_COLUMNS, columns):
             if column.dtype.kind not in "iuf":
                 raise ValueError(f"{name} must hold numbers, got an array of {column.dtype}")
         vc = np.array(columns, dtype=np.float64)
@@ -214,8 +234,7 @@ class PreferenceBook:
         ok = (vc >= 0) & (vc < math.inf)
         if not ok.all():
             column, row = divmod(int((~ok).argmax()), n)
-            raise ValueError(f"{('v_intrinsic', 'c_offer')[column]} must be finite and >= 0, "
-                             f"got {float(vc[column, row])}")
+            raise bad_value(VALUE_COLUMNS[column], float(vc[column, row]))
         vc.flags.writeable = False
         codes.flags.writeable = False
         if names is not None and len(set(names)) != n:
@@ -333,13 +352,7 @@ class PreferenceBook:
         v_ask = self.v_uncond() if ask is None else ask
         if self._v_reach is None:
             return None
-        best = self.best_bid(rule)
-        return BookMetrics(
-            theta=market_to_book(best.utility, v_ask),
-            delta_v=spread(v_ask, best.entry.v_intrinsic),
-            slippage=slippage(v_ask, best.utility),
-            bid=best,
-        )
+        return snapshot(self.best_bid(rule), v_ask)
 
 
 # -- serialization ----------------------------------------------------------

@@ -148,7 +148,8 @@ class DecisionRecord:
 def step(metrics: BookMetrics | None, schedule: ThresholdSchedule, t: int) -> DecisionRecord:
     """One evaluation: compare the snapshot's theta with T(t).
 
-    ``metrics`` is the book's snapshot (PreferenceBook.metrics); the book
+    ``metrics`` is the book's snapshot (PreferenceBook.metrics, or a
+    scenario's bids priced as a book of them would be); the book
     does not change during a run, so one snapshot serves every step and only
     the threshold moves.  ``None`` is a liquidity drought: a Hold without
     metrics.  Execution is absorbing: run_schedule stops at the first

@@ -20,11 +20,14 @@ import functools
 import itertools
 import json
 import math
+import operator
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import Any
 
-from .book import BookMetrics, CandidateEntry, LiquidityStatus, PreferenceBook, book_from_mappings
+from .book import (STATUSES, VALUE_COLUMNS, BestBid, BookMetrics, CandidateEntry, LiquidityStatus,
+                   PreferenceBook, bad_value, book_from_mappings, snapshot)
 from .dynamics import (
     DecaySchedule,
     Decision,
@@ -236,16 +239,26 @@ def _constant_schedule(T: float) -> TableSchedule:
     return TableSchedule(points=((1, T),))
 
 
-def _bid_book(v_uncond: float, *bids: tuple[str, float, float], owner: str = "F") -> PreferenceBook:
-    """One liquid entry per ``(id, v, c)`` bid, once the internal ask
-    ``v_uncond`` is checked; price the book at ``ask=v_uncond``."""
+def _bids(ask: float, *bids: tuple[str, float, float]) -> tuple[CandidateEntry, ...]:
+    """One liquid entry per ``(id, v, c)`` bid, once the internal ask ``ask`` is
+    checked, then every bid's value and every bid's offer, as a book checks them."""
     # The one ask check, since no row holds the ask.  market_to_book refuses
     # 0, negatives and NaN, but prices an infinite ask at theta = 0.
-    market_to_book(0.0, v_uncond)
-    if v_uncond == math.inf:
-        raise ValueError(f"internal ask must be finite, got {v_uncond}")
-    return PreferenceBook([CandidateEntry(i, v, c, LiquidityStatus.LIQUID) for i, v, c in bids],
-                          owner_id=owner)
+    market_to_book(0.0, ask)
+    if ask == math.inf:
+        raise ValueError(f"internal ask must be finite, got {ask}")
+    for column, name in enumerate(VALUE_COLUMNS, start=1):
+        for bid in bids:
+            if not 0 <= bid[column] < math.inf:
+                raise bad_value(name, bid[column])
+    return tuple(CandidateEntry(i, v, c, LiquidityStatus.LIQUID) for i, v, c in bids)
+
+
+def _price_bids(bids: tuple[CandidateEntry, ...], rule: CompensationRule, ask: float) -> BookMetrics:
+    """``PreferenceBook(bids).metrics(rule, ask=ask)`` with no book: each bid's
+    effective utility, and the metrics of the first maximum against ``ask``."""
+    priced = (BestBid(e, effective_utility(e.v_intrinsic, e.c_offer, rule)) for e in bids)
+    return snapshot(max(priced, key=operator.itemgetter(1)), ask)
 
 
 # -- reports -----------------------------------------------------------------------
@@ -390,10 +403,10 @@ def _one_bid(cfg: ExperimentConfig, ask: float, v: float, c: float, threshold: f
              factor: float | None = None) -> tuple[list[DecisionRecord], dict[str, Any]]:
     """``_run_point`` of one bid ``(v, c)`` against an ask pinned at ``ask``, under a
     constant ``threshold`` or a schedule, shocked to ``ask`` repriced by ``factor`` if given."""
-    book = _bid_book(ask, ("bid", v, c))
+    bids = _bids(ask, ("bid", v, c))
     # The shock needs only the ask and the factor, so a bad factor fails even on a hold.
     new_ask = None if factor is None else reprice(ask, factor)
-    metrics = book.metrics(_rule(cfg), ask=ask)
+    metrics = _price_bids(bids, _rule(cfg), ask)
     schedule = _constant_schedule(threshold) if isinstance(threshold, float) else threshold
     return _run_point(metrics, schedule, new_ask=new_ask)
 
@@ -440,7 +453,7 @@ def run_exp4(cfg: ExperimentConfig) -> ExperimentReport:
     records: list[DecisionRecord] = []
     for label, base in (("high_norm", k["base_high"]), ("low_norm", k["base_low"])):
         bids = ("A", k["v_a"], base + k["effort_a"]), ("B", k["v_b"], base + k["effort_b"])
-        metrics = _bid_book(k["v_uncond"], *bids, owner=f"F-{label}").metrics(rule, ask=k["v_uncond"])
+        metrics = _price_bids(_bids(k["v_uncond"], *bids), rule, k["v_uncond"])
         market_records, run = _run_point(metrics, _constant_schedule(k["T"]))
         records.extend(market_records)
         markets.append(
@@ -501,8 +514,10 @@ def run_appendix_a(cfg: ExperimentConfig) -> ExperimentReport:
         "v_uncond": v_uncond,
         "v_reach": v_reach,
         "effective_bids": {
-            e.id: effective_utility(e.v_intrinsic, e.c_offer, rule)
-            for e in book.entries if e.status is LiquidityStatus.LIQUID
+            i: effective_utility(v, c, rule)
+            for i, v, c, code in zip(book.ids, book.v_intrinsic.tolist(), book.c_offer.tolist(),
+                                     book.status_codes.tolist())
+            if STATUSES[code] is LiquidityStatus.LIQUID
         },
         "best_id": metrics.bid.entry.id,
         "best_utility": metrics.bid.utility,
@@ -529,19 +544,23 @@ def _grid_points(grid: dict[str, list[float]]) -> tuple[list[str], list[tuple[fl
     return params, list(itertools.product(*(grid[p] for p in params)))
 
 
-def _sweep_book(cfg: ExperimentConfig, reach_slope: float | None) -> tuple[PreferenceBook, float]:
-    """A point's book and the ask it is priced against: the configured
-    ``v_uncond`` for the fixture bid, the book's own ask otherwise."""
+def _sweep_pricer(cfg: ExperimentConfig, reach_slope: float | None
+                  ) -> tuple[Callable[[CompensationRule], BookMetrics | None], float]:
+    """A point's pricer of a rule and the ask it prices against: the fixture bid
+    at the configured ``v_uncond``, or a configured or generated book at its own ask."""
     if cfg.book is not None:
-        return cfg.book, cfg.book.v_uncond()
-    if cfg.population is not None:
+        book = cfg.book
+    elif cfg.population is not None:
         pop = cfg.population
         if reach_slope is not None:
             pop = replace(pop, reach_slope=reach_slope)
         book = generate(pop)
-        return book, book.v_uncond()
-    k = _need(cfg, "v_uncond", "bid", "c")
-    return _bid_book(k["v_uncond"], ("bid", k["bid"], k["c"])), k["v_uncond"]
+    else:
+        k = _need(cfg, "v_uncond", "bid", "c")
+        bids = _bids(k["v_uncond"], ("bid", k["bid"], k["c"]))
+        return functools.partial(_price_bids, bids, ask=k["v_uncond"]), k["v_uncond"]
+    ask = book.v_uncond()
+    return functools.partial(book.metrics, ask=ask), ask
 
 
 def _sweep_schedule(setting: dict[str, float]) -> ThresholdSchedule:
@@ -574,12 +593,16 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict[str, Any]]:
         if clash:
             raise InvalidConfig(f"a sweep takes a schedule or T0, lambda and floor, not both; "
                                 f"got a schedule and {clash}")
-    elif "floor" in cfg.overrides:  # checked in the decay's words, though only a lambda reads it
+    elif "floor" in cfg.overrides:  # checked in the decay's words, then refused if no decay reads it
         DecaySchedule(t0=1.0, rate=0.0, floor=cfg.overrides["floor"])
+        rates = cfg.grid["lambda"] if "lambda" in params else [cfg.overrides.get("lambda", 0.0)]
+        if all(rate == 0.0 for rate in rates):
+            raise InvalidConfig("a sweep's floor is read only where lambda is not 0, "
+                                "and every point's lambda is 0")
     horizon = _check_horizon(cfg.overrides["horizon"]) if "horizon" in cfg.overrides else None
     # generate is a pure function of its config: one book per reach_slope.
-    book_for = functools.cache(functools.partial(_sweep_book, cfg))
-    # One query per book and rule, keyed on reprs: 0.0 == -0.0, but theta keeps the sign.
+    pricer_for = functools.cache(functools.partial(_sweep_pricer, cfg))
+    # One pricing per book and rule, keyed on reprs: 0.0 == -0.0, but theta keeps the sign.
     priced: dict[tuple, BookMetrics | None] = {}
     fields = (*_COMMIT_FIELDS, "post_theta", "regret")
     rows: list[dict[str, Any]] = []
@@ -587,14 +610,14 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict[str, Any]]:
         point = dict(zip(params, values))
         setting = {**cfg.overrides, **point}
         rule = CompensationRule(setting.get("eps", setting["elasticity"]), setting["cap"])
-        book, ask = book_for(point.get("reach_slope"))
+        price, ask = pricer_for(point.get("reach_slope"))
         factor = setting.get("shock_factor")
         # As in run_exp5, the factor is checked whether or not the point executes.
         new_ask = None if factor is None else reprice(ask, factor)
         schedule = cfg.schedule if cfg.schedule is not None else _sweep_schedule(setting)
         key = (point.get("reach_slope"), repr(rule.elasticity), repr(rule.cap))
         if key not in priced:
-            priced[key] = book.metrics(rule, ask=ask)  # None in a drought: every step holds
+            priced[key] = price(rule)  # None in a drought: every step holds
         records, run = _run_point(priced[key], schedule, horizon, new_ask)
         report = ExperimentReport("sweep", point, records, {f: run[f] for f in fields})
         rows.append({"grid_index": index, **report.constants, **report.summary})

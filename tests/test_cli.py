@@ -29,6 +29,8 @@ ZERO_ASK_POPULATION = {"n_candidates": 50, "beta_alpha": 1e-300, "beta_beta": 1.
 SCHEDULE_CLASH = "config error: a sweep takes a schedule or T0, lambda and floor, not both; got a schedule and "
 DECAY = {"mode": "decay", "t0": 0.9, "rate": 0.1}
 SWEEP_OVERRIDES = "T0, bid, c, cap, elasticity, floor, horizon, lambda, shock_factor, v_uncond"
+#: A sweep's floor that no point reads: a lambda grid replaces the lambda override.
+FLOOR_UNREAD = "config error: a sweep's floor is read only where lambda is not 0, and every point's lambda is 0\n"
 
 #: (argv, config passed with --config or None, exit code, the exact stderr):
 #: ValueError and InvalidConfig refusals exit 2, a drought exits 3.
@@ -55,6 +57,9 @@ REFUSALS = [
      2, f"{SCHEDULE_CLASH}['floor']\n"),
     (["sweep", "--override", "floor=5"], None, 2, "config error: floor must lie in [0, 1], got 5.0\n"),
     (["sweep", "--override", "floor=nan"], None, 2, "config error: floor must lie in [0, 1], got nan\n"),
+    (["sweep", "--override", "floor=0.5"], None, 2, FLOOR_UNREAD),
+    (["sweep", "--override", "floor=0.5", "--override", "lambda=0.5"], {"grid": {"lambda": [0.0, -0.0]}},
+     2, FLOOR_UNREAD),
     (["sweep", "--override", "T=0.8"], None,
      2, f"config error: unknown override keys ['T'] for sweep; supported: {SWEEP_OVERRIDES}\n"),
     (["appendix-a"], {"book": [{"id": "H", "v_intrinsic": 95, "c_offer": 0, "status": "hypothetical"}]},
@@ -63,8 +68,43 @@ REFUSALS = [
 REFUSAL_IDS = ["h0-above-1", "h0-nan", "zero-ask", "empty-grid", "no-schedule", "book-and-population",
                "table-schedule-T0-grid", "table-schedule-lambda-grid",
                "table-schedule-lambda-grid-beside-T", "decay-schedule-beside-lambda",
-               "decay-schedule-beside-floor", "floor-above-1", "floor-nan", "sweep-T-override",
-               "no-liquid-row"]
+               "decay-schedule-beside-floor", "floor-above-1", "floor-nan", "floor-without-lambda",
+               "floor-beside-a-zero-lambda-grid", "sweep-T-override", "no-liquid-row"]
+
+#: ("command key=value ...", the words after "config error: ") for the bids
+#: exp1-exp5 and the fixture-bid sweep price: the ask is checked first, then
+#: every bid's value and every bid's offer in a book's words, then the rest
+#: of the run in its own order (a sweep's rule comes before its bid).
+PRICED_BID_REFUSALS = [
+    ("exp1 c=-1 bid=-1", "v_intrinsic must be finite and >= 0, got -1.0"),
+    ("exp1 bid=nan v_uncond=inf", "internal ask must be finite, got inf"),
+    ("exp1 bid=inf elasticity=-1", "v_intrinsic must be finite and >= 0, got inf"),
+    ("exp1 bid=1e308 c=1e308 elasticity=10 cap=inf T=nan", "theta = inf / 95.0 is not finite"),
+    ("exp1 v_uncond=5e-324 T=nan", "theta = 80.0 / 5e-324 is not finite"),
+    ("exp1 c=inf cap=nan", "c_offer must be finite and >= 0, got inf"),
+    ("exp2 v_reach=-1 v_uncond=0", "internal ask must be > 0, got 0.0"),
+    ("exp2 v_reach=-0.0 v_uncond=-0.0", "internal ask must be > 0, got -0.0"),
+    ("exp3 c=nan elasticity=-1", "c_offer must be finite and >= 0, got nan"),
+    ("exp3 bid=inf c=-1", "v_intrinsic must be finite and >= 0, got inf"),
+    ("exp3 c=-1 T=nan", "c_offer must be finite and >= 0, got -1.0"),
+    ("exp4 v_b=-1 effort_a=-300", "v_intrinsic must be finite and >= 0, got -1.0"),
+    ("exp4 effort_b=-1000 v_a=nan", "v_intrinsic must be finite and >= 0, got nan"),
+    ("exp4 elasticity=-1 v_a=-1", "elasticity must be finite and >= 0, got -1.0"),
+    ("exp4 base_low=-100 T=nan", "thresholds must lie in (0, 1], got nan"),
+    ("exp4 v_uncond=inf v_b=-1", "internal ask must be finite, got inf"),
+    ("exp4 v_a=1e308 effort_a=1e308 elasticity=10 cap=inf T=nan", "theta = inf / 95.0 is not finite"),
+    ("exp5 ask=inf partner=-1", "internal ask must be finite, got inf"),
+    ("exp5 partner=-1 shock_factor=-1", "v_intrinsic must be finite and >= 0, got -1.0"),
+    ("exp5 partner=nan ask=0", "internal ask must be > 0, got 0.0"),
+    ("exp5 shock_factor=-1 commit_threshold=nan", "a shock factor must be finite and > 0, got -1.0"),
+    ("sweep bid=-1 c=nan", "v_intrinsic must be finite and >= 0, got -1.0"),
+    ("sweep bid=-1 elasticity=-1", "elasticity must be finite and >= 0, got -1.0"),
+    ("sweep v_uncond=0 bid=-1", "internal ask must be > 0, got 0.0"),
+    ("sweep bid=-1 shock_factor=-1", "v_intrinsic must be finite and >= 0, got -1.0"),
+    ("sweep c=inf T0=nan", "c_offer must be finite and >= 0, got inf"),
+    ("sweep v_uncond=inf cap=-1", "cap must be >= 0 (inf allowed), got -1.0"),
+    ("sweep bid=1e308 c=1e308 elasticity=10 cap=inf T0=nan", "theta = inf / 90.0 is not finite"),
+]
 
 REMOVED_ERRORS = ["MatchbookError", "NonPositiveAsk", "OutOfRange", "EmptyBook",
                   "StepBeforeSchedule", "NotExecuted", "MissingOverride", "EmptyGrid"]
@@ -186,6 +226,12 @@ class TestExitCodes:
             cfg.write_text(json.dumps(config), encoding="utf-8")
             argv = [*argv, "--config", str(cfg)]
         assert run_cli([*argv, "--out", str(tmp_path / "out")]) == (code, "", stderr)
+
+    @pytest.mark.parametrize("command, words", PRICED_BID_REFUSALS, ids=[c for c, _ in PRICED_BID_REFUSALS])
+    def test_a_priced_bid_is_refused_in_order(self, command, words):
+        name, *overrides = command.split()
+        argv = [name, *itertools.chain.from_iterable(("--override", o) for o in overrides)]
+        assert run_cli(argv) == (2, "", f"config error: {words}\n")
 
     @pytest.mark.parametrize("name", REMOVED_ERRORS)
     def test_removed_error_classes_are_gone(self, name):
@@ -862,6 +908,13 @@ class TestCommandFlags:
         assert printed.out == ""
         assert "no result" in printed.err
         assert not out.exists()
+
+    @pytest.mark.parametrize("profile", ["beta:2,0.5", "beta:0.5,0.5"])
+    def test_a_cutoff_just_below_1_is_no_result_and_no_warning(self, profile):
+        # The grid repeats points there, so a zero width meets the infinite
+        # density at h = 1: NaN, with no numpy warning on stderr.
+        assert run_cli(["cone", "--profile", profile, "--h0", repr(1 - 2**-53)]) == (
+            3, "", "no result: the cone volume came out as nan\n")
 
 
 def run_in_empty_dir(argv):

@@ -9,7 +9,6 @@ from matchbook import (
     DecaySchedule,
     Decision,
     DecisionRecord,
-    PreferenceBook,
     SETTLING_TABLE,
     TableSchedule,
     apply_shock,
@@ -22,7 +21,7 @@ from matchbook import (
     step,
 )
 import matchbook
-from matchbook import dynamics
+from matchbook import dynamics, experiments
 from matchbook.cli import main
 from matchbook.dynamics import record_to_dict
 from conftest import make_book
@@ -196,13 +195,13 @@ class TestStep:
     def test_a_run_evaluates_its_book_once(self, monkeypatch, capsys):
         # exp2 holds three steps and executes at the fourth on one snapshot.
         calls = []
-        best_bid = PreferenceBook.best_bid
+        price_bids = experiments._price_bids
 
-        def counted(book, rule):
+        def counted(bids, rule, ask):
             calls.append(rule)
-            return best_bid(book, rule)
+            return price_bids(bids, rule, ask)
 
-        monkeypatch.setattr(PreferenceBook, "best_bid", counted)
+        monkeypatch.setattr(experiments, "_price_bids", counted)
         assert main(["exp2"]) == 0
         assert "t_star = 4" in capsys.readouterr().out
         assert len(calls) == 1

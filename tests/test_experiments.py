@@ -2,17 +2,21 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from matchbook import (
+    CandidateEntry,
+    CompensationRule,
     Decision,
     ExperimentReport,
     InvalidConfig,
+    LiquidityStatus,
     PreferenceBook,
     apply_shock,
     reprice,
     run_sweep,
 )
+from matchbook import experiments
 from matchbook.cli import main
 from matchbook.experiments import (
     OVERRIDE_KEYS,
@@ -40,6 +44,20 @@ def best_bid_calls(monkeypatch):
         return best_bid(book, rule)
 
     monkeypatch.setattr(PreferenceBook, "best_bid", counted)
+    return calls
+
+
+@pytest.fixture
+def pricings(monkeypatch):
+    """The rule of every pricing of scenario or fixture bids the test makes."""
+    calls = []
+    price_bids = experiments._price_bids
+
+    def counted(bids, rule, ask):
+        calls.append(rule)
+        return price_bids(bids, rule, ask)
+
+    monkeypatch.setattr(experiments, "_price_bids", counted)
     return calls
 
 
@@ -175,10 +193,11 @@ class TestExp4:
         assert (high["selected_id"], high["utility"]) == ("A", 109.0)
         assert high["theta"] == 109 / 95
 
-    def test_each_market_queries_its_book_once(self, best_bid_calls, capsys):
+    def test_each_market_queries_its_book_once(self, pricings, capsys):
+        # One pricing of the two bids per market.
         assert main(["exp4"]) == 0
         assert "ranking_invariant = True" in capsys.readouterr().out
-        assert len(best_bid_calls) == 2
+        assert len(pricings) == 2
 
 
 class TestExp5:
@@ -253,6 +272,70 @@ class TestAppendixA:
     def test_needs_a_book(self):
         with pytest.raises(InvalidConfig, match=r"appendix_a needs a book \(five-row fixture\)"):
             run_appendix_a(config_from_mapping("appendix_a", {"overrides": {"T": 0.8}}))
+
+
+#: Book values and offers; whole values and equal offers make utility ties likely.
+BOOK_VALUES = st.one_of(st.sampled_from([-0.0, 0.0, 75.0, 80.0, 100.0, 300.0]),
+                        st.floats(min_value=-0.0, allow_infinity=False))
+RULE_ELASTICITIES = st.one_of(st.sampled_from([-0.0, 0.0, 0.05, 10.0]),
+                              st.floats(min_value=-0.0, allow_infinity=False))
+RULE_CAPS = st.one_of(st.sampled_from([-0.0, 0.0, 20.0, math.inf]), st.floats(min_value=-0.0))
+
+
+def outcome(call):
+    """``repr`` of what ``call()`` returns, or the type and words of its refusal."""
+    try:
+        return repr(call())
+    except (ValueError, OverflowError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestPriceBids:
+    """Scenario bids are priced with effective_utility and no book; a book of
+    the same bids is the bulk path, and both give the same metrics."""
+
+    @given(bids=st.lists(st.tuples(BOOK_VALUES, BOOK_VALUES), min_size=1, max_size=3),
+           elasticity=RULE_ELASTICITIES, cap=RULE_CAPS,
+           ask=st.floats(min_value=0, exclude_min=True, allow_infinity=False))
+    @example(bids=[(-0.0, 0.0), (0.0, 0.0)], elasticity=-0.0, cap=0.0, ask=1.0)  # signed zeros tie
+    @example(bids=[(-0.0, 5.0)], elasticity=-0.0, cap=0.0, ask=90.0)  # min(-0.0, 0.0) is -0.0: theta -0.0
+    @example(bids=[(80.0, 100.0), (70.0, 300.0)], elasticity=0.05, cap=20.0, ask=95.0)  # 85 == 85
+    @example(bids=[(1e308, 1e308)], elasticity=10.0, cap=math.inf, ask=95.0)  # U = inf: no theta
+    @settings(max_examples=300, deadline=None)
+    def test_the_pricer_is_the_books_metrics(self, bids, elasticity, cap, ask):
+        entries = [CandidateEntry(f"b{i}", v, c, LiquidityStatus.LIQUID) for i, (v, c) in enumerate(bids)]
+        rule = CompensationRule(elasticity, cap)
+        priced = outcome(lambda: experiments._price_bids(tuple(entries), rule, ask))
+        assert priced == outcome(lambda: PreferenceBook(entries).metrics(rule, ask=ask))
+
+    @given(bids=st.lists(st.tuples(st.floats(), st.floats()), min_size=1, max_size=3))
+    @example(bids=[(-1.0, math.nan), (math.inf, -1.0)])  # every value before any offer
+    @settings(max_examples=200, deadline=None)
+    def test_bids_are_refused_in_the_books_words(self, bids):
+        named = [(f"b{i}", v, c) for i, (v, c) in enumerate(bids)]
+        entries = tuple(CandidateEntry(*bid, LiquidityStatus.LIQUID) for bid in named)
+
+        def book_entries():
+            PreferenceBook(entries)
+            return entries
+
+        assert outcome(lambda: experiments._bids(1.0, *named)) == outcome(book_entries)
+
+    # appendix-a builds its configured five-row book: the probe sees a book.
+    @pytest.mark.parametrize("command, books", [
+        *((name, 0) for name in ("exp1", "exp2", "exp3", "exp4", "exp5", "sweep")), ("appendix-a", 1),
+    ])
+    def test_scenarios_build_no_book(self, command, books, monkeypatch, capsys):
+        built = []
+        set_columns = PreferenceBook._set_columns
+
+        def counted(book, *args):
+            built.append(args)
+            return set_columns(book, *args)
+
+        monkeypatch.setattr(PreferenceBook, "_set_columns", counted)
+        assert main([command]) == 0
+        assert len(built) == books
 
 
 class TestReportConsistency:
@@ -401,9 +484,9 @@ class TestSweep:
         assert rows[1]["regret"] is True
         assert rows[1]["post_theta"] == pytest.approx(75 / 99, abs=1e-12)
 
-    def test_a_shocked_point_queries_its_book_once(self, best_bid_calls):
+    def test_a_shocked_point_queries_its_book_once(self, pricings):
         # The partner of the shock is the bid the point's snapshot was priced
-        # from, and the three points share one book and rule: one query.
+        # from, and the three points share one bid and rule: one pricing.
         data = {
             "overrides": {"v_uncond": 90, "bid": 75, "c": 0, "T0": 0.8},
             "grid": {"shock_factor": [1.0, 1.1, 1.2]},
@@ -411,9 +494,9 @@ class TestSweep:
         rows = run_sweep(config_from_mapping("sweep", data))
         assert all(row["decision"] == "execute" and row["post_theta"] is not None for row in rows)
         assert rows[2]["post_theta"] == 75 / reprice(90.0, 1.2)
-        assert len(best_bid_calls) == 1
+        assert len(pricings) == 1
 
-    def test_a_T0_cap_grid_queries_once_per_cap(self, best_bid_calls):
+    def test_a_T0_cap_grid_queries_once_per_cap(self, pricings):
         # T0 changes only the schedule, so each cap's snapshot serves every T0.
         data = {
             "overrides": {"v_uncond": 90, "bid": 60, "c": 500, "T0": 0.5},
@@ -421,7 +504,7 @@ class TestSweep:
         }
         rows = run_sweep(config_from_mapping("sweep", data))
         assert [row["theta"] for row in rows] == [60 / 90, 80 / 90, 85 / 90] * 3
-        assert [rule.cap for rule in best_bid_calls] == [0.0, 20.0, 40.0]
+        assert [rule.cap for rule in pricings] == [0.0, 20.0, 40.0]
 
     def test_signed_zero_rules_are_priced_apart(self, tmp_path):
         # 0.0 == -0.0, yet a bid of -0.0 at eps -0.0 has theta -0.0: one

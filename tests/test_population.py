@@ -414,7 +414,8 @@ def serial_cone(profile, h0):
     if h0 == 1.0:
         return 0.0
     ts = np.linspace(h0, 1.0, _CONE_STEPS + 1)
-    return math.pi * float(np.trapezoid(profile.g(ts), ts))
+    with np.errstate(invalid="ignore"):  # as in cone_volume: a repeated point's 0 * inf is NaN
+        return math.pi * float(np.trapezoid(profile.g(ts), ts))
 
 
 #: Profiles, as ``cone --profile`` spells them, whose cone volume is checked

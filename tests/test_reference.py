@@ -334,7 +334,9 @@ class TestAgainstTheModel:
              floor=0.0, extra={}, grid={"shock_factor": [1.25]})
     @settings(max_examples=100, deadline=None)
     def test_fixture_bid_sweep(self, v_uncond, bid, rule, T0, floor, extra, grid):
-        overrides = {"v_uncond": v_uncond, "bid": bid, "T0": T0, "floor": floor, **rule, **extra}
+        overrides = {"v_uncond": v_uncond, "bid": bid, "T0": T0, **rule, **extra}
+        if any(grid.get("lambda", [extra.get("lambda", 0.0)])):  # a floor no lambda reads is refused
+            overrides["floor"] = floor
         config = {**load_fixture("sweep"), "grid": grid}
         config["overrides"] = {**config["overrides"], **overrides}
         rows = run_sweep(config_from_mapping("sweep", config))

@@ -60,8 +60,9 @@ def test_t_star_responds_to_the_schedule_monotonically(v_uncond, bid, horizon, T
     """t_star never rises as lambda grows, and never falls as T0 grows, where
     the floor lies at or below every T0 of the grid: a lower threshold at
     every step can only execute sooner."""
-    floor = floor_share * T0[0]
-    overrides = {"v_uncond": v_uncond, "bid": bid, "c": 0, "floor": floor, "horizon": horizon}
+    overrides = {"v_uncond": v_uncond, "bid": bid, "c": 0, "horizon": horizon}
+    if max(rate) > 0:  # a sweep refuses a floor that no lambda reads
+        overrides["floor"] = floor_share * T0[0]
     rows = sweep(overrides, {"T0": T0, "lambda": rate})
     steps = [[t_star(row, horizon) for row in rows[i * len(rate):(i + 1) * len(rate)]]
              for i in range(len(T0))]
