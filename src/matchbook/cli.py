@@ -30,6 +30,7 @@ from typing import Any, Callable, Sequence
 from .dynamics import records_to_csv
 from .errors import InvalidConfig, NoLiquidity
 from .experiments import (
+    OVERRIDE_KEYS,
     RUNNERS,
     ExperimentConfig,
     config_from_mapping,
@@ -216,13 +217,21 @@ COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], int], tuple[str, .
 }
 
 
+def _override_help(command: str) -> str:
+    """The help epilog of a scenario: its override keys, with their defaults."""
+    keys = ", ".join(key if default is None else f"{key} (default {default!r})"
+                     for key, default in OVERRIDE_KEYS[command.replace("-", "_")].items())
+    return f"override keys: {keys}. A value in the fixture replaces the default."
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every command.
 
     It is built once per process and shared by every later call, so a
     caller must not mutate it: add no argument and set no default.  Parsing
-    leaves it as it was, so ``main`` may be called again and again.
+    leaves it as it was, so ``main`` may be called again and again.  Its
+    ``commands`` maps each command name to that command's subparser.
     """
     parser = argparse.ArgumentParser(
         prog="matchbook",
@@ -231,11 +240,33 @@ def build_parser() -> argparse.ArgumentParser:
     # Given a prog, argparse need not format a usage line to derive it.
     sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
     for name, (help_line, handler, flags) in COMMANDS.items():
-        subparser = sub.add_parser(name, help=help_line)
+        epilog = _override_help(name) if "--override" in flags else None
+        subparser = sub.add_parser(name, help=help_line, epilog=epilog)
         subparser.set_defaults(handler=handler)
         for flag in flags:
             subparser.add_argument(flag, **_FLAGS[flag])
+    parser.commands = sub.choices
     return parser
+
+
+def parse(argv: Sequence[str] | None = None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, with one pass over ``argv`` where
+    one is enough.
+
+    The whole parser scans every argument only to find the command name and
+    hand the rest to its subparser, so a named command is parsed by that
+    subparser alone.  The whole parser runs where the subparser cannot settle
+    the call: no command, an unknown one, or an argument the subparser leaves
+    over.  Help, usage errors and their exit codes thus keep their bytes.
+    """
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    subparser = parser.commands.get(argv[0]) if argv else None
+    if subparser is not None:
+        args, extra = subparser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extra:
+            return args
+    return parser.parse_args(argv)
 
 
 #: What a domain check raises for an input outside its domain: exit 2.  Any
@@ -245,7 +276,7 @@ _CONFIG_ERRORS = (InvalidConfig, ValueError, OverflowError)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse(argv)
     try:
         return args.handler(args)
     except _CONFIG_ERRORS as exc:

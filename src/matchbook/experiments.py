@@ -60,6 +60,11 @@ MAX_HORIZON = 10_000
 #: lengths before any point is built.
 MAX_GRID_POINTS = 10_000
 
+#: The most rows a sweep may draw, counted as its population's size times its
+#: distinct reach_slope values before any row is drawn: the sweep keeps one
+#: generated book per slope, about 107 MB per 10**6 rows.
+MAX_SWEEP_ROWS = 10_000_000
+
 #: The compensation rule's override keys and defaults, declared by each
 #: scenario whose bids carry a transfer.
 _RULE_DEFAULTS = {"elasticity": 0.05, "cap": 20.0}
@@ -583,6 +588,12 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict[str, Any]]:
         raise InvalidConfig("a sweep takes a book or a population, not both")
     if "reach_slope" in params and cfg.population is None:
         raise InvalidConfig("a reach_slope grid needs a population")
+    if cfg.population is not None:
+        slopes = len(set(cfg.grid["reach_slope"])) if "reach_slope" in params else 1
+        rows = cfg.population.n_candidates * slopes
+        if rows > MAX_SWEEP_ROWS:
+            raise InvalidConfig(f"a sweep draws at most {MAX_SWEEP_ROWS} rows, n_candidates times "
+                                f"the distinct reach_slope values, got {rows}")
     if cfg.schedule is not None:
         clash = sorted({"T0", "lambda", "floor"} & (cfg.overrides.keys() | set(params)))
         if clash:

@@ -18,7 +18,8 @@ from hypothesis import example, given, settings, strategies as st
 import matchbook
 from matchbook import DensityProfile, cli, cone_volume, errors, experiments
 from matchbook.cli import main
-from matchbook.experiments import CONFIG_KEYS, MAX_GRID_POINTS, MAX_HORIZON, RUNNERS, load_fixture
+from matchbook.experiments import (CONFIG_KEYS, MAX_GRID_POINTS, MAX_HORIZON, MAX_SWEEP_ROWS, RUNNERS,
+                                   load_fixture)
 from matchbook.book import MAX_ROWS
 
 #: Every value draws as 0.0, so a book generated from it has no positive ask.
@@ -629,12 +630,13 @@ class TestOverrideContract:
             assert main(argv) in (0, 2, 3)
 
 
-def run_cli(argv):
-    """What ``matchbook`` exits with, argparse usage errors included, its stdout and its stderr."""
+def run_cli(argv, call=main):
+    """What ``matchbook`` exits with, argparse usage errors included, its stdout
+    and its stderr; or what ``call(argv)`` returns or exits with, and prints."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
-            code = main(argv)
+            code = call(argv)
         except SystemExit as exc:
             code = exc.code
     return code, stdout.getvalue(), stderr.getvalue()
@@ -677,6 +679,31 @@ class TestSizeCaps:
         cfg.write_text(json.dumps({"grid": grid}), encoding="utf-8")
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert f"at most {MAX_GRID_POINTS} points, got {10**15}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("slopes, drawn", [(11, False), (10, True)])
+    def test_sweep_rows_over_the_cap_are_config_error(self, slopes, drawn, tmp_path, capsys, monkeypatch):
+        # Slopes 0.0 and -0.0 draw one book, so they count once.  No book is
+        # drawn: one of 10**6 rows is about 107 MB, and the sweep keeps one per slope.
+        class Drawn(Exception):
+            pass
+
+        def refuse(pop):
+            raise Drawn if drawn else AssertionError("a book was drawn before the sweep's rows were counted")
+
+        monkeypatch.setattr(experiments, "generate", refuse)
+        grid = {"reach_slope": [-0.0, *(i / 10 for i in range(slopes))]}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"population": {"n_candidates": MAX_ROWS}, "overrides": {"T0": 0.5},
+                                   "grid": grid}), encoding="utf-8")
+        argv = ["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        if drawn:
+            with pytest.raises(Drawn):
+                main(argv)
+        else:
+            assert main(argv) == 2
+            assert capsys.readouterr().err == (f"config error: a sweep draws at most {MAX_SWEEP_ROWS} rows, "
+                                               f"n_candidates times the distinct reach_slope values, "
+                                               f"got {slopes * MAX_ROWS}\n")
 
 
 #: A value in its key's domain for each top-level config key but
@@ -863,6 +890,14 @@ class TestCommandFlags:
         for name, help_line in HELP_LINES.items():
             assert f"{name} {help_line}" in listing
 
+    @pytest.mark.parametrize("command", SCENARIOS)
+    def test_scenario_help_lists_its_override_keys(self, command):
+        code, out, _ = run_cli([command, "--help"])
+        listing = " ".join(out.split())
+        assert code == 0
+        for key, default in experiments.OVERRIDE_KEYS[command.replace("-", "_")].items():
+            assert (key if default is None else f"{key} (default {default!r})") in listing
+
     @pytest.mark.parametrize(
         "flag",
         [["--config", "cfg.json"], ["--seed", "42"], ["--override", "T=0.5"], ["--steps", "100000"]],
@@ -967,6 +1002,27 @@ def run_in_empty_dir(argv):
         return run_cli(argv)
 
 
+#: A value for each flag: what a command that takes the flag reads.
+FLAG_VALUES = {"--out": "out", "--format": "csv", "--config": "cfg.json", "--seed": "7",
+               "--override": "T=0.5", "--profile": "beta:2,8", "--h0": "0.5"}
+
+#: Argument lists that ``cli.parse`` must parse as the whole parser does: every
+#: command bare and with each flag it takes, help, ``--``, abbreviations,
+#: repeats, dashes, and each usage error the whole parser reports.
+PARSE_ARGVS = [
+    *([name] for name in cli.COMMANDS),
+    *([name, flag, FLAG_VALUES[flag]] for name, (_, _, flags) in cli.COMMANDS.items() for flag in flags),
+    *([name, "-h"] for name in cli.COMMANDS), ["exp1", "--help"], ["sweep", "--seed", "7", "--help"],
+    ["cone", "--h0", "0.5", "-h"], ["exp1", "--format", "xml", "--help"], ["exp1", "extra", "--help"],
+    ["exp1", "--"], ["exp1", "--", "--out", "x"], ["exp1", "--", "extra"], ["--", "exp1"],
+    ["exp1", "--ov", "bid=80"], ["sweep", "--se", "7"], ["exp1", "--format=csv"], ["exp1", "--o", "x"],
+    ["exp1", "--out", "a", "--out", "b"], ["exp1", "-"], ["exp1", "--out", "-"], ["exp1", "-x"],
+    ["exp1", "--format", "xml"], ["exp1", "--seed", "7"], ["cone", "--h0", "abc"], ["exp1", "--out"],
+    [], ["-h"], ["--help"], ["bogus"], ["--seed", "1", "exp1"], ["-h", "exp1"], ["exp1", "extra"],
+    ["exp1", "--override", "bid=80", "extra"], ["exp1", "exp2"],
+]
+
+
 class TestParserPerCommand:
     """The one parser that serves every command: its usage errors, the argv
     it reads by default, and parses that leave it as it was."""
@@ -997,6 +1053,26 @@ class TestParserPerCommand:
     def test_usage_error_text(self, argv, error):
         usage = "usage: matchbook [-h] {" + ",".join(cli.COMMANDS) + "} ...\n"
         assert run_cli(argv) == (2, "", f"{usage}matchbook: error: {error}\n")
+
+    @pytest.mark.parametrize("argv", PARSE_ARGVS, ids=" ".join)
+    def test_parse_is_the_whole_parse(self, argv):
+        assert run_cli(argv, cli.parse) == run_cli(argv, cli.build_parser().parse_args)
+
+    def test_a_named_command_skips_the_whole_parser(self, monkeypatch):
+        parser, calls = cli.build_parser(), []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def counted(self, *args, **kwargs):
+            if self is parser:
+                calls.append(self)
+            return parse_known_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        assert run_in_empty_dir(["exp1", "--override", "bid=80", "--format", "csv"])[0] == 0
+        assert calls == []
+        # The subparser leaves "extra" over, so the whole parser reports it.
+        assert run_in_empty_dir(["exp1", "extra"])[0] == 2
+        assert calls == [parser]
 
     def test_argv_defaults_to_sys_argv(self, tmp_path, monkeypatch):
         out = tmp_path / "exp3.json"
