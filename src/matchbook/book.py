@@ -22,6 +22,7 @@ from json.encoder import encode_basestring_ascii
 from collections.abc import Iterable, Iterator, Sequence
 from enum import Enum
 from itertools import repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -31,7 +32,7 @@ from .valuation import (
     CompensationRule,
     Money,
     Valuation,
-    effective_utility,  # noqa: F401 - the benchmark counts calls through this name
+    effective_utility,
     market_to_book,
     slippage,
     spread,
@@ -201,13 +202,14 @@ class PreferenceBook:
         return book
 
     @classmethod
-    def _numbered(cls, v_intrinsic: np.ndarray, c_offer: np.ndarray, status_codes: np.ndarray,
+    def _numbered(cls, v_intrinsic: np.ndarray, c_offer: np.ndarray, liquid: np.ndarray,
                   owner_id: str) -> PreferenceBook:
-        """A book whose row i is named ``_id(i, n)``.  The names are unique by
-        construction, so unchecked, and built on the first read of ``ids``;
-        ``status_codes`` must be valid int8 codes."""
+        """A book whose row i is named ``_id(i, n)``, liquid where the mask ``liquid`` is
+        true and hypothetical elsewhere.  The names are unique by construction, so
+        unchecked, and built on the first read of ``ids``."""
+        codes = np.where(liquid, np.int8(_LIQUID), np.int8(_STATUS_CODE[LiquidityStatus.HYPOTHETICAL]))
         book = cls.__new__(cls)
-        book._set_columns(len(v_intrinsic), (v_intrinsic, c_offer), status_codes, owner_id)
+        book._set_columns(len(v_intrinsic), (v_intrinsic, c_offer), codes, owner_id)
         return book
 
     def _set_columns(self, ids, values, codes: np.ndarray, owner_id: str) -> None:
@@ -321,22 +323,27 @@ class PreferenceBook:
             raise NoLiquidity(f"book {self.owner_id!r} has no liquid entry")
         return self._v_reach
 
-    def best_bid(self, rule: CompensationRule) -> BestBid:
-        """Liquid entry maximizing effective utility; earliest entry wins ties.
-
-        The utilities are effective_utility's, bit for bit: the same IEEE
-        product, minimum and sum, and np.minimum returns its second operand
-        on a tie where min() returns its first, so even signed zeros agree.
-        argmax returns the first maximum.  A product or sum past the float
-        range is inf, silently, as in effective_utility.  The query makes one
-        scratch array as long as the liquid columns and writes nothing else.
-        """
-        if self._v_reach is None:
-            raise NoLiquidity(f"book {self.owner_id!r} has no liquid entry")
+    def _utilities(self, rule: CompensationRule) -> np.ndarray:
+        """The liquid rows' effective utilities, effective_utility's bit for bit:
+        the same IEEE product, minimum and sum, and np.minimum returns its second
+        operand on a tie where min() returns its first, so even signed zeros agree.
+        A product or sum past the float range is inf, silently, as in
+        effective_utility.  One new array as long as the liquid columns."""
         with np.errstate(over="ignore"):
             utility = np.multiply(self._c_liquid, rule.elasticity)
             np.minimum(rule.cap, utility, out=utility)  # cap first: see the tie rule above
-            np.add(self._v_liquid, utility, out=utility)
+            return np.add(self._v_liquid, utility, out=utility)
+
+    def effective_bids(self, rule: CompensationRule) -> dict[str, float]:
+        """Each liquid row's id and effective utility, in row order."""
+        return dict(zip(map(self.ids.__getitem__, self._liquid.tolist()), self._utilities(rule).tolist()))
+
+    def best_bid(self, rule: CompensationRule) -> BestBid:
+        """Liquid entry maximizing effective utility; earliest entry wins ties,
+        since argmax returns the first maximum."""
+        if self._v_reach is None:
+            raise NoLiquidity(f"book {self.owner_id!r} has no liquid entry")
+        utility = self._utilities(rule)
         k = int(utility.argmax())
         return BestBid(self._row(self._liquid[k]), float(utility[k]))
 
@@ -353,6 +360,28 @@ class PreferenceBook:
         if self._v_reach is None:
             return None
         return snapshot(self.best_bid(rule), v_ask)
+
+
+def check_bids(ask: Valuation, *bids: tuple[str, float, float]) -> tuple[CandidateEntry, ...]:
+    """One liquid entry per ``(id, v, c)`` bid, once the internal ask ``ask`` is
+    checked, then every bid's value and every bid's offer, as a book checks them."""
+    # The one ask check, since no row holds the ask.  market_to_book refuses
+    # 0, negatives and NaN, but prices an infinite ask at theta = 0.
+    market_to_book(0.0, ask)
+    if ask == math.inf:
+        raise ValueError(f"internal ask must be finite, got {ask}")
+    for column, name in enumerate(VALUE_COLUMNS, start=1):
+        for bid in bids:
+            if not 0 <= bid[column] < math.inf:
+                raise bad_value(name, bid[column])
+    return tuple(CandidateEntry(i, v, c, LiquidityStatus.LIQUID) for i, v, c in bids)
+
+
+def price_bids(bids: tuple[CandidateEntry, ...], rule: CompensationRule, ask: Valuation) -> BookMetrics:
+    """``PreferenceBook(bids).metrics(rule, ask=ask)`` with no book: each bid's
+    effective utility, and the metrics of the first maximum against ``ask``."""
+    priced = (BestBid(e, effective_utility(e.v_intrinsic, e.c_offer, rule)) for e in bids)
+    return snapshot(max(priced, key=itemgetter(1)), ask)
 
 
 # -- serialization ----------------------------------------------------------
@@ -448,7 +477,10 @@ def book_to_json(book: PreferenceBook) -> str:
 
 
 def book_from_json(text: str, owner_id: str = "agent") -> PreferenceBook:
-    rows = json.loads(text)
+    try:
+        rows = json.loads(text)
+    except RecursionError as exc:  # json.loads raises it, no ValueError, past its nesting depth
+        raise ValueError(f"book JSON is nested too deeply: {exc}") from exc
     if not isinstance(rows, list):
         raise ValueError("book JSON must be an array of entry objects")
     return book_from_mappings(rows, owner_id)

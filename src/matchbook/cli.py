@@ -52,7 +52,7 @@ def _parse_override(text: str) -> tuple[str, Any]:
         raise InvalidConfig(f"--override expects key=value, got {text!r}")
     try:
         return key, json.loads(raw)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):  # RecursionError: nested past json's depth
         return key, raw
 
 
@@ -75,7 +75,7 @@ def _effective_config(args: argparse.Namespace, experiment: str) -> ExperimentCo
     if args.config is not None:
         try:
             user = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, RecursionError) as exc:  # RecursionError: as above
             raise InvalidConfig(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(user, dict) or not isinstance(user.get("overrides", {}), dict):
             raise InvalidConfig(f"config {args.config} must be an object with an object of overrides")

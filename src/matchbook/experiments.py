@@ -9,11 +9,16 @@ which checks its summary against its own decision records when it is built
 runner, and each sweep row, runs, shocks and summarizes its point through
 ``_run_point``.
 
-``config_from_mapping`` alone checks a config.  Every priced point then checks
-its inputs in one order, so two bad values are refused in the words of the
-first: the internal ask, every bid's value, every bid's offer, the shock
-factor, the compensation rule, theta (a ratio past the float range), and last
-the threshold.
+``config_from_mapping`` checks a config, but for the refusals that need the
+whole grid: ``run_sweep`` refuses, before any point runs, a missing or empty
+grid, one of unknown parameters or more than MAX_GRID_POINTS points, a book
+beside a population, a reach_slope grid with no population, more than
+MAX_SWEEP_ROWS rows or MAX_SWEEP_STEPS steps, a schedule beside T0, lambda or
+floor, a floor that no point reads, and a horizon past MAX_HORIZON.  Every
+priced point then checks its inputs in one order, so two bad values are
+refused in the words of the first: the internal ask, every bid's value, every
+bid's offer, the shock factor, the compensation rule, theta (a ratio past the
+float range), and last the threshold.
 
 Theta conventions differ by scenario: most runners use the effective-utility
 ratio (compensation included); the worked five-row book replay checks the
@@ -26,14 +31,12 @@ import functools
 import itertools
 import json
 import math
-import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import Any
 
-from .book import (STATUSES, VALUE_COLUMNS, BestBid, BookMetrics, CandidateEntry, LiquidityStatus,
-                   PreferenceBook, bad_value, book_from_mappings, snapshot)
+from .book import BookMetrics, PreferenceBook, book_from_mappings, check_bids, price_bids
 from .dynamics import (
     DecaySchedule,
     Decision,
@@ -64,6 +67,10 @@ MAX_GRID_POINTS = 10_000
 #: distinct reach_slope values before any row is drawn: the sweep keeps one
 #: generated book per slope, about 107 MB per 10**6 rows.
 MAX_SWEEP_ROWS = 10_000_000
+
+#: The most steps a sweep may take, counted as its grid points times the most
+#: steps one point can take before any point runs: at about 3 us a step, some 30 s.
+MAX_SWEEP_STEPS = 10_000_000
 
 #: The compensation rule's override keys and defaults, declared by each
 #: scenario whose bids carry a transfer.
@@ -242,28 +249,6 @@ def _constant_schedule(T: float) -> TableSchedule:
     return TableSchedule(points=((1, T),))
 
 
-def _bids(ask: float, *bids: tuple[str, float, float]) -> tuple[CandidateEntry, ...]:
-    """One liquid entry per ``(id, v, c)`` bid, once the internal ask ``ask`` is
-    checked, then every bid's value and every bid's offer, as a book checks them."""
-    # The one ask check, since no row holds the ask.  market_to_book refuses
-    # 0, negatives and NaN, but prices an infinite ask at theta = 0.
-    market_to_book(0.0, ask)
-    if ask == math.inf:
-        raise ValueError(f"internal ask must be finite, got {ask}")
-    for column, name in enumerate(VALUE_COLUMNS, start=1):
-        for bid in bids:
-            if not 0 <= bid[column] < math.inf:
-                raise bad_value(name, bid[column])
-    return tuple(CandidateEntry(i, v, c, LiquidityStatus.LIQUID) for i, v, c in bids)
-
-
-def _price_bids(bids: tuple[CandidateEntry, ...], rule: CompensationRule, ask: float) -> BookMetrics:
-    """``PreferenceBook(bids).metrics(rule, ask=ask)`` with no book: each bid's
-    effective utility, and the metrics of the first maximum against ``ask``."""
-    priced = (BestBid(e, effective_utility(e.v_intrinsic, e.c_offer, rule)) for e in bids)
-    return snapshot(max(priced, key=operator.itemgetter(1)), ask)
-
-
 # -- reports -----------------------------------------------------------------------
 
 
@@ -406,10 +391,10 @@ def _one_bid(cfg: ExperimentConfig, ask: float, v: float, c: float, threshold: f
              factor: float | None = None) -> tuple[list[DecisionRecord], dict[str, Any]]:
     """``_run_point`` of one bid ``(v, c)`` against an ask pinned at ``ask``, under a
     constant ``threshold`` or a schedule, shocked to ``ask`` repriced by ``factor`` if given."""
-    bids = _bids(ask, ("bid", v, c))
+    bids = check_bids(ask, ("bid", v, c))
     # The shock needs only the ask and the factor, so a bad factor fails even on a hold.
     new_ask = None if factor is None else reprice(ask, factor)
-    metrics = _price_bids(bids, _rule(cfg.overrides), ask)
+    metrics = price_bids(bids, _rule(cfg.overrides), ask)
     schedule = _constant_schedule(threshold) if isinstance(threshold, float) else threshold
     return _run_point(metrics, schedule, new_ask=new_ask)
 
@@ -454,10 +439,10 @@ def run_exp4(cfg: ExperimentConfig) -> ExperimentReport:
     k = _need(cfg, *OVERRIDE_KEYS["exp4"])
     bases = {"high_norm": k["base_high"], "low_norm": k["base_low"]}
     # Both markets' bids are checked before the rule, and priced before the threshold.
-    bids = [_bids(k["v_uncond"], ("A", k["v_a"], base + k["effort_a"]), ("B", k["v_b"], base + k["effort_b"]))
-            for base in bases.values()]
+    bids = [check_bids(k["v_uncond"], ("A", k["v_a"], base + k["effort_a"]),
+                       ("B", k["v_b"], base + k["effort_b"])) for base in bases.values()]
     rule = _rule(k)
-    priced = [_price_bids(market_bids, rule, k["v_uncond"]) for market_bids in bids]
+    priced = [price_bids(market_bids, rule, k["v_uncond"]) for market_bids in bids]
     schedule = _constant_schedule(k["T"])
     markets: list[dict[str, Any]] = []
     records: list[DecisionRecord] = []
@@ -513,12 +498,7 @@ def run_appendix_a(cfg: ExperimentConfig) -> ExperimentReport:
         **{f: run[f] for f in _COMMIT_FIELDS},
         "v_uncond": v_uncond,
         "v_reach": v_reach,
-        "effective_bids": {
-            i: effective_utility(v, c, rule)
-            for i, v, c, code in zip(book.ids, book.v_intrinsic.tolist(), book.c_offer.tolist(),
-                                     book.status_codes.tolist())
-            if STATUSES[code] is LiquidityStatus.LIQUID
-        },
+        "effective_bids": book.effective_bids(rule),
         "best_id": metrics.bid.entry.id,
         "best_utility": metrics.bid.utility,
         "theta_convention": "intrinsic",
@@ -557,8 +537,8 @@ def _sweep_pricer(cfg: ExperimentConfig, reach_slope: float | None
         book = generate(pop)
     else:
         k = _need(cfg, "v_uncond", "bid", "c")
-        bids = _bids(k["v_uncond"], ("bid", k["bid"], k["c"]))
-        return functools.partial(_price_bids, bids, ask=k["v_uncond"]), k["v_uncond"]
+        bids = check_bids(k["v_uncond"], ("bid", k["bid"], k["c"]))
+        return functools.partial(price_bids, bids, ask=k["v_uncond"]), k["v_uncond"]
     ask = book.v_uncond()
     return functools.partial(book.metrics, ask=ask), ask
 
@@ -594,6 +574,8 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict[str, Any]]:
         if rows > MAX_SWEEP_ROWS:
             raise InvalidConfig(f"a sweep draws at most {MAX_SWEEP_ROWS} rows, n_candidates times "
                                 f"the distinct reach_slope values, got {rows}")
+    rates = cfg.grid["lambda"] if "lambda" in params else [cfg.overrides.get("lambda", 0.0)]
+    decays = any(rate != 0.0 for rate in rates)
     if cfg.schedule is not None:
         clash = sorted({"T0", "lambda", "floor"} & (cfg.overrides.keys() | set(params)))
         if clash:
@@ -601,11 +583,16 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict[str, Any]]:
                                 f"got a schedule and {clash}")
     elif "floor" in cfg.overrides:  # checked in the decay's words, then refused if no decay reads it
         DecaySchedule(t0=1.0, rate=0.0, floor=cfg.overrides["floor"])
-        rates = cfg.grid["lambda"] if "lambda" in params else [cfg.overrides.get("lambda", 0.0)]
-        if all(rate == 0.0 for rate in rates):
+        if not decays:
             raise InvalidConfig("a sweep's floor is read only where lambda is not 0, "
                                 "and every point's lambda is 0")
     horizon = _check_horizon(cfg.overrides["horizon"]) if "horizon" in cfg.overrides else None
+    # The longest step range of a point: the schedule's, else a decay's from step 0 or T0's from step 1.
+    longest = cfg.schedule or (DecaySchedule(t0=1.0, rate=0.0) if decays else _constant_schedule(1.0))
+    steps = len(points) * len(_schedule_steps(longest, horizon))
+    if steps > MAX_SWEEP_STEPS:
+        raise InvalidConfig(f"a sweep takes at most {MAX_SWEEP_STEPS} steps, its grid points times "
+                            f"the most steps one point takes, got {steps}")
     # generate is a pure function of its config: one book per reach_slope.
     pricer_for = functools.cache(functools.partial(_sweep_pricer, cfg))
     # One pricing per book and rule, keyed on reprs: 0.0 == -0.0, but theta keeps the sign.

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .book import MAX_ROWS, STATUSES, LiquidityStatus, PreferenceBook
+from .book import MAX_ROWS, PreferenceBook
 from .errors import InvalidConfig
 
 
@@ -81,10 +81,8 @@ def generate(config: PopulationConfig) -> PreferenceBook:
     with np.errstate(over="ignore"):  # an offer that overflows to inf is rejected below
         offers = values * rng.uniform(config.comp_low, config.comp_high, size=n) * config.comp_scale
 
-    codes = np.where(liquid, np.int8(STATUSES.index(LiquidityStatus.LIQUID)),
-                     np.int8(STATUSES.index(LiquidityStatus.HYPOTHETICAL)))
     # The book names its rows by number and builds the names when first read.
-    return PreferenceBook._numbered(values, offers, codes, owner_id="population")
+    return PreferenceBook._numbered(values, offers, liquid, owner_id="population")
 
 
 def population_metadata(config: PopulationConfig) -> str:

@@ -33,7 +33,7 @@ from matchbook import (
     slippage,
     spread,
 )
-from matchbook.book import STATUSES, write_csv
+from matchbook.book import STATUSES, check_bids, price_bids, write_csv
 from matchbook.cli import main
 from conftest import make_book
 
@@ -347,14 +347,21 @@ class TestSerialization:
             book_from_csv("id,v_intrinsic,c_offer,status\n" + rows)
 
     @pytest.mark.parametrize(
-        "text",
-        ['[{"id": "x", "v_intrinsic": 1, "c_offer": 0}]', "[1]", '[{"id": "x", "v_intrinsic": null, '
-         '"c_offer": 0, "status": "liquid"}]', '[{"id": "x", "v_intrinsic": 1' + "0" * 400 +
-         ', "c_offer": 0, "status": "liquid"}]'],
-        ids=["missing-key", "not-an-object", "null-value", "huge-integer"],
+        "text, words",
+        [('[{"id": "x", "v_intrinsic": 1, "c_offer": 0}]', "bad book entry: KeyError('status')"),
+         ("[1]", """bad book entry: TypeError("'int' object is not subscriptable")"""),
+         ('[{"id": "x", "v_intrinsic": null, "c_offer": 0, "status": "liquid"}]',
+          "bad book entry: TypeError('book values are numbers, not booleans or strings: NoneType')"),
+         ('[{"id": "x", "v_intrinsic": 1' + "0" * 400 + ', "c_offer": 0, "status": "liquid"}]',
+          "bad book entry: OverflowError('int too large to convert to float')"),
+         ('{"id": "x", "v_intrinsic": 1, "c_offer": 0, "status": "liquid"}',
+          "book JSON must be an array of entry objects"),
+         # json.loads raises RecursionError, no ValueError, past its depth.
+         ("[" * 100_000, "book JSON is nested too deeply: maximum recursion depth exceeded")],
+        ids=["missing-key", "not-an-object", "null-value", "huge-integer", "json-object", "nested-too-deeply"],
     )
-    def test_malformed_json_rejected(self, text):
-        with pytest.raises(ValueError):
+    def test_malformed_json_rejected(self, text, words):
+        with pytest.raises(ValueError, match=f"^{re.escape(words)}"):
             book_from_json(text)
 
 
@@ -378,18 +385,20 @@ class TestColumns:
             worked_book.ids, worked_book.v_intrinsic, worked_book.c_offer, codes, "M"
         )
 
+    # None: numpy's own words for a ragged pair of columns.
     @pytest.mark.parametrize(
-        "v, c, codes",
+        "v, c, codes, words",
         [
-            ([1.0, math.nan], [0.0, 0.0], [2, 2]),
-            ([1.0, 2.0], [0.0, -1.0], [2, 2]),
-            ([1.0, 2.0], [0.0], [2, 2]),
-            ([1.0, 2.0], [0.0, 0.0], [2, 3]),
+            ([1.0, math.nan], [0.0, 0.0], [2, 2], "v_intrinsic must be finite and >= 0, got nan"),
+            ([1.0, 2.0], [0.0, -1.0], [2, 2], "c_offer must be finite and >= 0, got -1.0"),
+            ([1.0, 2.0], [0.0], [2, 2], None),
+            ([1.0, 2.0], [0.0, 0.0], [2, 3], "status codes must be one index into STATUSES per id, got [2 3]"),
+            ([1.0], [0.0], [2, 2], "v_intrinsic and c_offer need one value per id, got shape (2, 1)"),
         ],
-        ids=["nan-value", "negative-offer", "short-column", "unknown-status"],
+        ids=["nan-value", "negative-offer", "short-column", "unknown-status", "short-columns"],
     )
-    def test_from_columns_validates(self, v, c, codes):
-        with pytest.raises(ValueError):
+    def test_from_columns_validates(self, v, c, codes, words):
+        with pytest.raises(ValueError, match=words and f"^{re.escape(words)}$"):
             PreferenceBook.from_columns(["a", "b"], v, c, codes)
 
     def test_empty_book_serializes_like_json_dumps(self):
@@ -525,6 +534,24 @@ class TestAgainstRowReference:
         assert bits(outcome(lambda: book.metrics(rule))) == bits(
             outcome(lambda: reference_metrics(rows, rule)))
 
+    @given(rows=row_lists(), rule=RULES)
+    @example(rows=[CandidateEntry("z", -0.0, -0.0, LiquidityStatus.LIQUID),  # signed zeros
+                   CandidateEntry("p", 0.0, -0.0, LiquidityStatus.LIQUID)], rule=CompensationRule(-0.0, -0.0))
+    @example(rows=[CandidateEntry("o", 1.0, 1e308, LiquidityStatus.LIQUID)],  # c * e overflows to inf
+             rule=CompensationRule(10.0, math.inf))
+    @example(rows=[CandidateEntry("a", 60.0, 300.0, LiquidityStatus.LIQUID),  # cap 0 clips every offer
+                   CandidateEntry("h", 95.0, 0.0, LiquidityStatus.HYPOTHETICAL)],
+             rule=CompensationRule(0.05, 0.0))
+    @example(rows=[CandidateEntry("a", 60.0, 300.0, LiquidityStatus.LIQUID),  # cap inf clips none
+                   CandidateEntry("b", 78.0, 200.0, LiquidityStatus.LIQUID)],
+             rule=CompensationRule(0.05, math.inf))
+    @settings(max_examples=250, deadline=None)
+    def test_effective_bids_match_row_by_row(self, rows, rule):
+        expected = [(e.id, effective_utility(e.v_intrinsic, e.c_offer, rule).hex())
+                    for e in rows if e.status is LiquidityStatus.LIQUID]
+        bids = PreferenceBook(rows, owner_id="F").effective_bids(rule)
+        assert [(i, u.hex()) for i, u in bids.items()] == expected
+
     @given(rows=row_lists())
     @settings(max_examples=100, deadline=None)
     def test_round_trips_keep_book_and_bytes(self, rows):
@@ -555,6 +582,54 @@ class TestAgainstRowReference:
         assert book_to_json(book) == reference_json([]) == "[]\n"
         assert book_from_csv(book_to_csv(book), owner_id="F") == book
         assert book_from_json(book_to_json(book), owner_id="F") == book
+
+
+#: Book values and offers; whole values and equal offers make utility ties likely.
+BOOK_VALUES = st.one_of(st.sampled_from([-0.0, 0.0, 75.0, 80.0, 100.0, 300.0]),
+                        st.floats(min_value=-0.0, allow_infinity=False))
+RULE_ELASTICITIES = st.one_of(st.sampled_from([-0.0, 0.0, 0.05, 10.0]),
+                              st.floats(min_value=-0.0, allow_infinity=False))
+RULE_CAPS = st.one_of(st.sampled_from([-0.0, 0.0, 20.0, math.inf]), st.floats(min_value=-0.0))
+
+
+def words(call):
+    """``repr`` of what ``call()`` returns, or the type and words of its refusal."""
+    try:
+        return repr(call())
+    except (ValueError, OverflowError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestScenarioBids:
+    """Scenario bids are checked and priced with no book; a book of the same
+    bids is the bulk path, and both give the same metrics and refusals."""
+
+    @given(bids=st.lists(st.tuples(BOOK_VALUES, BOOK_VALUES), min_size=1, max_size=3),
+           elasticity=RULE_ELASTICITIES, cap=RULE_CAPS,
+           ask=st.floats(min_value=0, exclude_min=True, allow_infinity=False))
+    @example(bids=[(-0.0, 0.0), (0.0, 0.0)], elasticity=-0.0, cap=0.0, ask=1.0)  # signed zeros tie
+    @example(bids=[(-0.0, 5.0)], elasticity=-0.0, cap=0.0, ask=90.0)  # min(-0.0, 0.0) is -0.0: theta -0.0
+    @example(bids=[(80.0, 100.0), (70.0, 300.0)], elasticity=0.05, cap=20.0, ask=95.0)  # 85 == 85
+    @example(bids=[(1e308, 1e308)], elasticity=10.0, cap=math.inf, ask=95.0)  # U = inf: no theta
+    @settings(max_examples=300, deadline=None)
+    def test_the_pricer_is_the_books_metrics(self, bids, elasticity, cap, ask):
+        entries = [CandidateEntry(f"b{i}", v, c, LiquidityStatus.LIQUID) for i, (v, c) in enumerate(bids)]
+        rule = CompensationRule(elasticity, cap)
+        priced = words(lambda: price_bids(tuple(entries), rule, ask))
+        assert priced == words(lambda: PreferenceBook(entries).metrics(rule, ask=ask))
+
+    @given(bids=st.lists(st.tuples(st.floats(), st.floats()), min_size=1, max_size=3))
+    @example(bids=[(-1.0, math.nan), (math.inf, -1.0)])  # every value before any offer
+    @settings(max_examples=200, deadline=None)
+    def test_bids_are_refused_in_the_books_words(self, bids):
+        named = [(f"b{i}", v, c) for i, (v, c) in enumerate(bids)]
+        entries = tuple(CandidateEntry(*bid, LiquidityStatus.LIQUID) for bid in named)
+
+        def book_entries():
+            PreferenceBook(entries)
+            return entries
+
+        assert words(lambda: check_bids(1.0, *named)) == words(book_entries)
 
 
 def stdlib_csv(header, columns):

@@ -18,8 +18,8 @@ from hypothesis import example, given, settings, strategies as st
 import matchbook
 from matchbook import DensityProfile, cli, cone_volume, errors, experiments
 from matchbook.cli import main
-from matchbook.experiments import (CONFIG_KEYS, MAX_GRID_POINTS, MAX_HORIZON, MAX_SWEEP_ROWS, RUNNERS,
-                                   load_fixture)
+from matchbook.experiments import (CONFIG_KEYS, MAX_GRID_POINTS, MAX_HORIZON, MAX_SWEEP_ROWS,
+                                   MAX_SWEEP_STEPS, RUNNERS, load_fixture)
 from matchbook.book import MAX_ROWS
 
 #: Every value draws as 0.0, so a book generated from it has no positive ask.
@@ -74,13 +74,17 @@ REFUSALS = [
     (["sweep"], {"population": [["n_candidates", 50]], "overrides": {"T0": 0.5}, "grid": {"cap": [0, 20]}},
      2, "config error: population must be a JSON object, got [['n_candidates', 50]]\n"),
     (["sweep"], {"grid": [["cap", [0, 20]]]}, 2, "config error: grid must be a JSON object, got [['cap', [0, 20]]]\n"),
+    # The fixture's T0 grid with a lambda: each point decays at that rate.
+    (["sweep", "--override", "lambda=-1"], None, 2, "config error: rate must be finite and >= 0, got -1.0\n"),
+    (["sweep", "--override", "lambda=inf"], None, 2, "config error: rate must be finite and >= 0, got inf\n"),
 ]
 REFUSAL_IDS = ["h0-above-1", "h0-nan", "zero-ask", "empty-grid", "no-schedule", "book-and-population",
                "table-schedule-T0-grid", "table-schedule-lambda-grid",
                "table-schedule-lambda-grid-beside-T", "decay-schedule-beside-lambda",
                "decay-schedule-beside-floor", "floor-above-1", "floor-nan", "floor-without-lambda",
                "floor-beside-a-zero-lambda-grid", "sweep-T-override", "no-liquid-row",
-               "theta-before-threshold", "gen-population-list", "sweep-population-pairs", "sweep-grid-pairs"]
+               "theta-before-threshold", "gen-population-list", "sweep-population-pairs", "sweep-grid-pairs",
+               "lambda-negative", "lambda-inf"]
 
 #: ("command key=value ...", the words after "config error: ") for the bids
 #: exp1-exp5 and the fixture-bid sweep price: the ask is checked first, then
@@ -175,6 +179,23 @@ class TestExitCodes:
         cfg.write_text(text, encoding="utf-8")
         assert main(["exp1", "--config", str(cfg), "--override", "T=0.5"]) == 2
         assert "config error" in capsys.readouterr().err
+
+    # json.loads raises RecursionError, no JSONDecodeError, past its depth.
+    @pytest.mark.parametrize("command, text",
+                             [("exp1", "[" * 100_000), ("appendix-a", '{"book": ' + "[" * 100_000)],
+                             ids=["exp1", "appendix-a-book"])
+    def test_config_nested_too_deeply_is_config_error(self, command, text, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text, encoding="utf-8")
+        code, out, err = run_cli([command, "--config", str(cfg)])
+        assert (code, out, err.count("\n")) == (2, "", 1)
+        assert err.startswith(f"config error: cannot read config {cfg}: maximum recursion depth exceeded")
+
+    def test_override_nested_too_deeply_is_config_error(self):
+        # Malformed JSON is read as the raw string, which is no float.
+        nested = "[" * 100_000
+        assert run_cli(["exp1", "--override", f"bid={nested}"]) == (
+            2, "", f"config error: override for exp1 is no float: bid={nested!r}\n")
 
     def test_bad_profile(self, capsys):
         assert main(["cone", "--profile", "pyramid"]) == 2
@@ -704,6 +725,31 @@ class TestSizeCaps:
             assert capsys.readouterr().err == (f"config error: a sweep draws at most {MAX_SWEEP_ROWS} rows, "
                                                f"n_candidates times the distinct reach_slope values, "
                                                f"got {slopes * MAX_ROWS}\n")
+
+    @pytest.mark.parametrize("points, refused", [(MAX_SWEEP_STEPS // MAX_HORIZON + 1, True),
+                                                 (MAX_SWEEP_STEPS // MAX_HORIZON, False)])
+    def test_sweep_steps_over_the_cap_are_config_error(self, points, refused, tmp_path, capsys, monkeypatch):
+        # A constant T0 steps from 1 to the horizon.  No point runs: at the cap
+        # the sweep would step for about 30 s.
+        class Ran(Exception):
+            pass
+
+        def refuse(*args):
+            raise AssertionError("a point ran before the sweep's steps were counted") if refused else Ran
+
+        monkeypatch.setattr(experiments, "_run_point", refuse)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"overrides": {"horizon": MAX_HORIZON},
+                                   "grid": {"T0": [0.5 + i / 4000 for i in range(points)]}}), encoding="utf-8")
+        argv = ["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        if not refused:
+            with pytest.raises(Ran):
+                main(argv)
+        else:
+            assert main(argv) == 2
+            assert capsys.readouterr().err == (f"config error: a sweep takes at most {MAX_SWEEP_STEPS} steps, "
+                                               f"its grid points times the most steps one point takes, "
+                                               f"got {points * MAX_HORIZON}\n")
 
 
 #: A value in its key's domain for each top-level config key but

@@ -195,13 +195,13 @@ class TestStep:
     def test_a_run_evaluates_its_book_once(self, monkeypatch, capsys):
         # exp2 holds three steps and executes at the fourth on one snapshot.
         calls = []
-        price_bids = experiments._price_bids
+        price_bids = experiments.price_bids
 
         def counted(bids, rule, ask):
             calls.append(rule)
             return price_bids(bids, rule, ask)
 
-        monkeypatch.setattr(experiments, "_price_bids", counted)
+        monkeypatch.setattr(experiments, "price_bids", counted)
         assert main(["exp2"]) == 0
         assert "t_star = 4" in capsys.readouterr().out
         assert len(calls) == 1

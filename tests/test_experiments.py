@@ -2,15 +2,13 @@ import json
 import math
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from matchbook import (
-    CandidateEntry,
     CompensationRule,
     Decision,
     ExperimentReport,
     InvalidConfig,
-    LiquidityStatus,
     PreferenceBook,
     apply_shock,
     reprice,
@@ -51,13 +49,13 @@ def best_bid_calls(monkeypatch):
 def pricings(monkeypatch):
     """The rule of every pricing of scenario or fixture bids the test makes."""
     calls = []
-    price_bids = experiments._price_bids
+    price_bids = experiments.price_bids
 
     def counted(bids, rule, ask):
         calls.append(rule)
         return price_bids(bids, rule, ask)
 
-    monkeypatch.setattr(experiments, "_price_bids", counted)
+    monkeypatch.setattr(experiments, "price_bids", counted)
     return calls
 
 
@@ -274,52 +272,8 @@ class TestAppendixA:
             run_appendix_a(config_from_mapping("appendix_a", {"overrides": {"T": 0.8}}))
 
 
-#: Book values and offers; whole values and equal offers make utility ties likely.
-BOOK_VALUES = st.one_of(st.sampled_from([-0.0, 0.0, 75.0, 80.0, 100.0, 300.0]),
-                        st.floats(min_value=-0.0, allow_infinity=False))
-RULE_ELASTICITIES = st.one_of(st.sampled_from([-0.0, 0.0, 0.05, 10.0]),
-                              st.floats(min_value=-0.0, allow_infinity=False))
-RULE_CAPS = st.one_of(st.sampled_from([-0.0, 0.0, 20.0, math.inf]), st.floats(min_value=-0.0))
-
-
-def outcome(call):
-    """``repr`` of what ``call()`` returns, or the type and words of its refusal."""
-    try:
-        return repr(call())
-    except (ValueError, OverflowError) as exc:
-        return f"{type(exc).__name__}: {exc}"
-
-
 class TestPriceBids:
-    """Scenario bids are priced with effective_utility and no book; a book of
-    the same bids is the bulk path, and both give the same metrics."""
-
-    @given(bids=st.lists(st.tuples(BOOK_VALUES, BOOK_VALUES), min_size=1, max_size=3),
-           elasticity=RULE_ELASTICITIES, cap=RULE_CAPS,
-           ask=st.floats(min_value=0, exclude_min=True, allow_infinity=False))
-    @example(bids=[(-0.0, 0.0), (0.0, 0.0)], elasticity=-0.0, cap=0.0, ask=1.0)  # signed zeros tie
-    @example(bids=[(-0.0, 5.0)], elasticity=-0.0, cap=0.0, ask=90.0)  # min(-0.0, 0.0) is -0.0: theta -0.0
-    @example(bids=[(80.0, 100.0), (70.0, 300.0)], elasticity=0.05, cap=20.0, ask=95.0)  # 85 == 85
-    @example(bids=[(1e308, 1e308)], elasticity=10.0, cap=math.inf, ask=95.0)  # U = inf: no theta
-    @settings(max_examples=300, deadline=None)
-    def test_the_pricer_is_the_books_metrics(self, bids, elasticity, cap, ask):
-        entries = [CandidateEntry(f"b{i}", v, c, LiquidityStatus.LIQUID) for i, (v, c) in enumerate(bids)]
-        rule = CompensationRule(elasticity, cap)
-        priced = outcome(lambda: experiments._price_bids(tuple(entries), rule, ask))
-        assert priced == outcome(lambda: PreferenceBook(entries).metrics(rule, ask=ask))
-
-    @given(bids=st.lists(st.tuples(st.floats(), st.floats()), min_size=1, max_size=3))
-    @example(bids=[(-1.0, math.nan), (math.inf, -1.0)])  # every value before any offer
-    @settings(max_examples=200, deadline=None)
-    def test_bids_are_refused_in_the_books_words(self, bids):
-        named = [(f"b{i}", v, c) for i, (v, c) in enumerate(bids)]
-        entries = tuple(CandidateEntry(*bid, LiquidityStatus.LIQUID) for bid in named)
-
-        def book_entries():
-            PreferenceBook(entries)
-            return entries
-
-        assert outcome(lambda: experiments._bids(1.0, *named)) == outcome(book_entries)
+    """Scenario bids are priced with book.price_bids, and no book is built."""
 
     # appendix-a builds its configured five-row book: the probe sees a book.
     @pytest.mark.parametrize("command, books", [
@@ -367,7 +321,9 @@ class TestReportConsistency:
         ("exp5", lambda s: s.update(post_shock_ask=s["post_shock_ask"] + 1), "post_shock_ask 100.0 - partner"),
         ("exp3", lambda s: s.update(immediate_fill=False), "immediate_fill False != True"),
         ("exp4", lambda s: s["markets"][1].update(decision="hold"), "market 1 theta or decision"),
-    ], ids=["exp5-commit_decision", "exp5-post_shock_ask", "exp3-immediate_fill", "exp4-market-decision"])
+        ("exp1", lambda s: s.update(best_utility=81.0), "slippage 15.0 != v_uncond - best_utility 14.0"),
+    ], ids=["exp5-commit_decision", "exp5-post_shock_ask", "exp3-immediate_fill", "exp4-market-decision",
+            "exp1-best_utility"])
     def test_verify_checks_every_derivable_field(self, name, tamper, what):
         # Each field is derivable from the records and the constants: exp5's
         # post-shock gap is post_shock_ask - partner, as apply_shock computes it.

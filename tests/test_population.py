@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 import pickle
 import threading
 
@@ -123,6 +124,22 @@ class TestGeneratedIds:
         assert formatted == []
 
 
+#: A PopulationConfig input outside its domain, and the words it is refused in.
+POPULATION_REFUSALS = [
+    ({"beta_alpha": math.nan}, "beta_alpha must be finite, got nan"),
+    ({"beta_beta": math.inf}, "beta_beta must be finite, got inf"),
+    ({"reach_slope": math.nan}, "reach_slope must be finite, got nan"),
+    ({"comp_low": -math.inf}, "comp_low must be finite, got -inf"),
+    ({"comp_high": math.inf}, "comp_high must be finite, got inf"),
+    ({"comp_scale": math.inf}, "comp_scale must be finite, got inf"),
+    ({"n_candidates": 10.5}, "n_candidates must be an integer, got 10.5"),
+    ({"n_candidates": 10.0}, "n_candidates must be an integer, got 10.0"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"comp_low": -1.0}, "compensation parameters must be >= 0"),
+    ({"comp_scale": -1.0}, "compensation parameters must be >= 0"),
+]
+
+
 class TestGenerate:
     def test_same_seed_same_book(self):
         cfg = PopulationConfig(n_candidates=2000, seed=99)
@@ -196,15 +213,9 @@ class TestGenerate:
         with pytest.raises(InvalidConfig):
             PopulationConfig(seed=-1)
 
-    @pytest.mark.parametrize(
-        "bad",
-        [{"beta_alpha": math.nan}, {"beta_beta": math.inf}, {"reach_slope": math.nan},
-         {"comp_low": -math.inf}, {"comp_high": math.inf}, {"comp_scale": math.inf},
-         {"n_candidates": 10.5}, {"n_candidates": 10.0}, {"seed": 1.5}],
-        ids=str,
-    )
-    def test_non_finite_or_fractional_parameters_rejected(self, bad):
-        with pytest.raises(InvalidConfig):
+    @pytest.mark.parametrize("bad, words", POPULATION_REFUSALS, ids=[str(bad) for bad, _ in POPULATION_REFUSALS])
+    def test_non_finite_or_fractional_parameters_rejected(self, bad, words):
+        with pytest.raises(InvalidConfig, match=f"^{re.escape(words)}$"):
             PopulationConfig(**bad)
 
     def test_size_cap(self):
