@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NoLiquidity
+from .errors import NoLiquidity, quoted
 from .valuation import (
     CompensationRule,
     Money,
@@ -119,7 +119,8 @@ def _status_codes(tokens: Iterable[object]) -> np.ndarray:
     try:
         return np.array([_STATUS_CODE[t] for t in tokens], dtype=np.int8)
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"a status is one of {', '.join(_STATUS_VALUES)}, got {exc}") from exc
+        got = quoted(exc.args[0]) if isinstance(exc, KeyError) else exc
+        raise ValueError(f"a status is one of {', '.join(_STATUS_VALUES)}, got {got}") from exc
 
 
 def _id(i: int, n: int) -> str:
@@ -230,9 +231,11 @@ class PreferenceBook:
         for name, column in zip(VALUE_COLUMNS, columns):
             if column.dtype.kind not in "iuf":
                 raise ValueError(f"{name} must hold numbers, got an array of {column.dtype}")
+        shapes = [column.shape for column in columns]
+        if shapes != [(n,), (n,)]:  # before np.array, which refuses a ragged pair in its own words
+            raise ValueError(f"v_intrinsic and c_offer need one value per id, got shapes "
+                             f"{shapes[0]} and {shapes[1]} for {n} ids")
         vc = np.array(columns, dtype=np.float64)
-        if vc.shape != (2, n):
-            raise ValueError(f"v_intrinsic and c_offer need one value per id, got shape {vc.shape}")
         ok = (vc >= 0) & (vc < math.inf)
         if not ok.all():
             column, row = divmod(int((~ok).argmax()), n)
@@ -240,7 +243,7 @@ class PreferenceBook:
         vc.flags.writeable = False
         codes.flags.writeable = False
         if names is not None and len(set(names)) != n:
-            raise ValueError(f"duplicate entry ids in book {owner_id!r}")
+            raise ValueError(f"duplicate entry ids in book {quoted(owner_id)}")
         v, c = vc
         liquid = np.flatnonzero(codes == _LIQUID)
         v_liquid, c_liquid = v[liquid], c[liquid]
@@ -314,13 +317,13 @@ class PreferenceBook:
         anchors the ask.
         """
         if self._v_uncond is None:
-            raise ValueError(f"book {self.owner_id!r} has no entries")
+            raise ValueError(f"book {quoted(self.owner_id)} has no entries")
         return self._v_uncond
 
     def v_reach(self) -> Valuation:
         """Best bid: max intrinsic value over liquid entries only."""
         if self._v_reach is None:
-            raise NoLiquidity(f"book {self.owner_id!r} has no liquid entry")
+            raise NoLiquidity(f"book {quoted(self.owner_id)} has no liquid entry")
         return self._v_reach
 
     def _utilities(self, rule: CompensationRule) -> np.ndarray:
@@ -342,7 +345,7 @@ class PreferenceBook:
         """Liquid entry maximizing effective utility; earliest entry wins ties,
         since argmax returns the first maximum."""
         if self._v_reach is None:
-            raise NoLiquidity(f"book {self.owner_id!r} has no liquid entry")
+            raise NoLiquidity(f"book {quoted(self.owner_id)} has no liquid entry")
         utility = self._utilities(rule)
         k = int(utility.argmax())
         return BestBid(self._row(self._liquid[k]), float(utility[k]))

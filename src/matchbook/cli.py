@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from .dynamics import records_to_csv
-from .errors import InvalidConfig, NoLiquidity
+from .errors import InvalidConfig, NoLiquidity, quoted
 from .experiments import (
     OVERRIDE_KEYS,
     RUNNERS,
@@ -49,7 +49,7 @@ EXIT_DROUGHT = 3
 def _parse_override(text: str) -> tuple[str, Any]:
     key, sep, raw = text.partition("=")
     if not sep or not key:
-        raise InvalidConfig(f"--override expects key=value, got {text!r}")
+        raise InvalidConfig(f"--override expects key=value, got {quoted(text)}")
     try:
         return key, json.loads(raw)
     except (json.JSONDecodeError, RecursionError):  # RecursionError: nested past json's depth
@@ -65,9 +65,9 @@ def _parse_profile(text: str) -> DensityProfile:
         try:
             a, b = (float(x) for x in text.removeprefix("beta:").split(","))
         except ValueError as exc:
-            raise InvalidConfig(f"beta profile expects beta:a,b, got {text!r}") from exc
+            raise InvalidConfig(f"beta profile expects beta:a,b, got {quoted(text)}") from exc
         return DensityProfile.beta(a, b)
-    raise InvalidConfig(f"unknown profile {text!r}; use uniform, linear-cone or beta:a,b")
+    raise InvalidConfig(f"unknown profile {quoted(text)}; use uniform, linear-cone or beta:a,b")
 
 
 def _effective_config(args: argparse.Namespace, experiment: str) -> ExperimentConfig:
@@ -230,8 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     It is built once per process and shared by every later call, so a
     caller must not mutate it: add no argument and set no default.  Parsing
-    leaves it as it was, so ``main`` may be called again and again.  Its
-    ``commands`` maps each command name to that command's subparser.
+    leaves it as it was, so ``main`` may be called again and again.
     """
     parser = argparse.ArgumentParser(
         prog="matchbook",
@@ -245,28 +244,52 @@ def build_parser() -> argparse.ArgumentParser:
         subparser.set_defaults(handler=handler)
         for flag in flags:
             subparser.add_argument(flag, **_FLAGS[flag])
-    parser.commands = sub.choices
     return parser
 
 
-def parse(argv: Sequence[str] | None = None) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, with one pass over ``argv`` where
-    one is enough.
+def _plain(command: str, rest: Sequence[str]) -> argparse.Namespace | None:
+    """The namespace ``build_parser().parse_args([command, *rest])`` gives
+    where ``rest`` pairs exact flags of ``command`` with values that start
+    with no dash and pass each flag's type and choices; None elsewhere.
 
-    The whole parser scans every argument only to find the command name and
-    hand the rest to its subparser, so a named command is parsed by that
-    subparser alone.  The whole parser runs where the subparser cannot settle
-    the call: no command, an unknown one, or an argument the subparser leaves
-    over.  Help, usage errors and their exit codes thus keep their bytes.
+    Each flag's dest, type, choices, default and append action are those
+    ``_FLAGS`` gives argparse.  A later repeat of a flag wins, and each
+    ``--override`` appends to a fresh list, as argparse's do.
+    """
+    if command not in COMMANDS or len(rest) % 2:
+        return None
+    _, handler, flags = COMMANDS[command]
+    values = {flag: _FLAGS[flag].get("default") for flag in flags}
+    for flag, text in zip(rest[::2], rest[1::2]):
+        if flag not in values or text.startswith("-"):
+            return None
+        spec = _FLAGS[flag]
+        try:
+            value = spec.get("type", str)(text)
+        except ValueError:
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        values[flag] = [*values[flag], value] if spec.get("action") == "append" else value
+    dests = {flag.lstrip("-").replace("-", "_"): value for flag, value in values.items()}
+    return argparse.Namespace(command=command, **dests, handler=handler)
+
+
+def parse(argv: Sequence[str] | None = None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, in one pass over ``argv`` where
+    that is enough.
+
+    A plain command line, a command name followed by pairs of an exact flag
+    it takes and a value, is read from ``_FLAGS`` and ``COMMANDS`` alone
+    (``_plain``).  The whole parser parses every other one: help, ``--``,
+    abbreviated or ``=``-joined flags, values that start with a dash, and
+    every usage error, so these keep argparse's text and exit codes.  The
+    parser is built first all the same, once per process.
     """
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    subparser = parser.commands.get(argv[0]) if argv else None
-    if subparser is not None:
-        args, extra = subparser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not extra:
-            return args
-    return parser.parse_args(argv)
+    args = _plain(argv[0], argv[1:]) if argv else None
+    return parser.parse_args(argv) if args is None else args
 
 
 #: What a domain check raises for an input outside its domain: exit 2.  Any

@@ -23,6 +23,7 @@ from operator import itemgetter
 from typing import Iterable, Union
 
 from .book import BookMetrics, csv_columns, write_csv
+from .errors import quoted
 from .valuation import Valuation, market_to_book
 
 
@@ -32,7 +33,7 @@ from .valuation import Valuation, market_to_book
 def _integer(value: object, what: str) -> int:
     """A step as an int: a bool or a fraction is a ValueError, not a truncation."""
     if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
+        raise ValueError(f"{what} must be an integer, got {quoted(value)}")
     return int(value)
 
 

@@ -9,8 +9,20 @@ argument outside its domain raises ``ValueError``, as ``max([])`` does, or
 turns into which exit status is one table in ``cli.main``:
 :class:`InvalidConfig`, ``ValueError`` and ``OverflowError`` exit 2,
 :class:`NoLiquidity` exits 3, and any other exception is a bug that keeps
-its traceback.
+its traceback.  A message quotes a refused value through :func:`quoted`,
+so a value of any length gives a short line.
 """
+
+#: The most characters of a value's repr that a message quotes.
+QUOTED_CHARS = 80
+
+
+def quoted(value: object) -> str:
+    """``repr(value)``, cut after ``QUOTED_CHARS`` characters where it is longer."""
+    text = repr(value)
+    if len(text) <= QUOTED_CHARS:
+        return text
+    return f"{text[:QUOTED_CHARS]}... ({len(text)} characters)"
 
 
 class InvalidConfig(Exception):

@@ -49,7 +49,7 @@ from .dynamics import (
     reprice,
     step,
 )
-from .errors import InvalidConfig
+from .errors import InvalidConfig, quoted
 from .population import PopulationConfig, generate
 from .valuation import CompensationRule, effective_utility, market_to_book, slippage, spread
 
@@ -128,14 +128,17 @@ def _number(value: object) -> float:
     """A config value as a float; JSON's true is no number, though float(True) is 1.0."""
     if isinstance(value, bool):
         raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except ValueError:  # float's own words quote the whole string
+        raise ValueError(f"could not convert string to float: {quoted(value)}") from None
 
 
 def _grid_values(value: object) -> list[float]:
     """A grid parameter's values: a JSON array of numbers, since a string
     would iterate one character at a time."""
     if not isinstance(value, list):
-        raise TypeError(f"a grid value must be an array of numbers, got {value!r}")
+        raise TypeError(f"a grid value must be an array of numbers, got {quoted(value)}")
     return [_number(x) for x in value]
 
 
@@ -147,7 +150,7 @@ def _schedule_from_mapping(d: dict) -> ThresholdSchedule:
         return DecaySchedule(
             t0=_number(d["t0"]), rate=_number(d["rate"]), floor=_number(d.get("floor", 0.0))
         )
-    raise InvalidConfig(f"schedule mode must be 'table' or 'decay', got {mode!r}")
+    raise InvalidConfig(f"schedule mode must be 'table' or 'decay', got {quoted(mode)}")
 
 
 def config_from_mapping(experiment: str, data: dict, seed: int | None = None) -> ExperimentConfig:
@@ -160,15 +163,16 @@ def config_from_mapping(experiment: str, data: dict, seed: int | None = None) ->
     unread_seed = seed is not None and "population" not in accepted & data.keys()
     unknown = sorted(set(data).union(("seed",) if unread_seed else ()) - accepted)
     if unknown:
-        raise InvalidConfig(f"unknown config keys {unknown} for {experiment}; supported: {sorted(accepted)}")
+        raise InvalidConfig(f"unknown config keys {quoted(unknown)} for {experiment}; "
+                            f"supported: {sorted(accepted)}")
     named = data.get("experiment", experiment)
     if not isinstance(named, str) or named.replace("-", "_") != experiment:
-        raise InvalidConfig(f"a config for {experiment} names the experiment {named!r}")
+        raise InvalidConfig(f"a config for {experiment} names the experiment {quoted(named)}")
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int) or seed < 0):
         raise InvalidConfig(f"seed must be an unsigned integer, got {seed!r}")
     for section in ("overrides", "population", "grid"):  # a list of pairs is no JSON object
         if not isinstance(data.get(section, {}), dict):
-            raise InvalidConfig(f"{section} must be a JSON object, got {data[section]!r}")
+            raise InvalidConfig(f"{section} must be a JSON object, got {quoted(data[section])}")
     try:
         schedule = _schedule_from_mapping(data["schedule"]) if "schedule" in data else None
         book = None
@@ -189,16 +193,17 @@ def config_from_mapping(experiment: str, data: dict, seed: int | None = None) ->
     unknown = sorted(given.keys() - declared.keys())
     if unknown:
         supported = ", ".join(sorted(declared)) or "none"
-        raise InvalidConfig(f"unknown override keys {unknown} for {experiment}; supported: {supported}")
+        raise InvalidConfig(f"unknown override keys {quoted(unknown)} for {experiment}; "
+                            f"supported: {supported}")
     fmt = str(data.get("format", "json"))
     if fmt not in ("csv", "json"):
-        raise InvalidConfig(f"format must be csv or json, got {fmt!r}")
+        raise InvalidConfig(f"format must be csv or json, got {quoted(fmt)}")
     overrides = {key: value for key, value in declared.items() if value is not None}
     for key, value in given.items():
         try:
             overrides[key] = _number(value)
         except (TypeError, ValueError, OverflowError) as exc:
-            raise InvalidConfig(f"override for {experiment} is no float: {key}={value!r}") from exc
+            raise InvalidConfig(f"override for {experiment} is no float: {key}={quoted(value)}") from exc
     return ExperimentConfig(experiment, overrides, schedule, population, book, grid, fmt)
 
 
@@ -515,7 +520,7 @@ def _grid_points(grid: dict[str, list[float]]) -> tuple[list[str], list[tuple[fl
     unknown = [k for k in grid if k not in SWEEP_PARAMS]
     if unknown:
         raise InvalidConfig(
-            f"unknown sweep parameters {unknown}; supported: {', '.join(SWEEP_PARAMS)}"
+            f"unknown sweep parameters {quoted(unknown)}; supported: {', '.join(SWEEP_PARAMS)}"
         )
     params = list(grid.keys())
     size = math.prod(len(grid[p]) for p in params)

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .book import MAX_ROWS, PreferenceBook
-from .errors import InvalidConfig
+from .errors import InvalidConfig, quoted
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class PopulationConfig:
             raise InvalidConfig(f"population parameters are numbers, not booleans: {self}")
         for name in ("n_candidates", "seed"):
             if not isinstance(getattr(self, name), (int, np.integer)):
-                raise InvalidConfig(f"{name} must be an integer, got {getattr(self, name)!r}")
+                raise InvalidConfig(f"{name} must be an integer, got {quoted(getattr(self, name))}")
         for name in ("beta_alpha", "beta_beta", "reach_slope", "comp_low", "comp_high", "comp_scale"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidConfig(f"{name} must be finite, got {getattr(self, name)!r}")

@@ -151,6 +151,35 @@ ALL_COMMANDS = [
 ]
 
 
+#: A value too long to echo: each refusal that quotes it quotes only its start.
+LONG = "x" * 100_000
+#: (argv, config passed with --config or None) whose refusal quotes LONG.
+LONG_VALUE_REFUSALS = [
+    (["exp1", "--override", LONG], None),
+    (["cone", "--profile", LONG], None),
+    (["cone", "--profile", f"beta:{LONG}"], None),
+    (["exp1"], {LONG: 1}),
+    (["exp1"], {"experiment": LONG}),
+    (["exp1"], {"format": LONG}),
+    (["exp1"], {"overrides": {LONG: 1}}),
+    (["exp1"], {"overrides": {"bid": LONG}}),
+    (["gen"], {"population": [LONG]}),
+    (["gen"], {"population": {"n_candidates": LONG}}),
+    (["sweep"], {"grid": {"cap": LONG}}),
+    (["sweep"], {"schedule": {"mode": LONG}, "grid": {"cap": [0]}}),
+    (["sweep"], {"schedule": {"mode": "table", "points": [[LONG, 0.5]]}, "grid": {"cap": [0]}}),
+    (["sweep"], {"schedule": {"mode": "table", "points": [[0, LONG]]}, "grid": {"cap": [0]}}),
+    (["sweep"], {"grid": {"cap": [LONG]}}),
+    (["sweep"], {"grid": {LONG: [0]}}),
+    (["appendix-a"], {"book": [{"id": "a", "v_intrinsic": 1, "c_offer": 0, "status": LONG}]}),
+    (["appendix-a"], {"owner_id": LONG,
+                      "book": [{"id": "a", "v_intrinsic": 1, "c_offer": 0, "status": "liquid"}] * 2}),
+]
+LONG_VALUE_IDS = ["override-text", "profile", "beta-profile", "config-key", "experiment", "format",
+                  "override-key", "override-value", "population-list", "population-size", "grid-value",
+                  "schedule-mode", "schedule-step", "schedule-threshold", "grid-number", "grid-key",
+                  "book-status", "book-owner"]
+
 #: A book row whose ask is the smallest float and whose offer buys utility 2.0.
 TINY_ASK_ROW = {"id": "A", "v_intrinsic": 5e-324, "c_offer": 100, "status": "liquid"}
 
@@ -192,10 +221,28 @@ class TestExitCodes:
         assert err.startswith(f"config error: cannot read config {cfg}: maximum recursion depth exceeded")
 
     def test_override_nested_too_deeply_is_config_error(self):
-        # Malformed JSON is read as the raw string, which is no float.
+        # Malformed JSON is read as the raw string, which is no float; its repr is quoted cut.
         nested = "[" * 100_000
         assert run_cli(["exp1", "--override", f"bid={nested}"]) == (
-            2, "", f"config error: override for exp1 is no float: bid={nested!r}\n")
+            2, "", f"config error: override for exp1 is no float: bid='{'[' * 79}... (100002 characters)\n")
+
+    @pytest.mark.parametrize("argv, config", LONG_VALUE_REFUSALS, ids=LONG_VALUE_IDS)
+    def test_a_long_refused_value_is_quoted_cut(self, argv, config, tmp_path):
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config), encoding="utf-8")
+            argv = [*argv, "--config", str(cfg)]
+        code, out, err = run_cli(argv)
+        assert (code, out, err.count("\n")) == (2, "", 1)
+        assert err.startswith("config error: ") and len(err) < 300
+        assert "x" * errors.QUOTED_CHARS not in err and "xxx... (1000" in err
+
+    @pytest.mark.parametrize("value, words", [
+        ("", "''"), (1.5, "1.5"), ([1, 2], "[1, 2]"), ("x" * 78, "'" + "x" * 78 + "'"),
+        ("x" * 79, "'" + "x" * 79 + "... (81 characters)"),
+    ], ids=["empty", "float", "list", "78-chars", "79-chars"])
+    def test_a_repr_past_the_limit_is_cut(self, value, words):
+        assert errors.quoted(value) == words
 
     def test_bad_profile(self, capsys):
         assert main(["cone", "--profile", "pyramid"]) == 2
@@ -1068,6 +1115,32 @@ PARSE_ARGVS = [
     ["exp1", "--override", "bid=80", "extra"], ["exp1", "exp2"],
 ]
 
+#: Words of a command line: each command name, each flag whole, abbreviated
+#: and joined to a value with "=", help, "--", and values of each kind.
+ARGV_WORDS = st.sampled_from([
+    *cli.COMMANDS, "bogus",
+    *itertools.chain.from_iterable((flag, flag[:-1], f"{flag}=7") for flag in cli._FLAGS), "--ov",
+    "-h", "--help", "--",
+    "", "-", "-1", "-0.5", "csv", "json", "xml", "7", "abc", "0.5", "nan", "T=0.5", "bid=80", "beta:2,8",
+])
+#: A command name, then mostly pairs of a flag and a value: plain command
+#: lines among them, and each way one can stop being plain.
+ARGVS = st.one_of(
+    st.lists(ARGV_WORDS, max_size=6),
+    st.builds(lambda name, pairs: [name, *itertools.chain.from_iterable(pairs)],
+              st.sampled_from(list(cli.COMMANDS)),
+              st.lists(st.tuples(st.sampled_from([*cli._FLAGS, "--ov", "-h"]), ARGV_WORDS), max_size=4)),
+)
+
+
+def parsed(argv, call):
+    """``run_cli(argv, call)`` with a namespace shown as the repr of each of
+    its values, so that a nan parsed from ``--h0 nan`` equals another."""
+    code, out, err = run_cli(argv, call)
+    if isinstance(code, argparse.Namespace):
+        code = {key: repr(value) for key, value in vars(code).items()}
+    return code, out, err
+
 
 class TestParserPerCommand:
     """The one parser that serves every command: its usage errors, the argv
@@ -1104,6 +1177,51 @@ class TestParserPerCommand:
     def test_parse_is_the_whole_parse(self, argv):
         assert run_cli(argv, cli.parse) == run_cli(argv, cli.build_parser().parse_args)
 
+    # One example for each command line the one-pass reader leaves to the whole parser.
+    @example(["exp1", "--out"])
+    @example(["exp1", "--out", "x", "extra"])
+    @example(["exp1", "--ov", "bid=80"])
+    @example(["sweep", "--se", "7", "--out", "x"])
+    @example(["exp1", "--out=x", "--format=csv"])
+    @example(["exp1", "-h", "x"])
+    @example(["cone", "--h0", "0.5", "--help", "x"])
+    @example(["exp1", "--", "--out"])
+    @example(["exp1", "--out", "-"])
+    @example(["cone", "--h0", "-1"])
+    @example(["exp1", "--override", "-x"])
+    @example(["exp1", "--format", "xml"])
+    @example(["sweep", "--seed", "abc"])
+    @example(["gen", "--seed", "0.5"])
+    @example(["cone", "--h0", "abc"])
+    @example(["exp1", "--seed", "7"])
+    # And plain ones: an empty value, repeats, and appends.
+    @example(["exp1", "--out", ""])
+    @example(["exp1", "--override", "T=0.5", "--override", "bid=80", "--out", "a", "--out", "b"])
+    @example(["cone", "--h0", "nan", "--profile", "beta:2,8", "--format", "json"])
+    @given(argv=ARGVS)
+    @settings(max_examples=300, deadline=None)
+    def test_parse_is_the_whole_parse_for_any_argv(self, argv):
+        assert parsed(argv, cli.parse) == parsed(argv, cli.build_parser().parse_args)
+
+    def test_a_plain_call_runs_no_parser(self, monkeypatch):
+        calls = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def counted(self, *args, **kwargs):
+            calls.append(self.prog)
+            return parse_known_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        argvs = [*([name, *itertools.chain.from_iterable((flag, FLAG_VALUES[flag]) for flag in flags)]
+                   for name, (_, _, flags) in cli.COMMANDS.items()),
+                 ["exp1", "--override", "a=1", "--override", "b=2"]]
+        args = [cli.parse(argv) for argv in argvs]
+        assert calls == []
+        assert args == [cli.build_parser().parse_args(argv) for argv in argvs]
+        # The counter sees the parsers, and no plain call appended to the shared default.
+        assert calls and set(calls) <= set(PARSER_PROGS)
+        assert args[-1].override == ["a=1", "b=2"] and cli._FLAGS["--override"]["default"] == []
+
     def test_a_named_command_skips_the_whole_parser(self, monkeypatch):
         parser, calls = cli.build_parser(), []
         parse_known_args = argparse.ArgumentParser.parse_known_args
@@ -1116,7 +1234,7 @@ class TestParserPerCommand:
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
         assert run_in_empty_dir(["exp1", "--override", "bid=80", "--format", "csv"])[0] == 0
         assert calls == []
-        # The subparser leaves "extra" over, so the whole parser reports it.
+        # "extra" is no flag, so the whole parser reads the call and reports it.
         assert run_in_empty_dir(["exp1", "extra"])[0] == 2
         assert calls == [parser]
 
