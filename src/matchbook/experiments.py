@@ -32,7 +32,7 @@ import itertools
 import json
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from typing import Any
 
@@ -106,6 +106,9 @@ CONFIG_KEYS: dict[str, frozenset[str]] = {
     name: frozenset(("experiment", "format", "overrides", *keys)) for name, _, _, keys in _SCENARIOS
 } | {"gen": frozenset(("experiment", "format", "population"))}
 
+#: The keys of a config's population section: PopulationConfig's fields.
+_POPULATION_KEYS = frozenset(f.name for f in fields(PopulationConfig))
+
 
 # -- configuration ---------------------------------------------------------------
 
@@ -169,7 +172,7 @@ def config_from_mapping(experiment: str, data: dict, seed: int | None = None) ->
     if not isinstance(named, str) or named.replace("-", "_") != experiment:
         raise InvalidConfig(f"a config for {experiment} names the experiment {quoted(named)}")
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int) or seed < 0):
-        raise InvalidConfig(f"seed must be an unsigned integer, got {seed!r}")
+        raise InvalidConfig(f"seed must be an unsigned integer, got {quoted(seed)}")
     for section in ("overrides", "population", "grid"):  # a list of pairs is no JSON object
         if not isinstance(data.get(section, {}), dict):
             raise InvalidConfig(f"{section} must be a JSON object, got {quoted(data[section])}")
@@ -183,6 +186,10 @@ def config_from_mapping(experiment: str, data: dict, seed: int | None = None) ->
         population = None
         if "population" in data:
             pop = dict(data["population"])
+            unknown = sorted(pop.keys() - _POPULATION_KEYS)
+            if unknown:
+                raise InvalidConfig(f"unknown population keys {quoted(unknown)} for {experiment}; "
+                                    f"supported: {sorted(_POPULATION_KEYS)}")
             if seed is not None:
                 pop["seed"] = seed
             population = PopulationConfig(**pop)
@@ -602,7 +609,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict[str, Any]]:
     pricer_for = functools.cache(functools.partial(_sweep_pricer, cfg))
     # One pricing per book and rule, keyed on reprs: 0.0 == -0.0, but theta keeps the sign.
     priced: dict[tuple, BookMetrics | None] = {}
-    fields = (*_COMMIT_FIELDS, "post_theta", "regret")
+    summary_keys = (*_COMMIT_FIELDS, "post_theta", "regret")
     rows: list[dict[str, Any]] = []
     for index, values in enumerate(points):
         point = dict(zip(params, values))
@@ -617,7 +624,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict[str, Any]]:
             priced[key] = price(rule)  # None in a drought: every step holds
         schedule = cfg.schedule if cfg.schedule is not None else _sweep_schedule(setting)
         records, run = _run_point(priced[key], schedule, horizon, new_ask)
-        report = ExperimentReport("sweep", point, records, {f: run[f] for f in fields})
+        report = ExperimentReport("sweep", point, records, {f: run[f] for f in summary_keys})
         rows.append({"grid_index": index, **report.constants, **report.summary})
     return rows
 

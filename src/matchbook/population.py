@@ -49,8 +49,9 @@ class PopulationConfig:
     seed: int = 42
 
     def __post_init__(self) -> None:
-        if any(isinstance(value, bool) for value in asdict(self).values()):  # float(True) is 1.0
-            raise InvalidConfig(f"population parameters are numbers, not booleans: {self}")
+        booleans = [name for name, value in asdict(self).items() if isinstance(value, bool)]
+        if booleans:  # float(True) is 1.0
+            raise InvalidConfig(f"population parameters are numbers, not booleans: {', '.join(booleans)}")
         for name in ("n_candidates", "seed"):
             if not isinstance(getattr(self, name), (int, np.integer)):
                 raise InvalidConfig(f"{name} must be an integer, got {quoted(getattr(self, name))}")
@@ -58,17 +59,17 @@ class PopulationConfig:
             if not math.isfinite(getattr(self, name)):
                 raise InvalidConfig(f"{name} must be finite, got {getattr(self, name)!r}")
         if not 1 <= self.n_candidates <= MAX_ROWS:
-            raise InvalidConfig(f"n_candidates must lie in [1, {MAX_ROWS}], got {self.n_candidates}")
+            raise InvalidConfig(f"n_candidates must lie in [1, {MAX_ROWS}], got {quoted(self.n_candidates)}")
         if self.beta_alpha <= 0 or self.beta_beta <= 0:
             raise InvalidConfig("beta shape parameters must be > 0")
         if not 0 <= self.reach_slope <= 1:
-            raise InvalidConfig(f"reach_slope must lie in [0, 1], got {self.reach_slope}")
+            raise InvalidConfig(f"reach_slope must lie in [0, 1], got {quoted(self.reach_slope)}")
         if self.comp_low > self.comp_high:
             raise InvalidConfig("comp_low must not exceed comp_high")
         if self.comp_low < 0 or self.comp_scale < 0:
             raise InvalidConfig("compensation parameters must be >= 0")
         if self.seed < 0:
-            raise InvalidConfig(f"seed must be an unsigned integer, got {self.seed}")
+            raise InvalidConfig(f"seed must be an unsigned integer, got {quoted(self.seed)}")
 
 
 def generate(config: PopulationConfig) -> PreferenceBook:
@@ -136,7 +137,8 @@ class DensityProfile:
 
     The solid-of-revolution radius is sqrt(g(h)), so cross-section area is
     pi * g(h) and volumes reduce to integrals of g.  g must be pointwise, each
-    output a function of its own input only: cone_volume samples in pieces.
+    output a function of its own input only: cone_volume samples it in
+    blocks of the grid.
     """
 
     name: str
@@ -214,8 +216,11 @@ def _in_halves(fill: Callable[[int, int], None], n: int) -> None:
             raise errors[0]
 
 
-#: Trapezoid intervals of the cone integral.
+#: Trapezoid intervals of the cone integral, and the most intervals one block
+#: of a half builds and integrates at once: 12 501 points of 8 bytes stay
+#: below glibc's 128 KiB mmap threshold, so a block's arrays reuse the heap.
 _CONE_STEPS = 100_000
+_CONE_BLOCK = 12_500
 
 
 def cone_volume(profile: DensityProfile, h0: float) -> float:
@@ -224,20 +229,30 @@ def cone_volume(profile: DensityProfile, h0: float) -> float:
     Composite trapezoid on a uniform grid of ``_CONE_STEPS`` intervals: it
     needs only samples of g, so one scheme serves every profile.  Two threads,
     whose loops release the interpreter lock, each fill half of np.trapezoid's
-    terms d * (y1 + y0) / 2.0; one pairwise sum adds them, bit for bit.
+    terms d * (y1 + y0) / 2.0, block by block of ``_CONE_BLOCK`` intervals;
+    one pairwise sum adds them, bit for bit.  Each block makes its own grid
+    points with np.linspace's arithmetic, so no array of the whole grid is
+    ever made.
     """
     if not 0 <= h0 <= 1:
         raise ValueError(f"h0 must lie in [0, 1], got {h0}")
     if h0 == 1.0:
         return 0.0
-    ts, terms = np.linspace(h0, 1.0, _CONE_STEPS + 1), np.empty(_CONE_STEPS)
+    step, terms = (1.0 - h0) / _CONE_STEPS, np.empty(_CONE_STEPS)
 
     def fill(lo: int, hi: int) -> None:
-        x, out = ts[lo:hi + 1], terms[lo:hi]  # the halves share the midpoint
-        y = profile.g(x)  # SciPy's Beta density may raise OverflowError
-        np.add(y[1:], y[:-1], out=out)
-        out *= np.subtract(x[1:], x[:-1])
-        out /= 2.0
+        for start in range(lo, hi, _CONE_BLOCK):
+            stop = min(start + _CONE_BLOCK, hi)
+            x = np.arange(start, stop + 1, dtype=float)  # neighbouring blocks share a point
+            x *= step
+            x += h0
+            if stop == _CONE_STEPS:
+                x[-1] = 1.0  # as np.linspace sets its endpoint
+            y = profile.g(x)  # SciPy's Beta density may raise OverflowError
+            out = terms[start:stop]
+            np.add(y[1:], y[:-1], out=out)
+            out *= np.subtract(x[1:], x[:-1])
+            out /= 2.0
 
     # Near h0 = 1 the grid repeats points: a zero width times an infinite
     # density is NaN, which the caller refuses, so numpy need not warn of it.

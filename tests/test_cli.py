@@ -180,6 +180,14 @@ LONG_VALUE_IDS = ["override-text", "profile", "beta-profile", "config-key", "exp
                   "schedule-mode", "schedule-step", "schedule-threshold", "grid-number", "grid-key",
                   "book-status", "book-owner"]
 
+#: (argv, config passed with --config or None, the words naming the key or
+#: field) of a population refusal whose value is too long to echo whole.
+LONG_POPULATION_REFUSALS = [
+    (["gen"], {"population": {"k" * 10_000: 1}}, "unknown population keys ['kkk"),
+    (["gen"], {"population": {"n_candidates": int("9" * 4000)}}, "n_candidates must lie in"),
+    (["gen", "--seed", "-" + "9" * 3000], None, "seed must be an unsigned integer"),
+]
+
 #: A book row whose ask is the smallest float and whose offer buys utility 2.0.
 TINY_ASK_ROW = {"id": "A", "v_intrinsic": 5e-324, "c_offer": 100, "status": "liquid"}
 
@@ -236,6 +244,17 @@ class TestExitCodes:
         assert (code, out, err.count("\n")) == (2, "", 1)
         assert err.startswith("config error: ") and len(err) < 300
         assert "x" * errors.QUOTED_CHARS not in err and "xxx... (1000" in err
+
+    @pytest.mark.parametrize("argv, config, words", LONG_POPULATION_REFUSALS,
+                             ids=["population-key", "population-size-digits", "seed-digits"])
+    def test_a_long_population_refusal_is_one_short_line(self, argv, config, words, tmp_path):
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config), encoding="utf-8")
+            argv = [*argv, "--config", str(cfg)]
+        code, out, err = run_cli([*argv, "--out", str(tmp_path / "book.csv")])
+        assert (code, out, err.count("\n")) == (2, "", 1)
+        assert len(err.encode()) < 300 and err.startswith(f"config error: {words}")
 
     @pytest.mark.parametrize("value, words", [
         ("", "''"), (1.5, "1.5"), ([1, 2], "[1, 2]"), ("x" * 78, "'" + "x" * 78 + "'"),

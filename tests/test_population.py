@@ -3,6 +3,7 @@ import math
 import re
 import pickle
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from matchbook import book as book_module
 from matchbook.book import MAX_ROWS
 from matchbook.cli import _parse_profile
 from matchbook.experiments import config_from_mapping, run_sweep
-from matchbook.population import _CONE_STEPS, _in_halves, population_metadata
+from matchbook.population import _CONE_BLOCK, _CONE_STEPS, _in_halves, population_metadata
 
 
 def values_and_liquidity(book):
@@ -135,6 +136,7 @@ POPULATION_REFUSALS = [
     ({"n_candidates": 10.5}, "n_candidates must be an integer, got 10.5"),
     ({"n_candidates": 10.0}, "n_candidates must be an integer, got 10.0"),
     ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"seed": True, "reach_slope": False}, "population parameters are numbers, not booleans: reach_slope, seed"),
     ({"comp_low": -1.0}, "compensation parameters must be >= 0"),
     ({"comp_scale": -1.0}, "compensation parameters must be >= 0"),
 ]
@@ -504,6 +506,48 @@ class TestConeVolumeHalves:
             cone_volume(profile, 0.0)
         with np.errstate(over="ignore"):
             assert cone_volume(profile, 0.0) == math.inf
+
+
+class TestConeVolumeBlocks:
+    """Each half builds and integrates its grid in blocks of _CONE_BLOCK
+    intervals, with np.linspace's own arithmetic and no whole-grid array."""
+
+    @given(h0=st.floats(0.0, 1.0, exclude_max=True))
+    @example(h0=0.0)
+    @example(h0=5e-324)
+    @example(h0=0.5)
+    @example(h0=1 - 2**-53)  # the grid repeats points
+    @settings(max_examples=15, deadline=None)
+    def test_blocks_are_slices_of_the_linspace_grid(self, h0):
+        calls = []
+
+        def g(h):
+            calls.append((threading.get_ident(), h.copy()))
+            return np.ones_like(h)
+
+        cone_volume(DensityProfile("t", g), h0)
+        grid = np.linspace(h0, 1.0, _CONE_STEPS + 1).view(np.uint64)
+        caller, mid = threading.get_ident(), _CONE_STEPS // 2
+        (helper,) = {ident for ident, _ in calls} - {caller}
+        # In each thread's call order, a block starts on the point its predecessor ended on.
+        ends = {helper: 0, caller: mid}
+        for ident, h in calls:
+            assert h.size <= _CONE_BLOCK + 1
+            assert np.array_equal(h.view(np.uint64), grid[ends[ident]:ends[ident] + h.size])
+            ends[ident] += h.size - 1
+        assert ends == {helper: mid, caller: _CONE_STEPS}
+
+    def test_peak_memory_stays_below_the_whole_grid_arrays(self):
+        # The terms buffer is 0.8 MB; whole-grid points, density and widths peaked at 3.9 MB.
+        profile = DensityProfile.beta(2, 8)
+        cone_volume(profile, 0.5)
+        tracemalloc.start()
+        try:
+            cone_volume(profile, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_500_000
 
 
 class TestInHalves:
