@@ -46,7 +46,7 @@ commit = step(book.metrics(rule), TableSchedule(points=((1, 0.80),)), 1)
 print(f"executed: theta {commit.theta:.4f} at threshold {commit.threshold}")
 
 shocked_ask = reprice(90.0, 1.10)
-post = apply_shock(commit, shocked_ask, 75.0)
+post = apply_shock(commit, shocked_ask)
 print(f"shock: ask 90 -> {shocked_ask}, theta -> {post.theta:.4f}")
 print(f"regret (theta below committed {post.threshold}): {post.theta < post.threshold}")
 
@@ -56,7 +56,7 @@ print(f"exit threshold {exit_T:.2f}; theta {post.theta:.2f} is below it, yet the
 print(f"commitment stands as decision {commit.decision.value!r}: exit is sticky, not automatic")
 
 print("\n== a counter-shock clears regret ==")
-recovered = apply_shock(commit, 88.0, 75.0)
+recovered = apply_shock(commit, 88.0)
 regret = recovered.theta < recovered.threshold
 print(f"ask repriced down to 88: theta {recovered.theta:.4f}, regret {regret}")
 

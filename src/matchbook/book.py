@@ -355,9 +355,10 @@ class PreferenceBook:
         they are priced from; None when no row is liquid (a drought).
 
         ``ask`` overrides the book-derived internal ask.  The ask is a belief
-        anchor and does not reprice when a strong bid arrives, so scenarios
-        where a live bid exceeds the anchor must pass the anchor explicitly
-        (the book-derived maximum would swallow the bid).
+        anchor and does not reprice when a strong bid arrives, so a library
+        caller or test whose live bid exceeds the anchor passes the anchor
+        (the book-derived maximum would swallow the bid); scenarios price
+        their bids against it through ``price_bids``.
         """
         v_ask = self.v_uncond() if ask is None else ask
         if self._v_reach is None:

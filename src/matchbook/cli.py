@@ -25,10 +25,10 @@ import os
 import stat
 import sys
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NoReturn, Sequence
 
 from .dynamics import records_to_csv
-from .errors import InvalidConfig, NoLiquidity, quoted
+from .errors import InvalidConfig, NoLiquidity, cut, quoted
 from .experiments import (
     OVERRIDE_KEYS,
     RUNNERS,
@@ -224,6 +224,14 @@ def _override_help(command: str) -> str:
     return f"override keys: {keys}. A value in the fixture replaces the default."
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage error is cut after 200 characters: argparse
+    echoes whole a refused flag value, a bad choice and every unknown argument."""
+
+    def error(self, message: str) -> NoReturn:
+        super().error(cut(message, 200))
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every command.
@@ -232,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     caller must not mutate it: add no argument and set no default.  Parsing
     leaves it as it was, so ``main`` may be called again and again.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="matchbook",
         description="Deterministic matching-market order-book simulations.",
     )

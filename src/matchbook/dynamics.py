@@ -22,9 +22,9 @@ from numbers import Integral
 from operator import itemgetter
 from typing import Iterable, Union
 
-from .book import BookMetrics, csv_columns, write_csv
+from .book import BestBid, BookMetrics, csv_columns, snapshot, write_csv
 from .errors import quoted
-from .valuation import Valuation, market_to_book
+from .valuation import Valuation
 
 
 # -- threshold schedules ------------------------------------------------------
@@ -120,30 +120,31 @@ def decide(theta: float, T: float) -> Decision:
 class DecisionRecord:
     """One evaluation's outputs; the per-step ledger row.
 
-    A record has all of theta, delta_v and slippage, or none of them: a
-    drought (no liquid entry meant no metrics could be computed).  An
-    EXECUTE record is the agent's commitment: ``t`` is the execution step
-    and ``threshold`` the threshold committed at.
+    ``metrics`` is the snapshot the threshold was compared with, or None in
+    a drought (no liquid entry meant no metrics could be computed).  An
+    EXECUTE record is the agent's commitment: ``t`` is the execution step,
+    ``threshold`` the threshold committed at, and ``metrics.bid`` the partner.
     """
 
     t: int
-    theta: float | None
     threshold: float
-    delta_v: float | None
-    slippage: float | None
     decision: Decision
+    metrics: BookMetrics | None
 
     def __post_init__(self) -> None:
-        if len({self.theta is None, self.delta_v is None, self.slippage is None}) > 1:
-            raise ValueError("a record has all of theta, delta_v and slippage, or none (a drought)")
         if self.decision is Decision.EXECUTE:
             if self.theta is None or not self.theta >= self.threshold:  # NaN fails
                 raise ValueError("an execute record requires theta >= threshold")
 
+    # The snapshot's metrics, each None in a drought.
+    theta = property(lambda self: None if self.metrics is None else self.metrics.theta)
+    delta_v = property(lambda self: None if self.metrics is None else self.metrics.delta_v)
+    slippage = property(lambda self: None if self.metrics is None else self.metrics.slippage)
+
     @property
     def drought(self) -> bool:
         """No liquid entry: the record carries no metrics."""
-        return self.theta is None
+        return self.metrics is None
 
 
 def step(metrics: BookMetrics | None, schedule: ThresholdSchedule, t: int) -> DecisionRecord:
@@ -157,18 +158,8 @@ def step(metrics: BookMetrics | None, schedule: ThresholdSchedule, t: int) -> De
     EXECUTE record.
     """
     T = schedule.at(t)
-    if metrics is None:
-        return DecisionRecord(
-            t=t, theta=None, threshold=T, delta_v=None, slippage=None, decision=Decision.HOLD
-        )
-    return DecisionRecord(
-        t=t,
-        theta=metrics.theta,
-        threshold=T,
-        delta_v=metrics.delta_v,
-        slippage=metrics.slippage,
-        decision=decide(metrics.theta, T),
-    )
+    decision = Decision.HOLD if metrics is None else decide(metrics.theta, T)
+    return DecisionRecord(t, T, decision, metrics)
 
 
 # -- post-execution shocks ----------------------------------------------------
@@ -191,9 +182,9 @@ def reprice(v_uncond: Valuation, factor: float) -> Valuation:
     return ask
 
 
-def apply_shock(commit: DecisionRecord, new_v_uncond: Valuation, v_partner: Valuation) -> DecisionRecord:
-    """The post-shock record: theta re-evaluated at the repriced ask against
-    the committed threshold, a step after the commit.
+def apply_shock(commit: DecisionRecord, new_v_uncond: Valuation) -> DecisionRecord:
+    """The post-shock record: the committed partner re-priced against the
+    repriced ask under the committed threshold, a step after the commit.
 
     The partner's *intrinsic* value is used: compensation utility has
     dissipated by the time a shock lands, so only the structural ratio
@@ -210,17 +201,11 @@ def apply_shock(commit: DecisionRecord, new_v_uncond: Valuation, v_partner: Valu
         raise ValueError("shocks apply to executed agents only")
     if not (math.isfinite(new_v_uncond) and new_v_uncond > 0):
         raise ValueError(f"the repriced ask must be finite and > 0, got {new_v_uncond}")
-    if not (math.isfinite(v_partner) and v_partner >= 0):
-        raise ValueError(f"the partner's value must be finite and >= 0, got {v_partner}")
-    gap = new_v_uncond - v_partner
-    return DecisionRecord(
-        t=commit.t + 1,
-        theta=market_to_book(v_partner, new_v_uncond),
-        threshold=commit.threshold,
-        delta_v=gap,
-        slippage=gap,
-        decision=Decision.HOLD,
-    )
+    partner = commit.metrics.bid.entry
+    if not (math.isfinite(partner.v_intrinsic) and partner.v_intrinsic >= 0):
+        raise ValueError(f"the partner's value must be finite and >= 0, got {partner.v_intrinsic}")
+    post = snapshot(BestBid(partner, partner.v_intrinsic), new_v_uncond)
+    return DecisionRecord(commit.t + 1, commit.threshold, Decision.HOLD, post)
 
 
 def lock_in_threshold(T: float, kappa: float) -> float:
@@ -255,12 +240,6 @@ def records_to_csv(records: Iterable[DecisionRecord]) -> str:
 
 
 def record_to_dict(r: DecisionRecord) -> dict:
-    return {
-        "t": r.t,
-        "theta": r.theta,
-        "threshold": r.threshold,
-        "delta_v": r.delta_v,
-        "slippage": r.slippage,
-        "decision": r.decision.value,
-        "drought": r.drought,
-    }
+    """The record's cells under RECORD_CSV_HEADER, the JSON report's spelling of it."""
+    cells = (r.t, r.theta, r.threshold, r.delta_v, r.slippage, r.decision.value, r.drought)
+    return dict(zip(RECORD_CSV_HEADER, cells))

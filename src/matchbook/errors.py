@@ -17,12 +17,17 @@ so a value of any length gives a short line.
 QUOTED_CHARS = 80
 
 
+def cut(text: str, chars: int = QUOTED_CHARS) -> str:
+    """``text``, cut after ``chars`` characters where it is longer."""
+    return text if len(text) <= chars else f"{text[:chars]}... ({len(text)} characters)"
+
+
 def quoted(value: object) -> str:
-    """``repr(value)``, cut after ``QUOTED_CHARS`` characters where it is longer."""
-    text = repr(value)
-    if len(text) <= QUOTED_CHARS:
-        return text
-    return f"{text[:QUOTED_CHARS]}... ({len(text)} characters)"
+    """``repr(value)`` as :func:`cut` cuts it; an integer too long to print is named by its bit length."""
+    try:
+        return cut(repr(value))
+    except ValueError:  # str() refuses an int of more than sys.get_int_max_str_digits() digits
+        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
 
 
 class InvalidConfig(Exception):

@@ -5,7 +5,10 @@ The generator draws intrinsic values from a Beta distribution scaled to
 0-100 (right-skewed: high tiers are rare), makes reachability decay linearly
 in value (the better the candidate, the less likely they are liquid), and
 correlates compensation capacity with value plus noise.  Everything is a
-pure function of the config, seed included.
+pure function of the config, seed included.  As offers grow with value, the
+share of a liquid row's gap to the ask its transfer closes, min(c * eps, cap)
+/ (ask - v), has a median that never falls from bucket to bucket of 5 rows or
+more on generated books (buckets of 3 can reverse it).
 
 Scarcity geometry: picture the population as a solid of revolution whose
 radius at height h is sqrt(g(h)) for a density profile g.  The candidate

@@ -259,7 +259,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("value, words", [
         ("", "''"), (1.5, "1.5"), ([1, 2], "[1, 2]"), ("x" * 78, "'" + "x" * 78 + "'"),
         ("x" * 79, "'" + "x" * 79 + "... (81 characters)"),
-    ], ids=["empty", "float", "list", "78-chars", "79-chars"])
+        (10**5000, "an integer of 16610 bits"), (-(10**5000), "a negative integer of 16610 bits"),
+    ], ids=["empty", "float", "list", "78-chars", "79-chars", "unprintable-int", "unprintable-negative-int"])
     def test_a_repr_past_the_limit_is_cut(self, value, words):
         assert errors.quoted(value) == words
 
@@ -733,6 +734,47 @@ def exit_status(argv):
     return run_cli(argv)[0]
 
 
+#: Two flag values argparse once echoed whole: a 5 000-character word, and a
+#: 5 000-digit integer, past the digits int() reads.
+LONG_WORD, LONG_DIGITS = "x" * 5000, "9" * 5000
+
+#: The tokens of a drawn command line: every flag a command takes but --out
+#: (a drawn value would name a file to write), a flag none takes, and values,
+#: short and long.  No drawn text starts with a dash, so none abbreviates --out.
+ARG_TOKENS = st.one_of(
+    st.sampled_from([*(flag for flag in cli._FLAGS if flag != "--out"), "--bogus", "--"]),
+    st.sampled_from(["0", "0.5", "1.5", "-1", "nan", "inf", "csv", "json", "xml", "uniform", "beta:2,8",
+                     "beta:0,1", "bid=80", "T=2", "horizon=3", "k", LONG_WORD, LONG_DIGITS]),
+    st.text(alphabet=string.ascii_letters + string.digits + "=.,:", max_size=8),
+)
+
+
+class TestOneShortLine:
+    """Every command line exits 0, 2 or 3; an exit 0 writes no stderr, and an
+    exit 2 or 3 writes one line under 300 bytes, after the usage where
+    argparse refuses the command line."""
+
+    @given(command=st.sampled_from([*cli.COMMANDS, "bogus", LONG_WORD]),
+           tokens=st.lists(ARG_TOKENS, max_size=6))
+    @example(command="cone", tokens=["--h0", LONG_WORD])
+    @example(command="gen", tokens=["--seed", LONG_DIGITS])
+    @example(command="exp1", tokens=["--format", LONG_WORD])
+    @example(command="exp1", tokens=[LONG_WORD])
+    @example(command=LONG_WORD, tokens=[])
+    @settings(max_examples=200, deadline=None)
+    def test_any_command_line_exits_0_2_or_3_with_one_short_refusal(self, command, tokens):
+        code, _, err = run_cli([command, *tokens])
+        assert code in (0, 2, 3)
+        if code == 0:
+            assert err == ""
+            return
+        lines = err.splitlines()
+        if err.startswith("usage: "):
+            lines = lines[-1:]
+        assert len(lines) == 1 and err.endswith("\n")
+        assert len(lines[0].encode()) < 300, lines[0][:300]
+
+
 class TestSizeCaps:
     """A population or sweep grid over its cap fails before it is allocated."""
 
@@ -892,6 +934,117 @@ class TestConfigKeys:
 SMALL_POPULATION = {"n_candidates": 200}
 PRICED_BOOK = [{"id": "A", "v_intrinsic": 90, "c_offer": 0, "status": "lockup"},
                {"id": "B", "v_intrinsic": 70, "c_offer": 100, "status": "liquid"}]
+
+#: A sweep config under which each of its override keys is read: a bid of 70
+#: with an offer of 100 against an ask of 90 (theta 75 / 90) and a threshold
+#: that decays from 0.9 below it at step 1, with a shock and a grid on neither.
+SWEEP_READ = {"overrides": {"c": 100, "T0": 0.9, "lambda": 0.1, "horizon": 3}, "grid": {"eps": [0.05]}}
+#: A book with no liquid row, whose refusal names its owner.
+DROUGHT_BOOK = [{"id": "H", "v_intrinsic": 95, "c_offer": 0, "status": "hypothetical"}]
+#: Two books with different best bids.
+BOOKS = (load_fixture("appendix_a")["book"], PRICED_BOOK)
+
+#: (command, override key) -> (a config under which the key is read, two values).
+OVERRIDE_READINGS = {
+    **{("exp1", key): ({}, pair) for key, pair in {
+        "v_uncond": (95, 90), "bid": (60, 70), "c": (500, 100), "T": (0.9, 0.8),
+        "elasticity": (0.05, 0.01), "cap": (20, 10)}.items()},
+    ("exp2", "v_uncond"): ({}, (90, 80)),
+    ("exp2", "v_reach"): ({}, (70, 60)),
+    # With the fixture's c = 0, no rule buys any utility.
+    **{("exp3", key): ({"overrides": {"c": 100}}, pair) for key, pair in {
+        "v_uncond": (90, 80), "bid": (94, 80), "c": (100, 0), "T": (0.95, 0.5),
+        "elasticity": (0.05, 0.01), "cap": (20, 2)}.items()},
+    **{("exp4", key): ({}, pair) for key, pair in {
+        "v_uncond": (95, 90), "T": (0.8, 0.5), "v_a": (85, 60), "effort_a": (10, 100), "v_b": (75, 90),
+        "effort_b": (50, 400), "base_high": (200, 0), "base_low": (30, 0), "elasticity": (0.05, 0.01),
+        "cap": (20, 5)}.items()},
+    **{("exp5", key): ({}, pair) for key, pair in {
+        "partner": (75, 70), "ask": (90, 80), "commit_threshold": (0.8, 0.5), "shock_factor": (1.1, 1.2)}.items()},
+    **{("appendix_a", key): ({}, pair) for key, pair in {
+        "T": (0.8, 0.5), "elasticity": (0.02, 0.05), "cap": ("inf", 1)}.items()},
+    **{("sweep", key): (SWEEP_READ, pair) for key, pair in {
+        "v_uncond": (90, 80), "bid": (70, 60), "c": (100, 0), "T0": (0.9, 0.5), "lambda": (0.1, 0),
+        "floor": (0, 0.85), "horizon": (3, 0), "shock_factor": (1.1, 1.2), "cap": (20, 2)}.items()},
+    # A grid on eps replaces elasticity.
+    ("sweep", "elasticity"): ({**SWEEP_READ, "grid": {"cap": [20]}}, (0.05, 0.01)),
+}
+
+#: (command, top-level config key) -> (a config under which the key is read,
+#: two values).  ``experiment`` is read as a check, tested on its own.
+CONFIG_READINGS = {
+    **{(name, "format"): ({}, ("csv", "json")) for name in CONFIG_KEYS},
+    # A user's overrides merge over the fixture's; any override key's reading reads them.
+    **{(name, "overrides"): (base, (base.get("overrides", {}), {**base.get("overrides", {}), key: b}))
+       for (name, key), (base, (_, b)) in OVERRIDE_READINGS.items()},
+    ("exp2", "schedule"): ({}, (DECAY, load_fixture("exp2")["schedule"])),
+    ("appendix_a", "book"): ({}, BOOKS),
+    # The owner changes no --out byte; a drought's refusal names it.
+    ("appendix_a", "owner_id"): ({"book": DROUGHT_BOOK}, ("F", "G")),
+    ("sweep", "schedule"): ({"grid": {"cap": [20]}}, ({"mode": "table", "points": [[1, 0.95]]},
+                                                      {"mode": "table", "points": [[1, 0.5]]})),
+    ("sweep", "book"): ({"overrides": {"T0": 0.5}, "grid": {"cap": [20]}}, BOOKS),
+    ("sweep", "population"): ({"overrides": {"T0": 0.5}, "grid": {"cap": [20]}},
+                              (SMALL_POPULATION, {**SMALL_POPULATION, "seed": 1})),
+    ("sweep", "grid"): ({"overrides": {"T0": 0.8}}, ({"cap": [0]}, {"cap": [20]})),
+    ("gen", "population"): ({}, (SMALL_POPULATION, {**SMALL_POPULATION, "seed": 1})),
+}
+
+
+def outputs(command, config, tmp_path):
+    """Everything ``command`` writes under ``config``: its exit code, its --out
+    bytes (CSV unless the config names a format), its stdout and its stderr."""
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps({"format": "csv", **config}), encoding="utf-8")
+    out.unlink(missing_ok=True)
+    code, stdout, stderr = run_cli([command.replace("_", "-"), "--config", str(cfg), "--out", str(out)])
+    return code, out.read_bytes() if out.exists() else None, stdout, stderr
+
+
+class TestEveryKeyIsRead:
+    """Each key a command accepts has two values whose outputs differ in some
+    byte.  The domain: a key is read where the table says.  A sweep's lambda
+    override beside a lambda grid is accepted and unread, as is the fixture
+    bid of a sweep over a population; appendix-a's owner_id is read only by
+    the refusal of a drought, so stderr counts as an output."""
+
+    @pytest.mark.parametrize("command, key", [
+        pytest.param(name, key, id=f"{name}-{key}") for name, keys in experiments.OVERRIDE_KEYS.items() for key in keys])
+    def test_every_override_key_is_read(self, command, key, tmp_path):
+        base, (a, b) = OVERRIDE_READINGS[command, key]
+        first, second = ({**base, "overrides": {**base.get("overrides", {}), key: value}} for value in (a, b))
+        read = outputs(command, first, tmp_path), outputs(command, second, tmp_path)
+        assert [code for code, *_ in read] == [0, 0]
+        assert read[0] != read[1]
+
+    @pytest.mark.parametrize("command, key", [
+        pytest.param(name, key, id=f"{name}-{key}") for name, keys in CONFIG_KEYS.items() for key in sorted(keys)])
+    def test_every_config_key_is_read(self, command, key, tmp_path):
+        if key == "experiment":  # read as a check: the command's own name runs, another is refused
+            other = "exp2" if command == "exp1" else "exp1"
+            assert [outputs(command, {key: name}, tmp_path)[0] for name in (command, other)] == [0, 2]
+            return
+        base, values = CONFIG_READINGS[command, key]
+        read = [outputs(command, {**base, key: value}, tmp_path) for value in values]
+        assert [code for code, *_ in read] == ([3, 3] if key == "owner_id" else [0, 0])
+        assert read[0] != read[1]
+
+    @pytest.mark.parametrize("config, key, values", [
+        ({"overrides": {"T0": 0.9}, "grid": {"lambda": [0.1]}}, "lambda", (0.2, 0.5)),
+        ({"population": SMALL_POPULATION, "overrides": {"T0": 0.5}, "grid": {"cap": [20]}}, "bid", (70, 60)),
+        ({"population": SMALL_POPULATION, "overrides": {"T0": 0.5}, "grid": {"cap": [20]}}, "c", (0, 100)),
+        ({"population": SMALL_POPULATION, "overrides": {"T0": 0.5}, "grid": {"cap": [20]}}, "v_uncond", (90, 80)),
+    ], ids=["lambda-beside-a-lambda-grid", "bid-over-a-population", "c-over-a-population",
+            "v_uncond-over-a-population"])
+    def test_a_sweep_accepts_and_does_not_read(self, config, key, values, tmp_path):
+        read = [outputs("sweep", {**config, "overrides": {**config["overrides"], key: value}}, tmp_path)
+                for value in values]
+        assert read[0][0] == 0 and read[0] == read[1]
+
+    def test_appendix_a_owner_changes_no_out_byte(self, tmp_path):
+        read = [outputs("appendix_a", {"owner_id": owner}, tmp_path) for owner in ("F", "G")]
+        assert read[0][0] == 0 and read[0] == read[1]
+
 
 #: Each input that had two spellings, as (command, flags, the removed form,
 #: the key its refusal names, the one spelling left, the sha256 of the CSV

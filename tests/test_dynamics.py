@@ -5,10 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matchbook import (
+    BestBid,
+    BookMetrics,
+    CandidateEntry,
     CompensationRule,
     DecaySchedule,
     Decision,
     DecisionRecord,
+    LiquidityStatus,
     SETTLING_TABLE,
     TableSchedule,
     apply_shock,
@@ -23,10 +27,23 @@ from matchbook import (
 import matchbook
 from matchbook import dynamics, experiments
 from matchbook.cli import main
+from matchbook.book import snapshot
 from matchbook.dynamics import record_to_dict
 from conftest import make_book
 
 RULE = CompensationRule(elasticity=0.05, cap=20.0)
+
+
+def priced(v, ask):
+    """The snapshot of a lone liquid bid ``v`` with no transfer against ``ask``:
+    theta v / ask, delta_v and slippage both ask - v."""
+    return snapshot(BestBid(CandidateEntry("p", v, 0.0, LiquidityStatus.LIQUID), v), ask)
+
+
+def committed_to(partner, threshold=0.80):
+    """An EXECUTE record at theta 75/90 whose partner's value is ``partner``."""
+    entry = CandidateEntry("p", partner, 0.0, LiquidityStatus.LIQUID)
+    return DecisionRecord(1, threshold, Decision.EXECUTE, BookMetrics(75 / 90, 15.0, 15.0, BestBid(entry, 75.0)))
 
 
 def settling_book():
@@ -227,61 +244,70 @@ class TestEventualExecution:
 
 class TestApplyShock:
     def commit_record(self, threshold=0.80):
-        return DecisionRecord(1, 75 / 90, threshold, 15.0, 15.0, Decision.EXECUTE)
+        return DecisionRecord(1, threshold, Decision.EXECUTE, priced(75.0, 90.0))
 
     def test_peer_comparison_shock(self):
         new_ask = reprice(90.0, 1.10)
         assert new_ask == 99.0
-        post = apply_shock(self.commit_record(), new_ask, 75.0)
+        post = apply_shock(self.commit_record(), new_ask)
         assert post.theta == pytest.approx(75 / 99, abs=1e-12)
         assert post.theta < post.threshold
 
     def test_identity_shock(self):
         new_ask = reprice(90.0, 1.0)
         assert new_ask == 90.0
-        post = apply_shock(self.commit_record(), new_ask, 75.0)
+        post = apply_shock(self.commit_record(), new_ask)
         assert post.theta == pytest.approx(75 / 90, abs=1e-12)
         assert post.theta >= post.threshold
 
     def test_mild_shock_absorbed(self):
         new_ask = reprice(90.0, 1.02)
         assert new_ask == 91.8
-        post = apply_shock(self.commit_record(), new_ask, 75.0)
+        post = apply_shock(self.commit_record(), new_ask)
         assert post.theta == pytest.approx(0.8169934640522876, abs=1e-12)
         assert post.theta >= post.threshold
 
     def test_absolute_repricing(self):
-        post = apply_shock(self.commit_record(), 99.0, 75.0)
+        post = apply_shock(self.commit_record(), 99.0)
         assert post.theta == pytest.approx(75 / 99, abs=1e-12)
         assert post.theta < post.threshold
 
     def test_downward_repricing_clears_regret(self):
         state = self.commit_record()
-        shocked = apply_shock(state, reprice(90.0, 1.10), 75.0)
+        shocked = apply_shock(state, reprice(90.0, 1.10))
         assert shocked.theta < shocked.threshold
-        recovered = apply_shock(state, 90.0, 75.0)
+        recovered = apply_shock(state, 90.0)
         assert recovered.theta >= recovered.threshold
 
     def test_theta_strictly_decreasing_in_factor(self):
         factors = [1.0 + 0.01 * k for k in range(1, 60)]
         thetas = [
-            apply_shock(self.commit_record(), reprice(90.0, f), 75.0).theta
+            apply_shock(self.commit_record(), reprice(90.0, f)).theta
             for f in factors
         ]
         assert all(a > b for a, b in zip(thetas, thetas[1:]))
 
     def test_requires_executed_state(self):
-        hold = DecisionRecord(1, 75 / 90, 0.90, 15.0, 15.0, Decision.HOLD)
-        drought = DecisionRecord(1, None, 0.90, None, None, Decision.HOLD)
+        hold = DecisionRecord(1, 0.90, Decision.HOLD, priced(75.0, 90.0))
+        drought = DecisionRecord(1, 0.90, Decision.HOLD, None)
         for record in (hold, drought):
             with pytest.raises(ValueError, match="shocks apply to executed agents only"):
-                apply_shock(record, reprice(90.0, 1.1), 75.0)
+                apply_shock(record, reprice(90.0, 1.1))
 
     def test_post_shock_record(self):
         # A HOLD a step after the commit, at the committed threshold, with
         # the new ask's gap to the partner as both delta_v and slippage.
-        post = apply_shock(self.commit_record(), 99.0, 75.0)
-        assert post == DecisionRecord(2, 75 / 99, 0.80, 24.0, 24.0, Decision.HOLD)
+        post = apply_shock(self.commit_record(), 99.0)
+        assert post == DecisionRecord(2, 0.80, Decision.HOLD, priced(75.0, 99.0))
+        assert (post.theta, post.delta_v, post.slippage) == (75 / 99, 24.0, 24.0)
+
+    def test_partner_is_priced_at_its_intrinsic_value(self):
+        # The commit's bid carried a transfer; the shock prices the partner without it.
+        entry = CandidateEntry("p", 70.0, 100.0, LiquidityStatus.LIQUID)
+        commit = DecisionRecord(1, 0.80, Decision.EXECUTE, snapshot(BestBid(entry, 75.0), 90.0))
+        post = apply_shock(commit, 99.0)
+        assert post.metrics.bid == BestBid(entry, 70.0)
+        assert (post.theta, post.delta_v, post.slippage) == (70 / 99, 29.0, 29.0)
 
     def test_nan_ask_is_no_verdict(self):
         # NaN compares false both ways: a NaN ask must not report regret=False.
@@ -289,13 +315,13 @@ class TestApplyShock:
             with pytest.raises(ValueError):
                 reprice(ask, 1.1)
             with pytest.raises(ValueError):
-                apply_shock(self.commit_record(), ask, 70.0)
+                apply_shock(self.commit_record(), ask)
 
     def test_bad_partner_value_is_no_verdict(self):
         # A NaN partner gave a record with every metric NaN, read as no regret.
         for partner in (math.nan, math.inf, -math.inf, -1.0):
-            with pytest.raises(ValueError):
-                apply_shock(self.commit_record(), 99.0, partner)
+            with pytest.raises(ValueError, match="the partner's value must be finite and >= 0"):
+                apply_shock(committed_to(partner), 99.0)
 
     def test_overflowing_ask_is_no_verdict(self):
         # 1e308 * 10 overflows to inf, which would read as theta = 0, and
@@ -305,7 +331,7 @@ class TestApplyShock:
                 reprice(ask, factor)
         for ask in (math.inf, -math.inf):
             with pytest.raises(ValueError):
-                apply_shock(self.commit_record(), ask, 70.0)
+                apply_shock(self.commit_record(), ask)
 
     def test_shock_validation(self):
         with pytest.raises(ValueError):
@@ -313,7 +339,7 @@ class TestApplyShock:
         with pytest.raises(ValueError):
             reprice(90.0, math.inf)
         with pytest.raises(ValueError):
-            apply_shock(self.commit_record(), -1.0, 75.0)
+            apply_shock(self.commit_record(), -1.0)
 
 
 class TestLockInAndImpulse:
@@ -327,8 +353,8 @@ class TestLockInAndImpulse:
     def test_regret_persists_under_lock_in(self):
         # The shock drops theta below the raised exit threshold, yet the
         # commitment stands: stickiness, not reversal.
-        commit = DecisionRecord(1, 75 / 90, 0.80, 15.0, 15.0, Decision.EXECUTE)
-        post = apply_shock(commit, reprice(90.0, 1.10), 75.0)
+        commit = DecisionRecord(1, 0.80, Decision.EXECUTE, priced(75.0, 90.0))
+        post = apply_shock(commit, reprice(90.0, 1.10))
         exit_threshold = lock_in_threshold(commit.threshold, 0.15)
         assert post.theta < exit_threshold
         assert post.theta < post.threshold
@@ -358,9 +384,9 @@ class TestLockInAndImpulse:
 class TestRecordSerialization:
     def records(self):
         return [
-            DecisionRecord(1, 70 / 90, 0.95, 20.0, 20.0, Decision.HOLD),
-            DecisionRecord(2, None, 0.88, None, None, Decision.HOLD),
-            DecisionRecord(4, 70 / 90, 0.75, 20.0, 20.0, Decision.EXECUTE),
+            DecisionRecord(1, 0.95, Decision.HOLD, priced(70.0, 90.0)),
+            DecisionRecord(2, 0.88, Decision.HOLD, None),
+            DecisionRecord(4, 0.75, Decision.EXECUTE, priced(70.0, 90.0)),
         ]
 
     def test_csv_text(self):
@@ -406,19 +432,8 @@ class TestRecordSerialization:
         assert not hasattr(dynamics, name)
 
     def test_execute_record_must_cross_threshold(self):
-        with pytest.raises(ValueError):
-            DecisionRecord(1, 0.7, 0.75, 20.0, 20.0, Decision.EXECUTE)
-        with pytest.raises(ValueError):
-            DecisionRecord(1, None, 0.75, None, None, Decision.EXECUTE)
-        with pytest.raises(ValueError):
-            DecisionRecord(1, math.nan, 0.8, 1.0, 1.0, Decision.EXECUTE)
-        with pytest.raises(ValueError):
-            DecisionRecord(1, 0.9, math.nan, 1.0, 1.0, Decision.EXECUTE)
-
-    @pytest.mark.parametrize(
-        "theta, delta_v, slippage",
-        [(0.5, 1.0, None), (0.5, None, 1.0), (None, 1.0, 1.0), (0.5, None, None), (None, None, 1.0)],
-    )
-    def test_metrics_all_or_none(self, theta, delta_v, slippage):
-        with pytest.raises(ValueError):
-            DecisionRecord(1, theta, 0.9, delta_v, slippage, Decision.HOLD)
+        nan_theta = BookMetrics(math.nan, 1.0, 1.0, priced(81.0, 90.0).bid)
+        for threshold, metrics in ((0.8, priced(70.0, 90.0)), (0.75, None), (0.8, nan_theta),
+                                   (math.nan, priced(81.0, 90.0))):
+            with pytest.raises(ValueError, match="an execute record requires theta >= threshold"):
+                DecisionRecord(1, threshold, Decision.EXECUTE, metrics)

@@ -216,7 +216,8 @@ class TestExp5:
         report = run_exp5(cfg_for("exp5"))
         commit, post = report.records
         c = report.constants
-        assert post == apply_shock(commit, reprice(c["ask"], c["shock_factor"]), c["partner"])
+        assert post == apply_shock(commit, reprice(c["ask"], c["shock_factor"]))
+        assert post.metrics.bid.entry.v_intrinsic == c["partner"]
 
     def test_gap_jump_is_exact_arithmetic(self):
         report = run_exp5(cfg_for("exp5"))

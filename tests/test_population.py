@@ -222,7 +222,8 @@ class TestGenerate:
 
     def test_size_cap(self):
         assert PopulationConfig(n_candidates=MAX_ROWS).n_candidates == MAX_ROWS
-        for n in (MAX_ROWS + 1, 10**15):
+        # 10**5000 has more digits than int() prints: the refusal names its bits.
+        for n in (MAX_ROWS + 1, 10**15, 10**5000):
             with pytest.raises(InvalidConfig, match="n_candidates"):
                 PopulationConfig(n_candidates=n)
 

@@ -7,11 +7,14 @@ not what a helper computes.  Where a claim stops holding, the test pins the
 counterexample rather than widening the claim.
 """
 
+import itertools
 import math
+import statistics
 
 from hypothesis import assume, example, given, settings, strategies as st
 
-from matchbook import CompensationRule, effective_utility, run_sweep
+from matchbook import (CompensationRule, LiquidityStatus, PopulationConfig, classify_bucket,
+                       compensation_utility, effective_utility, generate, run_sweep)
 from matchbook.experiments import RUNNERS, config_from_mapping, load_fixture
 
 #: Every value a row computes from lies in [0, 100] (a population's values)
@@ -151,3 +154,69 @@ def test_a_transfer_needs_another_partner_exactly_where_the_first_falls_short(ro
         assert money["decision"] == "execute"
     elif money["decision"] == "execute":
         assert best != v0
+
+
+def gap_shares(book, rule):
+    """Each liquid row below the ask as (v, c, share): the share of its own gap
+    to the ask that its transfer closes, min(c * eps, cap) / (ask - v)."""
+    ask = book.v_uncond()
+    return [(e.v_intrinsic, e.c_offer, compensation_utility(e.c_offer, rule) / (ask - e.v_intrinsic))
+            for e in book.entries if e.status is LiquidityStatus.LIQUID and e.v_intrinsic < ask]
+
+
+def tier_medians(book, rule, least):
+    """The median share of each ``classify_bucket`` tier of at least ``least`` rows, in tier order."""
+    tiers = {}
+    for v, _, share in gap_shares(book, rule):
+        tiers.setdefault(classify_bucket(v), []).append(share)
+    return [statistics.median(shares) for _, shares in sorted(tiers.items()) if len(shares) >= least]
+
+
+def increasing(values):
+    return all(a <= b for a, b in zip(values, values[1:]))
+
+
+@given(
+    population=st.builds(PopulationConfig, n_candidates=st.integers(2, 60), seed=st.integers(0, 2**32 - 1),
+                         reach_slope=st.floats(0, 1), beta_alpha=st.floats(0.1, 10),
+                         beta_beta=st.floats(0.1, 10), comp_scale=st.floats(0, 20)),
+    eps=st.floats(0, 1), cap=st.floats(0, 60),
+)
+@settings(max_examples=60, deadline=None)
+def test_a_low_tier_transfer_closes_no_more_of_its_gap(population, eps, cap):
+    """The abstract's inefficiency of transfers in low-tier matches, on a row:
+    of two liquid rows with v_i <= v_j < ask and c_i <= c_j, the transfer of
+    row i closes no larger a share of its gap to the ask than that of row j.
+    The product, the min, the difference and the quotient are each monotone
+    in IEEE arithmetic, so this holds exactly, on any book and rule."""
+    rows = gap_shares(generate(population), CompensationRule(eps, cap))
+    for (v_i, c_i, share_i), (v_j, c_j, share_j) in itertools.permutations(rows, 2):
+        if v_i <= v_j and c_i <= c_j:
+            assert share_i <= share_j
+
+
+#: Beta shapes: right-skewed, left-skewed, symmetric and U-shaped values.
+SHAPES = ((2, 8), (8, 2), (2, 2), (0.5, 0.5))
+
+
+def test_the_median_share_never_falls_from_tier_to_tier_of_five_rows():
+    """The same claim by tier: the median share of the tiers with at least 5
+    liquid rows below the ask never falls from one tier to the next.  It is a
+    property of the generator, which draws offers that grow with value, not
+    of the rule; the next test pins where it stops holding."""
+    for seed, n, slope, (a, b) in itertools.product(range(8), (30, 60, 120), (0.3, 0.8, 1.0), SHAPES):
+        book = generate(PopulationConfig(n_candidates=n, seed=seed, reach_slope=slope, beta_alpha=a, beta_beta=b))
+        for eps, cap in itertools.product((0.01, 0.05, 0.2), (5, 20, 50)):
+            assert increasing(tier_medians(book, CompensationRule(eps, cap), least=5)), (seed, n, slope, a, b, eps, cap)
+
+
+def test_tiers_of_three_rows_can_reverse_the_median_share():
+    """Outside its domain: counting tiers of any size, this book's median
+    shares go 0.0083, 0.2305, 0.2187, 0.5509, falling from PROVIDER to MATCH,
+    two tiers of 3 rows each."""
+    book = generate(PopulationConfig(n_candidates=60, seed=1, reach_slope=1.0, beta_alpha=0.5, beta_beta=0.5))
+    rule = CompensationRule(0.01, 20)
+    medians = tier_medians(book, rule, least=1)
+    assert [round(m, 4) for m in medians] == [0.0083, 0.2305, 0.2187, 0.5509]
+    assert not increasing(medians)
+    assert increasing(tier_medians(book, rule, least=5))
